@@ -55,10 +55,6 @@ GATES: Dict[Tuple[str, str], Tuple[str, float]] = {
         ("REPRO_POSIT_SPEEDUP_FLOOR", 15.0),
     ("batch_throughput", "forward_posit64_12_batch"):
         ("REPRO_POSIT_FORWARD_SPEEDUP_FLOOR", 7.0),
-    # The compiled tier (PR 8): the fused resident-plane forward must
-    # stay >= 2x the PR 5 batch path it fuses.
-    ("batch_throughput", "posit_forward_fused"):
-        ("REPRO_POSIT_FUSED_SPEEDUP_FLOOR", 2.0),
     ("apps_throughput", "quire_accumulate"):
         ("REPRO_QUIRE_SPEEDUP_FLOOR", 10.0),
     # Native batch sub/div coverage: every recorded entry must beat the
@@ -118,7 +114,7 @@ CEILINGS: Dict[Tuple[str, str], Tuple[str, float]] = {
 REQUIRED_RESULTS: Dict[str, Tuple[str, ...]] = {
     "batch_throughput": (
         "forward_log_batch", "forward_posit64_12_batch",
-        "posit_forward_fused", "posit64_12_add", "posit64_12_mul",
+        "posit64_12_add", "posit64_12_mul",
         "binary64_sub", "binary64_div", "logspace_sub", "logspace_div",
         "posit64_9_sub", "posit64_9_div", "posit64_12_sub",
         "posit64_12_div", "lns6_8_sub", "lns12_50_div",

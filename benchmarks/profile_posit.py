@@ -16,28 +16,15 @@ repeats.  Whole-op rows therefore include the active collector's small
 tally overhead — the stage balance, which is what this profile is for,
 is unaffected.
 
-``--compare`` switches to the *path* profile: it runs the HMM forward
-workload through the PR 5 batch path and through the compiled tier
-(``ExecPlan(compiled=True)`` — whole-recurrence fusion over a resident
-decoded plane, :mod:`repro.engine.compiled`) and prints each stage's
-telemetry **totals** side by side, with call counts.  The decode row is
-the headline: the batch path re-decodes the model every op, the fused
-path decodes it once per kernel call.  Note the compiled tier bypasses
-its Numba loops whenever a telemetry collector is active (events and
-spans stay exact), so ``--compare`` always profiles the lean NumPy
-kernels — the stage balance, not the JIT.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_posit.py
     PYTHONPATH=src python benchmarks/profile_posit.py --json PROFILE.json
     PYTHONPATH=src python benchmarks/profile_posit.py --nbits 32 --es 2 \
         --size 100000 --repeats 30
-    PYTHONPATH=src python benchmarks/profile_posit.py --compare
 
 The ``--json`` payload maps stage names to ``{seconds_per_call,
-ops_per_s}`` plus the configuration (or, with ``--compare``, per-stage
-``{batch, fused}`` second/call totals), ready for artifact upload.
+ops_per_s}`` plus the configuration, ready for artifact upload.
 """
 
 from __future__ import annotations
@@ -96,7 +83,7 @@ def profile(nbits: int, es: int, size: int, repeats: int) -> dict:
     zeros_sticky = np.zeros(a.shape, dtype=bool)
 
     stages = {
-        "decode": lambda: bp._decode(a),
+        "decode": lambda: bp.decode_once(a),
         "encode": lambda: bp._encode(ua.sign, ua.scale, ua.frac64,
                                      zeros_sticky),
         "add_core": lambda: bp._add_core(ua, ub),
@@ -124,93 +111,6 @@ def profile(nbits: int, es: int, size: int, repeats: int) -> dict:
     }
 
 
-#: Stage spans shared by the PR 5 batch path and the fused tier — the
-#: rows of the ``--compare`` report, plus the whole-op kernel span.
-COMPARE_STAGES = {
-    "decode": "posit.decode",
-    "mul_core": "posit.core.mul",
-    "add_core": "posit.core.add",
-    "encode": "posit.encode",
-    "forward": "kernel.forward_batch",
-}
-
-
-def compare(nbits: int, es: int, batch: int, steps: int, hidden: int,
-            symbols: int, repeats: int) -> dict:
-    """Per-stage totals for the batch vs fused forward paths.
-
-    Runs the same HMM forward workload through
-    :func:`repro.engine.kernels.forward_batch` twice — default plan
-    (the PR 5 batch path) and ``ExecPlan(compiled=True)`` (the fused
-    resident-plane path) — each inside its own fresh collector, and
-    reports every shared stage span's call count and total seconds.
-    The two result arrays are asserted bit-identical first.
-    """
-    import numpy as np
-
-    from repro import telemetry
-    from repro.engine import kernels
-    from repro.engine.plan import ExecPlan
-    from repro.engine.posit_batch import BatchPosit
-    from repro.formats.posit import PositEnv
-
-    env = PositEnv(nbits, es)
-    bp = BatchPosit(env)
-    rng = np.random.default_rng(7)
-
-    def rows(shape):
-        m = rng.uniform(0.05, 1.0, size=shape)
-        return bp.from_floats(m / m.sum(axis=-1, keepdims=True))
-
-    a, b, pi = rows((hidden, hidden)), rows((hidden, symbols)), rows((hidden,))
-    obs = rng.integers(0, symbols, size=(batch, steps))
-    paths = {
-        "batch": lambda: kernels.forward_batch(bp, a, b, pi, obs),
-        "fused": lambda: kernels.forward_batch(
-            bp, a, b, pi, obs, plan=ExecPlan(compiled=True)),
-    }
-    if not np.array_equal(paths["batch"](), paths["fused"]()):
-        raise AssertionError("fused forward diverged from the batch path")
-
-    spans = {}
-    for label, fn in paths.items():
-        fn()  # warm ufunc/loop caches; time steady state only
-        with telemetry.collect() as t:
-            for _ in range(repeats):
-                fn()
-        spans[label] = {k: (v[0], v[1]) for k, v in t.spans.items()}
-
-    results = {}
-    for stage, span in COMPARE_STAGES.items():
-        rec = {}
-        for label in paths:
-            count, total = spans[label].get(span, (0, 0.0))
-            rec[label] = {"calls": count, "seconds": total}
-        results[stage] = rec
-    return {
-        "benchmark": "posit_path_compare",
-        "config": {"nbits": nbits, "es": es, "batch": batch,
-                   "steps": steps, "hidden": hidden, "symbols": symbols,
-                   "repeats": repeats},
-        "results": results,
-    }
-
-
-def _print_compare(payload: dict) -> None:
-    cfg = payload["config"]
-    print(f"posit({cfg['nbits']},{cfg['es']}) forward path compare, "
-          f"B={cfg['batch']} T={cfg['steps']} H={cfg['hidden']} "
-          f"M={cfg['symbols']} (totals over {cfg['repeats']} runs):")
-    print(f"  {'stage':<10}  {'batch calls':>11} {'batch ms':>9}"
-          f"  {'fused calls':>11} {'fused ms':>9}  {'speedup':>7}")
-    for stage, rec in payload["results"].items():
-        bt, ft = rec["batch"]["seconds"], rec["fused"]["seconds"]
-        ratio = f"{bt / ft:6.2f}x" if ft > 0 else "      -"
-        print(f"  {stage:<10}  {rec['batch']['calls']:>11}"
-              f" {bt * 1e3:9.2f}  {rec['fused']['calls']:>11}"
-              f" {ft * 1e3:9.2f}  {ratio}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Per-stage (decode/core/encode) batched-posit timings")
@@ -223,32 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="also dump the payload as JSON (use '-' "
                              "for stdout)")
-    parser.add_argument("--compare", action="store_true",
-                        help="profile the HMM forward workload through "
-                             "the batch path and the compiled tier "
-                             "side by side (per-stage span totals)")
-    parser.add_argument("--batch", type=int, default=64,
-                        help="[--compare] sequences per forward call")
-    parser.add_argument("--steps", type=int, default=40,
-                        help="[--compare] timesteps per sequence")
-    parser.add_argument("--hidden", type=int, default=8,
-                        help="[--compare] hidden states")
-    parser.add_argument("--symbols", type=int, default=8,
-                        help="[--compare] emission symbols")
     args = parser.parse_args(argv)
-
-    if args.compare:
-        payload = compare(args.nbits, args.es, args.batch, args.steps,
-                          args.hidden, args.symbols, args.repeats)
-        _print_compare(payload)
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=1)
-            print()
-        elif args.json:
-            with open(args.json, "w") as f:
-                json.dump(payload, f, indent=1)
-            print(f"wrote {args.json}")
-        return 0
 
     payload = profile(args.nbits, args.es, args.size, args.repeats)
     width = max(len(k) for k in payload["results"])

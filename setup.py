@@ -49,9 +49,6 @@ setup(
         "numpy>=1.22",
     ],
     extras_require={
-        # The optional JIT tier (repro.engine.compiled); everything
-        # works without it via the NumPy lean kernels.
-        "compiled": ["numba>=0.57"],
         "bench": ["pytest", "pytest-benchmark>=4.0"],
         "test": ["pytest", "hypothesis", "scipy"],
         "dev": ["pytest", "pytest-benchmark>=4.0", "pytest-cov",

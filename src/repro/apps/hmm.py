@@ -23,7 +23,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .. import faults as _faults
 from .. import nd
 from .. import telemetry as _tele
 from ..arith.backend import Backend
@@ -66,17 +65,6 @@ def _emission_shared(b: "nd.FArray", obs: np.ndarray, t: int) -> "nd.FArray":
     return b[:, obs[:, t]].T
 
 
-def _compiled_forward(a, b, pi, plan):
-    """The compiled tier's fused forward kernels for these operands,
-    or ``None`` for the generic expression (silent fallback: the tier
-    is bit-identical, so the choice never changes results).  Only
-    shared-model shapes fuse; ragged/odd shapes keep the nd path."""
-    from ..engine.compiled import plan_compiled_kernels
-    if a.ndim != 2 or b.ndim != 2 or pi.ndim != 1:
-        return None
-    return plan_compiled_kernels(plan, a, b, pi)
-
-
 def _forward_recurrence(a, pi, emission, n_steps: int, semiring,
                         trace: bool = False) -> "nd.FArray":
     """The one HMM recurrence, over any semiring: per step,
@@ -84,9 +72,10 @@ def _forward_recurrence(a, pi, emission, n_steps: int, semiring,
         ``alpha'[q] = (⊕_p alpha[p] × A[p, q]) × B[q, o_t]``
 
     with the semiring's contraction over ``p`` in index order (the add
-    monoid is ``nd.dot`` — mul + the format's ``sum`` fold, fused on
-    decoded-plane mirrors so each operand decodes once per step; the
-    max monoid is the exact code-order max).  ``alpha`` is always
+    monoid is ``nd.dot`` — mul + the format's ``sum`` fold; on posit the
+    model, ``alpha`` and every intermediate stay in the decoded plane,
+    so each model array decodes once per call; the max monoid is the
+    exact code-order max).  ``alpha`` is always
     ``(B, H)``; ``a`` is ``(H, H)`` (shared model) or ``(B, H, H)``
     (per-model), ``emission(t)`` yields ``(B, H)``.  Returns the
     ``total_op`` reduction over states, ``(B,)`` — or, with ``trace``,
@@ -110,55 +99,28 @@ def _forward_recurrence(a, pi, emission, n_steps: int, semiring,
     return semiring.reduce(alpha, axis=1)
 
 
-def _forward_nd(a, b, pi, obs: np.ndarray,
-                plan: Optional[ExecPlan] = None,
-                semiring=None) -> "nd.FArray":
+def _forward_nd(a, b, pi, obs: np.ndarray, semiring=None) -> "nd.FArray":
     """Forward likelihoods for a batch of sequences sharing one model:
     ``a (H, H)``, ``b (H, M)``, ``pi (H,)`` FArrays, ``obs (B, T)``
-    ints; returns ``(B,)``.  Listing 1, vectorized across sequences.
-    ``plan=ExecPlan(compiled=True)`` routes through the fused
-    resident-plane kernel where the format registers one (sum-product
-    only — the compiled tier bakes in the add monoid)."""
+    ints; returns ``(B,)``.  Listing 1, vectorized across sequences."""
     obs = np.asarray(obs)
     if obs.ndim != 2:
         raise ValueError("obs must have shape (batch, T)")
-    sr = resolve_semiring(semiring)
-    if sr.plus_op == "add" and sr.total_op == "add":
-        ck = _compiled_forward(a, b, pi, plan)
-        if ck is not None:
-            try:
-                return nd.wrap(ck.forward(a.data, b.data, pi.data, obs),
-                               bb=a._bb)
-            except Exception as exc:
-                # Degradation ladder: quarantine the compiled tier and
-                # recompute on the batch path (bit-identical).
-                _faults.degrade("compiled", exc)
     with _tele.span("app.hmm.forward"):
         return _forward_recurrence(
             a, pi, lambda t: _emission_shared(b, obs, t),
-            obs.shape[1], sr)
+            obs.shape[1], resolve_semiring(semiring))
 
 
 def _forward_trace_nd(a, b, pi, obs: np.ndarray,
-                      plan: Optional[ExecPlan] = None,
                       semiring=None) -> "nd.FArray":
     """Per-iteration total alpha mass, shape ``(B, T)`` — the data
     behind Figure 1."""
     obs = np.asarray(obs)
-    sr = resolve_semiring(semiring)
-    if sr.plus_op == "add" and sr.total_op == "add" and obs.ndim == 2:
-        ck = _compiled_forward(a, b, pi, plan)
-        if ck is not None:
-            try:
-                return nd.wrap(
-                    ck.forward_trace(a.data, b.data, pi.data, obs),
-                    bb=a._bb)
-            except Exception as exc:
-                _faults.degrade("compiled", exc)
     with _tele.span("app.hmm.forward_trace"):
         return _forward_recurrence(
             a, pi, lambda t: _emission_shared(b, obs, t),
-            obs.shape[1], sr, trace=True)
+            obs.shape[1], resolve_semiring(semiring), trace=True)
 
 
 def _forward_models_nd(a, b, pi, obs: np.ndarray,
@@ -220,7 +182,7 @@ def forward(hmm: HMMData, backend: Optional[Backend] = None,
     plan = resolve_plan(plan, where="forward")
     obs = hmm.observations if observations is None else observations
     a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
-    return _forward_nd(a, b, pi, _obs_rows([obs]), plan=plan,
+    return _forward_nd(a, b, pi, _obs_rows([obs]),
                        semiring=semiring).item(0)
 
 
@@ -231,8 +193,7 @@ def forward_alpha_trace(hmm: HMMData, backend: Optional[Backend] = None,
     reduction-certified tier."""
     plan = resolve_plan(plan, where="forward_alpha_trace")
     a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
-    trace = _forward_trace_nd(a, b, pi, _obs_rows([hmm.observations]),
-                              plan=plan)
+    trace = _forward_trace_nd(a, b, pi, _obs_rows([hmm.observations]))
     return [trace.item((0, t)) for t in range(trace.shape[1])]
 
 
@@ -272,13 +233,12 @@ def forward_batch(hmm: HMMData, backend: Optional[Backend] = None,
     if len({len(s) for s in seqs}) > 1:
         # Ragged batch: per-sequence B=1 passes over the hoisted model.
         return [_forward_nd(a, b, pi, np.asarray([s], dtype=np.intp),
-                            plan=plan, semiring=semiring).item(0)
+                            semiring=semiring).item(0)
                 for s in seqs]
     obs = np.asarray(seqs, dtype=np.intp)
     values: list = []
     for rows in plan.group_slices(obs.shape[0]):
-        out = _forward_nd(a, b, pi, obs[rows], plan=plan,
-                          semiring=semiring)
+        out = _forward_nd(a, b, pi, obs[rows], semiring=semiring)
         values.extend(out.item(i) for i in range(out.shape[0]))
     return values
 

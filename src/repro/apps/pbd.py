@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .. import faults as _faults
 from .. import nd
 from .. import telemetry as _tele
 from ..arith.backend import Backend
@@ -42,8 +41,7 @@ def complement(p: BigFloat, prec: int = 256) -> BigFloat:
     return BigFloat.from_int(1).sub(p, prec)
 
 
-def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k: int,
-            plan: Optional[ExecPlan] = None) -> "nd.FArray":
+def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k: int) -> "nd.FArray":
     """Listing 2 over a batch of sites, written once as an nd
     expression: ``pn``/``qn`` are ``(S, N)`` success probabilities and
     their exact complements; returns the ``(S,)`` p-values.
@@ -60,17 +58,6 @@ def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k: int,
     n_sites, n_trials = pn.shape
     if n_trials < k:
         raise ValueError("need at least k trials")
-    from ..engine.compiled import plan_compiled_kernels
-    ck = plan_compiled_kernels(plan, pn, qn)
-    if ck is not None:
-        # The fused resident-plane recurrence (bit-identical; the trial
-        # probabilities decode once for all N trials).
-        try:
-            return nd.wrap(ck.pbd(pn.data, qn.data, k), bb=pn._bb)
-        except Exception as exc:
-            # Degradation ladder: quarantine the compiled tier and
-            # recompute on the batch path (bit-identical).
-            _faults.degrade("compiled", exc)
     with _tele.span("app.pbd"):
         # pr[s, j] = P(j successes in the first n trials), tracked for
         # j < k.
@@ -116,7 +103,7 @@ def pbd_pvalue(success_probs: Sequence[BigFloat], k: int,
     if len(success_probs) < k:
         raise ValueError("need at least k trials")
     pn, qn = _site_arrays([list(success_probs)], backend, plan)
-    return _pbd_nd(pn, qn, k, plan=plan).item(0)
+    return _pbd_nd(pn, qn, k).item(0)
 
 
 def pbd_pmf(success_probs: Sequence[BigFloat], max_k: int, backend: Backend) -> list:
@@ -167,7 +154,7 @@ def pbd_pvalue_batch(sites: Sequence[Sequence[BigFloat]], k: int,
     for rows in plan.group_slices(len(sites)):
         group = sites[rows]
         pn, qn = _site_arrays(group, backend, plan)
-        out = _pbd_nd(pn, qn, k, plan=plan)
+        out = _pbd_nd(pn, qn, k)
         values.extend(out.item(i) for i in range(len(group)))
     return values
 

@@ -90,16 +90,6 @@ class FormatCapabilities:
     #: certified against the scalar backend); empty for scalar-only
     #: formats, whose callers keep the per-element loop.
     batch_ops: Tuple[str, ...] = ()
-    #: Whether a compiled kernel tier exists (whole-recurrence fusion
-    #: over the resident decoded plane, :mod:`repro.engine.compiled`),
-    #: selected by ``ExecPlan(compiled=True)``.  Compiled kernels are
-    #: bit-identical to the batch tier, so plans may set the flag for
-    #: any format — formats without the tier silently keep the batch
-    #: path.
-    compiled: bool = False
-    #: Whole recurrences the compiled tier fuses (empty when
-    #: ``compiled`` is False).
-    compiled_ops: Tuple[str, ...] = ()
 
     def __repr__(self):
         parts = [self.exactness,
@@ -110,8 +100,6 @@ class FormatCapabilities:
             parts.append(f"ops={','.join(self.batch_ops)}")
         if self.fused_ops:
             parts.append(f"fused={','.join(self.fused_ops)}")
-        if self.compiled:
-            parts.append(f"compiled={','.join(self.compiled_ops) or 'yes'}")
         if self.max_width is not None:
             parts.append(f"width<={self.max_width}")
         return f"<caps {' '.join(parts)}>"
@@ -145,44 +133,17 @@ class BatchPairing:
     reductions_certified: Callable[[Backend], bool] = lambda backend: True
 
 
-@dataclass(frozen=True)
-class CompiledPairing:
-    """How to build one batch backend's compiled kernel tier.
-
-    The third tier of the plane (scalar -> batch -> compiled): keyed on
-    the *batch mirror's* class, because the compiled kernels fuse whole
-    recurrences over the mirror's vectorized representation rather than
-    re-deriving one from the scalar backend.  The factory's product
-    must be bit-identical to the mirror — that contract is what lets
-    ``ExecPlan(compiled=True)`` fall back silently everywhere else.
-    """
-
-    #: The mirror class, or a zero-arg callable resolving to it (the
-    #: lazy form keeps :mod:`repro.engine` unimported at registry load,
-    #: like the pairing factories).
-    batch_cls: Any
-    #: ``factory(batch_backend) -> kernels`` (called lazily; the
-    #: product exposes the fused recurrences named in ``ops``).
-    factory: Callable[[Any], Any]
-    #: Recurrences the tier fuses (mirrors ``caps.compiled_ops``).
-    ops: Tuple[str, ...] = ()
-
-
 class FormatRegistry:
     """Registry of arithmetic formats and their batch pairings."""
 
     def __init__(self):
         self._specs: Dict[str, FormatSpec] = {}
         self._pairings: List[BatchPairing] = []
-        self._compiled: List[CompiledPairing] = []
         # One batch mirror per scalar backend instance: mirrors carry
         # useful state (BatchLNS memoizes its exact Gaussian-log table
         # per distinct gap), so repeated pairing calls must not start
         # it cold.  Weak keys let backends be garbage collected.
         self._mirrors = weakref.WeakKeyDictionary()
-        # Likewise one compiled-kernel instance per batch mirror (the
-        # Numba tier caches its specializations per environment).
-        self._compiled_kernels = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # Registration
@@ -195,10 +156,6 @@ class FormatRegistry:
 
     def register_pairing(self, pairing: BatchPairing) -> BatchPairing:
         self._pairings.append(pairing)
-        return pairing
-
-    def register_compiled(self, pairing: CompiledPairing) -> CompiledPairing:
-        self._compiled.append(pairing)
         return pairing
 
     # ------------------------------------------------------------------
@@ -238,8 +195,6 @@ class FormatRegistry:
                 "reductions": "certified" if caps.reductions_certified
                               else ("mode-dependent" if caps.batch else "-"),
                 "fused ops": ", ".join(caps.fused_ops) or "-",
-                "compiled": ", ".join(caps.compiled_ops) or
-                            ("yes" if caps.compiled else "-"),
                 "width": caps.max_width if caps.max_width is not None
                          else "unbounded",
                 "fig3 set": "*" if spec.standard else "",
@@ -250,8 +205,7 @@ class FormatRegistry:
 
     def __repr__(self):
         return (f"<FormatRegistry {len(self._specs)} formats, "
-                f"{len(self._pairings)} batch pairings, "
-                f"{len(self._compiled)} compiled tiers>")
+                f"{len(self._pairings)} batch pairings>")
 
     # ------------------------------------------------------------------
     # Construction
@@ -314,33 +268,6 @@ class FormatRegistry:
                 return mirror
         return None
 
-    def compiled_for(self, batch_backend):
-        """The compiled kernel tier fused over a batch mirror instance,
-        or ``None`` when the format registers none.
-
-        This is the routing half of ``ExecPlan(compiled=True)``: the
-        nd expressions ask for the tier and silently keep the batch
-        path on ``None`` (the tier is bit-identical, so the fallback
-        can never change results).  Memoized per mirror — the Numba
-        tier caches its compiled specializations.
-        """
-        if batch_backend is None:
-            return None
-        for pairing in self._compiled:
-            cls = pairing.batch_cls
-            if not isinstance(cls, type):
-                cls = cls()
-            if isinstance(batch_backend, cls):
-                try:
-                    kernels = self._compiled_kernels.get(batch_backend)
-                except TypeError:  # unweakrefable mirror
-                    return pairing.factory(batch_backend)
-                if kernels is None:
-                    kernels = pairing.factory(batch_backend)
-                    self._compiled_kernels[batch_backend] = kernels
-                return kernels
-        return None
-
     # ------------------------------------------------------------------
     # Dynamic (pattern) formats: posit(N,ES), lns(I,F), bigfloatP
     # ------------------------------------------------------------------
@@ -379,9 +306,7 @@ def _posit_spec(nbits: int, es: int, standard: bool = False) -> FormatSpec:
         caps=FormatCapabilities(
             exactness=ELEMENT_EXACT, batch=True, reductions_certified=True,
             fused_ops=("quire_fused_sum", "quire_fused_dot"),
-            max_width=nbits, batch_ops=FULL_BATCH_OPS,
-            compiled=True,
-            compiled_ops=("forward", "forward_trace", "pbd")),
+            max_width=nbits, batch_ops=FULL_BATCH_OPS),
         standard=standard)
 
 
@@ -488,18 +413,6 @@ def _default_registry() -> FormatRegistry:
         reductions_certified=lambda b: b.sum_mode == "sequential"))
     registry.register_pairing(BatchPairing(PositBackend, _batch_posit))
     registry.register_pairing(BatchPairing(LNSBackend, _batch_lns))
-
-    def _compiled_posit(batch_backend):
-        from ..engine.compiled import PositPlaneKernels
-        return PositPlaneKernels(batch_backend)
-
-    def _posit_batch_cls():
-        from ..engine.posit_batch import BatchPosit
-        return BatchPosit
-
-    registry.register_compiled(CompiledPairing(
-        _posit_batch_cls, _compiled_posit,
-        ops=("forward", "forward_trace", "pbd")))
     return registry
 
 
@@ -514,7 +427,6 @@ __all__ = [
     "ORACLE",
     "STANDARD_FORMATS",
     "BatchPairing",
-    "CompiledPairing",
     "FormatCapabilities",
     "FormatRegistry",
     "FormatSpec",

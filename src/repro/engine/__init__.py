@@ -11,7 +11,10 @@ them — see :mod:`repro.arith.registry` and
   float64 values/logs, bit-identical to the scalar backends (log-space
   in matching ``sum_mode``);
 * :class:`BatchPosit` — posit(N<=64, ES) on uint64 bit-pattern arrays,
-  element-exact against :class:`~repro.formats.posit.PositEnv`;
+  element-exact against :class:`~repro.formats.posit.PositEnv`, with one
+  rounding path over a decoded plane that :mod:`repro.nd` keeps
+  resident across whole expressions (each operand decodes once, codes
+  are built only when a value escapes);
 * :class:`BatchLNS` — LNS codes on int64 arrays, element-exact against
   :class:`~repro.formats.lns.LNSEnv` (exact memoized Gaussian log);
 * :class:`BatchQuire` — exact posit accumulators as uint64 limb
@@ -19,10 +22,6 @@ them — see :mod:`repro.arith.registry` and
 * :mod:`~repro.engine.kernels` — forward/backward algorithms over
   batches of sequences *and* batches of models, Poisson-binomial
   p-values over batches of sites;
-* :mod:`~repro.engine.compiled` — the opt-in compiled tier
-  (:class:`PositPlaneKernels`): whole-recurrence fusion over a
-  resident decoded plane, selected by ``ExecPlan(compiled=True)``,
-  bit-identical to the batch kernels;
 * :mod:`~repro.engine.runner` — the chunked multi-process sweep runner;
 * :mod:`~repro.engine.plan` — :class:`ExecPlan`, the one object
   carrying batch toggle, group width, worker fan-out, chunking and
@@ -66,12 +65,6 @@ if HAVE_NUMPY:
         BatchLogSpace,
     )
     from .posit_batch import BatchPosit
-    from .compiled import (
-        HAVE_NUMBA,
-        PositPlaneKernels,
-        numba_available,
-        plan_compiled_kernels,
-    )
     from .lns_batch import BatchLNS
     from .quire_batch import (
         BatchQuire,
@@ -90,9 +83,6 @@ if HAVE_NUMPY:
 else:  # pragma: no cover
     BatchBackend = BatchBinary64 = BatchLogSpace = BatchPosit = None
     BatchLNS = BatchQuire = None
-    HAVE_NUMBA = False
-    PositPlaneKernels = None
-    numba_available = plan_compiled_kernels = None
     fused_dot_product_batch = fused_sum_batch = None
     forward_batch = forward_alpha_trace_batch = pbd_pvalue_batch = None
     backward_batch = forward_multi_batch = None
@@ -145,10 +135,6 @@ def plan_batch_backend(backend, plan: "ExecPlan", *,
 
 __all__ = [
     "HAVE_NUMPY",
-    "HAVE_NUMBA",
-    "PositPlaneKernels",
-    "numba_available",
-    "plan_compiled_kernels",
     "CACHE_POLICIES",
     "DEFAULT_PLAN",
     "PLAN_SCHEMA_VERSION",

@@ -57,14 +57,12 @@ class BatchBackend(abc.ABC):
     name: str = "abstract-batch"
     #: NumPy dtype of value arrays.
     dtype: np.dtype = np.dtype(np.float64)
-    #: Array namespace the vectorized passes run on (array-API style,
-    #: the ``xp`` convention).  NumPy is the default and the only
-    #: namespace the exactness suites certify; subclasses accept
-    #: ``xp=`` so a CuPy-like module (NumPy-compatible broadcasting
-    #: ufuncs, ``where``/``minimum``/``concatenate``, 64-bit integer
-    #: dtypes) can be dropped in without another refactor.  The
-    #: compiled tier (:mod:`repro.engine.compiled`) inherits it.
-    xp = np
+    #: Whether :mod:`repro.nd` keeps this mirror's arrays in a decoded
+    #: plane between operations.  A resident mirror provides
+    #: ``decode_once``/``encode_once`` and ``<op>_unpacked`` plane ops
+    #: for add/mul/sum/dot/axpy (see
+    #: :class:`~repro.engine.posit_batch.BatchPosit`).
+    resident = False
 
     @property
     @abc.abstractmethod
@@ -221,11 +219,8 @@ class BatchBinary64(BatchBackend):
     name = "binary64"
     dtype = np.dtype(np.float64)
 
-    def __init__(self, scalar: Optional[Binary64Backend] = None, *,
-                 xp=None):
+    def __init__(self, scalar: Optional[Binary64Backend] = None):
         self._scalar = scalar if scalar is not None else Binary64Backend()
-        if xp is not None:
-            self.xp = xp
 
     @property
     def scalar(self) -> Backend:
@@ -291,10 +286,7 @@ class BatchLogSpace(BatchBackend):
 
     def __init__(self, prec: int = DEFAULT_PRECISION,
                  sum_mode: Optional[str] = None,
-                 scalar: Optional[LogSpaceBackend] = None, *,
-                 xp=None):
-        if xp is not None:
-            self.xp = xp
+                 scalar: Optional[LogSpaceBackend] = None):
         if scalar is not None:
             # The mirror contract requires one reduction dataflow on
             # both sides; inherit it, and refuse a contradiction.
@@ -393,6 +385,9 @@ class BatchLogSpace(BatchBackend):
             return super().sum(arr, axis=axis)
         arr = np.asarray(arr, dtype=self.dtype)
         moved = np.moveaxis(arr, axis, -1)
+        if moved.shape[-1] == 0:
+            # An empty sum is probability 0, as in the scalar fold.
+            return self.zeros(moved.shape[:-1])
         # N-ary LSE (Equation 3): one max, a sequential sum of exps in
         # index order, one log.  Within an ulp of lse_n, not bit-exact
         # (NumPy's SIMD exp differs from libm in the last ulp).

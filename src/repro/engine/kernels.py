@@ -15,6 +15,8 @@ Every elementwise op and every reduction happens in the same order and
 through the same primitive as the scalar backends, so the results are
 bit-identical (binary64, log-space in matching ``sum_mode``) or
 element-exact (posit, LNS) — only vectorized across a batch dimension.
+On posit the expressions keep the decoded plane resident: each model
+array decodes once per call, and only the returned codes are built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def _wrap3(backend: BatchBackend, a, b, pi):
 
 def forward_batch(backend: BatchBackend, a: np.ndarray, b: np.ndarray,
                   pi: np.ndarray, obs: np.ndarray,
-                  plan=None, semiring=None) -> np.ndarray:
+                  semiring=None) -> np.ndarray:
     """Forward algorithm over a batch of observation sequences.
 
     Parameters
@@ -44,11 +46,6 @@ def forward_batch(backend: BatchBackend, a: np.ndarray, b: np.ndarray,
         ``backend.from_bigfloats``).
     obs:
         Integer observation symbols, shape ``(B, T)``.
-    plan:
-        Optional :class:`~repro.engine.plan.ExecPlan`;
-        ``ExecPlan(compiled=True)`` routes through the format's
-        compiled tier where one is registered (bit-identical — formats
-        without a tier silently keep this batch path).
 
     Returns the batch of likelihoods, shape ``(B,)``, as backend values.
     Mirrors :func:`repro.apps.hmm.forward` exactly: per step,
@@ -62,22 +59,21 @@ def forward_batch(backend: BatchBackend, a: np.ndarray, b: np.ndarray,
     with _tele.span("kernel.forward_batch"):
         _faults.fire("kernel.forward_batch")
         fa, fb, fpi = _wrap3(backend, a, b, pi)
-        return np.asarray(_forward_nd(fa, fb, fpi, obs, plan=plan,
+        return np.asarray(_forward_nd(fa, fb, fpi, obs,
                                       semiring=semiring).data)
 
 
 def forward_alpha_trace_batch(backend: BatchBackend, a: np.ndarray,
                               b: np.ndarray, pi: np.ndarray,
-                              obs: np.ndarray, plan=None) -> np.ndarray:
+                              obs: np.ndarray) -> np.ndarray:
     """Per-iteration total alpha mass for a batch of sequences, shape
-    ``(B, T)`` — the batched counterpart of ``forward_alpha_trace``
-    (``plan=`` as in :func:`forward_batch`)."""
+    ``(B, T)`` — the batched counterpart of ``forward_alpha_trace``."""
     from ..apps.hmm import _forward_trace_nd
     with _tele.span("kernel.forward_alpha_trace_batch"):
         _faults.fire("kernel.forward_alpha_trace_batch")
         fa, fb, fpi = _wrap3(backend, a, b, pi)
         return np.asarray(
-            _forward_trace_nd(fa, fb, fpi, obs, plan=plan).data)
+            _forward_trace_nd(fa, fb, fpi, obs).data)
 
 
 def forward_multi_batch(backend: BatchBackend, a: np.ndarray, b: np.ndarray,
@@ -120,7 +116,7 @@ def backward_batch(backend: BatchBackend, a: np.ndarray, b: np.ndarray,
 
 
 def pbd_pvalue_batch(backend: BatchBackend, pn: np.ndarray, qn: np.ndarray,
-                     k: int, plan=None) -> np.ndarray:
+                     k: int) -> np.ndarray:
     """Poisson-binomial ``P(X >= k)`` over a batch of sites.
 
     Parameters
@@ -135,7 +131,6 @@ def pbd_pvalue_batch(backend: BatchBackend, pn: np.ndarray, qn: np.ndarray,
     Mirrors :func:`repro.apps.pbd.pbd_pvalue` exactly; the per-``j``
     recurrence is vectorized over sites *and* PMF entries, which is
     value-preserving because ``add(x, 0)`` is exact in every backend.
-    ``plan=`` as in :func:`forward_batch`.
     """
     from ..apps.pbd import _pbd_nd
     from ..nd import wrap
@@ -143,4 +138,4 @@ def pbd_pvalue_batch(backend: BatchBackend, pn: np.ndarray, qn: np.ndarray,
         _faults.fire("kernel.pbd_pvalue_batch")
         fpn = wrap(np.asarray(pn), bb=backend)
         fqn = wrap(np.asarray(qn), bb=backend)
-        return np.asarray(_pbd_nd(fpn, fqn, k, plan=plan).data)
+        return np.asarray(_pbd_nd(fpn, fqn, k).data)

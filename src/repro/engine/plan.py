@@ -39,13 +39,10 @@ The *semantics* of the plan live with the callees:
 * ``measure`` — collect wall-clock software-throughput measurements
   where an experiment supports them (fig6's software MMAPS columns).
   Runs that measure wall-clock are never served from the cache.
-* ``compiled`` — route whole recurrences through the compiled kernel
-  tier (:mod:`repro.engine.compiled`) where the format registers one:
-  the model arrays decode once, the decoded plane stays resident
-  across every timestep, and only escaping outputs are encoded.  The
-  tier is bit-identical to the batch path, so formats without one
-  *silently* fall back — the flag can never error and never changes
-  results (``tests/test_engine_compiled.py`` pins both).
+* ``compiled`` — accepted and ignored, so plan-schema v2 payloads keep
+  parsing.  There is no separate fused tier to select: the batch path
+  keeps posit's decoded plane resident through every :mod:`repro.nd`
+  expression.
 
 This module must stay import-light (no NumPy): plans are constructed
 by CLI/front-end code that must work even where the vectorized engine
@@ -65,7 +62,7 @@ CACHE_POLICIES = ("auto", "off", "refresh")
 #: incompatibly).  :meth:`ExecPlan.from_json` names this version in its
 #: rejection errors so a schema mismatch is diagnosable from the
 #: message alone.  v2 added ``compiled`` (v1 payloads still parse:
-#: absent fields keep their defaults).
+#: absent fields keep their defaults; the field now selects nothing).
 PLAN_SCHEMA_VERSION = 2
 
 

@@ -15,24 +15,27 @@ only fixed-width integer array operations:
   operands are too far apart to cancel;
 * quotients are produced by a restoring long division, one exact bit per
   step, with the remainder as the sticky;
-* the encoding string (regime + exponent + fraction) is reassembled in a
-  128-bit window and rounded exactly as the scalar ``_round_pattern``.
+* the one rounding (:meth:`BatchPosit._round_mag`) works on the top 64
+  bits of the encoding string (regime + exponent + fraction): the kept
+  and guard bits always fit one limb, and every lower bit only matters
+  as a boolean sticky.
 
-Beyond the packed bit-pattern API (``add``/``mul``/``sub``/``div``),
-the backend exposes a **decoded plane** representation
-(:class:`Unpacked`: ``zero``/``nar``/``sign``/``frac64``/``scale``
-arrays) with ``decode_once``/``encode_once`` entry points and fused
-kernels (``mul_unpacked``/``add_unpacked``/``mul_acc``/``axpy``/
-``dot_unpacked``).  Chained kernels — the forward recurrence's
-mul-then-fold, the PBD update — decode each operand *once* and keep
-intermediates in the plane form, paying one re-parse of the rounded
-magnitude per op instead of two full pattern decodes.  Every
-intermediate is still rounded to the posit grid exactly as the scalar
-chain rounds it, so the fused kernels remain element-exact.
+Every operation runs through the **decoded plane** (:class:`Unpacked`:
+zero/NaR/sign flags, the left-aligned significand and scale, and the
+rounded magnitude pattern).  ``decode_once`` enters it, the plane ops
+(``mul_unpacked``/``add_unpacked``/``sum_unpacked``/``dot_unpacked``)
+round each result once — exactly where the scalar chain rounds it — and
+``encode_once`` leaves it with a sign/zero/NaR fix-up of the magnitude
+pattern the rounding already produced.  :mod:`repro.nd` keeps posit
+arrays in this plane between operations, so a chained expression
+decodes each operand once and builds codes only when a value escapes;
+the packed-pattern API (``add``/``mul``/``dot``/``sum``/``axpy``) is
+the same plane ops wrapped in one decode and one fix-up.
 
 Element-for-element equality with ``PositEnv`` is enforced by
-``tests/test_engine_posit_batch.py`` (exhaustively at 8 bits, for all
-four operations and the plane round-trip).
+``tests/test_engine_posit_batch.py`` (exhaustively at 8 bits for
+es = 0, 1, 2, for all four operations, the plane round-trip and the
+resident :mod:`repro.nd` chains).
 """
 
 from __future__ import annotations
@@ -55,7 +58,13 @@ _TOP64 = np.uint64(1) << np.uint64(63)
 _BELOW_TOP = _TOP64 - _U64(1)
 _M32 = np.uint64(0xFFFFFFFF)
 _ONE = np.uint64(1)
+_U0 = np.uint64(0)
+_U64C = np.uint64(64)
 _SIXTY_THREE = np.uint64(63)
+_I0 = np.int64(0)
+_I1 = np.int64(1)
+_I63 = np.int64(63)
+_I64C = np.int64(64)
 
 
 def _u64(x) -> np.ndarray:
@@ -91,10 +100,6 @@ def _bit_length64(x: np.ndarray) -> np.ndarray:
     big = hi != 0
     _, e = np.frexp(np.where(big, hi, x).astype(np.float64))
     return np.where(big, e + 32, e).astype(np.int64)
-
-
-_I63 = np.int64(63)
-_I0 = np.int64(0)
 
 
 def _clamp63(n: np.ndarray) -> np.ndarray:
@@ -187,13 +192,18 @@ def _umul64(a, b):
 
 
 class Unpacked(NamedTuple):
-    """A posit array in the decoded plane: per-element flags plus a
-    left-aligned significand and base-2 scale.
+    """A posit array in the decoded plane: per-element flags, a
+    left-aligned significand and base-2 scale, and the magnitude
+    pattern.
 
     The element value is ``(-1)**sign * frac64 * 2**(scale - 63)`` with
-    ``frac64``'s leading 1 at bit 63; ``zero``/``nar`` lanes carry
-    well-defined but meaningless ``sign``/``frac64``/``scale`` planes —
-    every consumer must (and every kernel here does) honor the flags.
+    ``frac64``'s leading 1 at bit 63; ``mag`` is the same value's
+    rounded magnitude bit pattern (what the pattern is once the sign is
+    applied), so leaving the plane costs no second rounding.
+    ``zero``/``nar`` lanes carry well-defined but meaningless
+    ``sign``/``frac64``/``scale``/``mag`` planes — every consumer must
+    (and every kernel here does) honor the flags.  All planes share one
+    shape.
     """
 
     zero: np.ndarray
@@ -201,20 +211,24 @@ class Unpacked(NamedTuple):
     sign: np.ndarray
     frac64: np.ndarray
     scale: np.ndarray
+    mag: np.ndarray
 
     @property
     def shape(self):
-        return np.broadcast_shapes(*(np.shape(p) for p in self))
+        return np.shape(self.mag)
 
-    def broadcast_to(self, shape) -> "Unpacked":
-        return Unpacked(*(np.broadcast_to(p, shape) for p in self))
+    def map(self, fn, *others: "Unpacked") -> "Unpacked":
+        """``fn`` applied plane by plane — how views, gathers and joins
+        re-view the planes without decoding; ``others`` supply further
+        arrays' matching planes as extra arguments."""
+        return Unpacked(*[fn(*ps) for ps in zip(self, *others)])
 
     def moveaxis(self, src, dst) -> "Unpacked":
-        return Unpacked(*(np.moveaxis(p, src, dst) for p in self))
+        return Unpacked(*[np.moveaxis(p, src, dst) for p in self])
 
     def take(self, index) -> "Unpacked":
         """The planes at ``[..., index]`` (for fold kernels)."""
-        return Unpacked(*(p[..., index] for p in self))
+        return Unpacked(*[p[..., index] for p in self])
 
 
 class BatchPosit(BatchBackend):
@@ -225,15 +239,15 @@ class BatchPosit(BatchBackend):
     """
 
     dtype = np.dtype(np.uint64)
+    #: :mod:`repro.nd` keeps this mirror's arrays in the decoded plane
+    #: between operations (see :class:`Unpacked`).
+    resident = True
 
-    def __init__(self, env: PositEnv, scalar: Optional[PositBackend] = None,
-                 *, xp=None):
+    def __init__(self, env: PositEnv, scalar: Optional[PositBackend] = None):
         if env.nbits > 64:
             raise ValueError("BatchPosit supports nbits <= 64")
         if env.es > 59:
             raise ValueError("BatchPosit supports es <= 59")
-        if xp is not None:
-            self.xp = xp
         self.env = env
         self.name = env.name
         self._scalar = scalar if scalar is not None else PositBackend(env)
@@ -245,6 +259,7 @@ class BatchPosit(BatchBackend):
         self._minpos = _U64(env.minpos)
         self._body_len = env.nbits - 1
         self._one = _U64(env.from_float(1.0))
+        self._flush = env.underflow == FLUSH
         # Hoisted per-environment constants (regime/exponent masks and
         # shift counts are fixed by the configuration, so no kernel
         # recomputes them per element).
@@ -253,10 +268,16 @@ class BatchPosit(BatchBackend):
         self._kept_shift = _U64(64 - self._body_len)
         self._guard_shift = _U64(63 - self._body_len)
         self._below_mask = _U64((1 << (63 - self._body_len)) - 1)
+        self._has_below = self._body_len < 63
         self._max_scale = np.int64(env.max_scale)
         self._useed_log2 = np.int64(env.useed_log2)
         self._es_u = _U64(env.es)
+        self._es_i = np.int64(env.es)
         self._body_len_u = _U64(self._body_len)
+        if env.es >= 2:
+            self._e_top_shift = _U64(64 - env.es)
+            self._f_hi_shift = _U64(env.es - 1)
+            self._f_lo_shift = _U64(65 - env.es)
 
     @property
     def scalar(self) -> Backend:
@@ -301,7 +322,7 @@ class BatchPosit(BatchBackend):
                         signed - np.int64(1 << self.env.nbits), signed)
 
     # ------------------------------------------------------------------
-    # Decode: bit patterns -> (zero, nar, sign, frac64, scale)
+    # Entering and leaving the decoded plane
     # ------------------------------------------------------------------
     def _parse_body(self, body: np.ndarray):
         """``(frac64, scale)`` of a magnitude body (sign bit clear).
@@ -329,98 +350,107 @@ class BatchPosit(BatchBackend):
         frac64 = _TOP64 | ((body << (_SIXTY_THREE - f_bits)) & _BELOW_TOP)
         return frac64, scale
 
-    def _decode(self, bits):
-        """Decode patterns to left-aligned exact significands.
-
-        Returns ``(zero, nar, sign, frac64, scale)`` where the element
-        value is ``(-1)**sign * frac64 * 2**(scale - 63)`` and ``frac64``
-        has its leading 1 at bit 63.
-        """
-        with _tele.span("posit.decode"):
+    def decode_once(self, bits) -> Unpacked:
+        """The decoded-plane form of a pattern array (see
+        :class:`Unpacked`) — decode each operand once, then chain plane
+        ops on it."""
+        with _tele.span("posit.decode"), np.errstate(over="ignore"):
             bits = _u64(bits)
             if self._mask != _FULL64:
                 bits = bits & self._mask
-            zero = bits == 0
-            nar = bits == self._nar
             sign = bits >= self._sign_bit
-            mag = np.where(sign, _U64(0) - bits, bits)
-            body = mag & self._body_mask
-            frac64, scale = self._parse_body(body)
-            return zero, nar, sign, frac64, scale
+            mag = np.where(sign, _U64(0) - bits, bits) & self._body_mask
+            frac64, scale = self._parse_body(mag)
+            return Unpacked(bits == 0, bits == self._nar, sign, frac64,
+                            scale, mag)
 
-    def decode_once(self, bits) -> Unpacked:
-        """The decoded-plane form of a pattern array (see
-        :class:`Unpacked`) — decode each operand once, then chain fused
-        kernels on the planes."""
+    def encode_once(self, u: Unpacked) -> np.ndarray:
+        """Decoded planes back to bit patterns: the sign applied to the
+        rounded magnitude, zero and NaR lanes fixed up (no rounding —
+        that happened when the planes were produced)."""
         with np.errstate(over="ignore"):
-            return Unpacked(*self._decode(bits))
+            pattern = np.where(u.sign, (_U64(0) - u.mag) & self._mask,
+                               u.mag)
+            pattern = np.where(u.zero, _U64(0), pattern)
+            return np.where(u.nar, self._nar, pattern)
+
+    def zeros_unpacked(self, shape) -> Unpacked:
+        """Probability-0 planes (the fold identity)."""
+        return self.decode_once(self.zeros(shape))
 
     # ------------------------------------------------------------------
-    # Encode: (sign, scale, frac64, sticky) -> rounded bit patterns
+    # The one rounding: (scale, frac64, sticky) -> magnitude pattern
     # ------------------------------------------------------------------
-    def _encode_mag(self, scale, frac64, sticky, live=None):
-        """Round-to-nearest-even on the encoding string, vectorized;
-        returns the *magnitude* pattern (sign not yet applied).
+    def _round_mag(self, scale, frac64, sticky, live=None):
+        """Round an exact ``(scale, frac64, sticky)`` magnitude to the
+        nearest-even posit; returns the *magnitude* pattern (sign not
+        yet applied).
 
-        Mirrors ``PositEnv.encode_real``/``_round_pattern``: the string
-        is regime + exponent + fraction; we materialize its top 128 bits
-        with a sticky for the rest, keep ``nbits - 1`` bits, and round
-        on the guard bit + below-mask.
+        Mirrors ``PositEnv.encode_real``/``_round_pattern``: the
+        encoding string is regime + exponent + fraction.  Its kept and
+        guard bits always fit the top 64 bits, and every lower string
+        bit only matters as a boolean, so the string is built in one
+        limb with clamped shifts plus any-bits-below masks.
 
         ``live``, when given, masks the finite-nonzero result lanes and
         enables the ``posit.saturate``/``posit.flush`` event tallies
         (callers only build it while a telemetry collector is active).
         """
         with _tele.span("posit.encode"):
-            env = self.env
-            es = env.es
-            scale = _i64(scale)
-            frac64 = _u64(frac64)
-            sticky = np.asarray(sticky, dtype=bool)
-            sat = scale > self._max_scale
-
-            k = scale >> np.int64(es)  # arithmetic shift = floor division
-            e = _u64(scale - (k << np.int64(es)))
-            pos_k = k >= 0
-            # Ones (k >= 0) or zeros (k < 0) then the terminator; clamp
-            # the run so every shift below stays defined (lanes needing a
-            # longer run are saturation/underflow lanes whose value the
-            # final clamps and the sticky already determine).
-            run = np.minimum(np.where(pos_k, k + _I64(1), -k), _I64(192))
-            full = np.broadcast_to(_FULL64, run.shape)
-            top = np.broadcast_to(_TOP64, run.shape)
-            e_hi = np.where(pos_k, _shl64(full, 64 - run), _shr64(top, run))
-            e_lo = np.where(pos_k | (run < 64), _U64(0),
-                            _shr64(top, run - 64))
-            st_r = ~pos_k & (run >= 128)
+            k = scale >> self._es_i  # arithmetic shift = floor division
+            pos = k >= _I0
+            run = np.where(pos, k + _I1, -k)  # regime length, >= 1
+            big = run >= _I64C  # regime fills the top limb
+            rs = np.minimum(run, _I63).view(_U64)
+            # Regime in the top limb: `run` ones (k >= 0) or the
+            # terminator one at position `run` (k < 0).  Non-saturating
+            # positive regimes always fit (run <= nbits - 1 <= 63);
+            # oversized positive runs are saturation lanes whose value
+            # the final clamp overrides.
+            reg = np.where(pos, _FULL64 << (_U64C - rs), _TOP64 >> rs)
             # Exponent + fraction tail: es + 63 bits, top-aligned
-            # (constant shifts — es is fixed per environment) then
-            # dropped below the regime.
+            # (constant shifts — es is fixed per environment).
             fraction = frac64 & _BELOW_TOP
+            es = self.env.es
+            t_lo = None
             if es == 0:
                 t_hi = fraction << _ONE
-                t_lo = np.zeros_like(t_hi)
             elif es == 1:
+                e = (scale - (k << self._es_i)).view(_U64)
                 t_hi = (e << _SIXTY_THREE) | fraction
-                t_lo = np.zeros_like(t_hi)
             else:
-                t_hi = (e << _U64(64 - es)) | (fraction >> _U64(es - 1))
-                t_lo = fraction << _U64(65 - es)
-            t_hi, t_lo, st_t = _shr128_sticky(t_hi, t_lo, run + _I64(1))
-            e_hi = e_hi | t_hi
-            e_lo = e_lo | t_lo
+                e = (scale - (k << self._es_i)).view(_U64)
+                t_hi = ((e << self._e_top_shift)
+                        | (fraction >> self._f_hi_shift))
+                t_lo = fraction << self._f_lo_shift
+            # Drop the tail below the regime: bits landing in the top
+            # limb join the window, everything lower is a sticky.
+            r1 = run + _I1
+            r1_small = r1 < _I64C
+            r1c = np.minimum(r1, _I63).view(_U64)
+            below = sticky | ((t_hi & np.where(
+                r1_small, (_ONE << r1c) - _ONE, _FULL64)) != 0)
+            if t_lo is not None:
+                below = below | (t_lo != 0)
+            if bool(big.any()):
+                # A terminator (k < 0) beyond the limb is a dropped
+                # 1-bit; oversized positive regimes are saturation
+                # lanes (value overridden below).
+                reg = np.where(big, _U0, reg)
+                below = below | (big & ~pos)
+            e_hi = reg | np.where(r1_small, t_hi >> r1c, _U0)
 
             kept = e_hi >> self._kept_shift
             guard = (e_hi >> self._guard_shift) & _ONE
-            below = (((e_hi & self._below_mask) != 0) | (e_lo != 0)
-                     | sticky | st_r | st_t)
+            if self._has_below:
+                below = below | ((e_hi & self._below_mask) != 0)
             round_up = (guard != 0) & (below | ((kept & _ONE) != 0))
-            pattern = kept + round_up
-            pattern = np.minimum(pattern, self._maxpos)
+            pattern = np.minimum(kept + round_up, self._maxpos)
+            sat = scale > self._max_scale
             if live is not None:
                 self._tally_rounding(live, sat, scale, frac64, sticky,
                                      pattern)
-            if env.underflow != FLUSH:
+            if not self._flush:
                 # Saturate mode: a nonzero real never rounds to zero.  In
                 # flush mode a rounded-to-zero pattern simply stays zero.
                 pattern = np.where(pattern == 0, self._minpos, pattern)
@@ -461,26 +491,12 @@ class BatchPosit(BatchBackend):
         return ~(nar | dead)
 
     def _encode(self, sign, scale, frac64, sticky, live=None):
-        pattern = self._encode_mag(scale, frac64, sticky, live)
+        """Round and sign an exact result straight to bit patterns (the
+        callers that never need its planes: conversions, quotients,
+        quire read-out)."""
+        pattern = self._round_mag(_i64(scale), _u64(frac64),
+                                  np.asarray(sticky, dtype=bool), live)
         return np.where(sign, (_U64(0) - pattern) & self._mask, pattern)
-
-    def encode_once(self, u: Unpacked) -> np.ndarray:
-        """Decoded planes back to rounded bit patterns (the inverse of
-        :meth:`decode_once`; exact — rounding happened when the planes
-        were produced)."""
-        with np.errstate(over="ignore"):
-            pattern = self._encode(u.sign, u.scale, u.frac64, False)
-            pattern = np.where(u.zero, _U64(0), pattern)
-            return np.where(u.nar, self._nar, pattern)
-
-    def _round_to_planes(self, sign, scale, frac64, sticky, live=None):
-        """Round an exact (sign, scale, frac64, sticky) result and
-        return it re-decoded: ``(mag_pattern, frac64', scale')``.
-        The one extra magnitude parse replaces the two full pattern
-        decodes the next op in a chain would otherwise pay."""
-        pm = self._encode_mag(scale, frac64, sticky, live)
-        f2, s2 = self._parse_body(pm)
-        return pm, f2, s2
 
     # ------------------------------------------------------------------
     # Arithmetic cores (decoded-plane in, exact pre-rounding result out)
@@ -511,21 +527,32 @@ class BatchPosit(BatchBackend):
             s2 = np.where(a_small, sa, sb)
             f2 = np.where(a_small, fa, fb)
             gap = e1 - np.where(a_small, ea, eb)
-            # Align the small operand: (f2, 0) >> gap with a sticky.
-            b_hi = _shr64(f2, gap)
-            b_lo = np.where(gap < 64, _shl64(f2, 64 - gap),
-                            _shr64(f2, gap - 64))
-            st_b = (f2 & _low_mask(gap - 64)) != 0
+            # Align the small operand into a 128-bit window: the
+            # clamped-shift identity (f2 << (63-gap)) << 1 equals
+            # f2 << (64-gap) for gap in [1, 63] and 0 at gap == 0.
+            gbig = gap >= _I64C
+            gc = np.minimum(gap, _I63).view(_U64)
+            b_hi = f2 >> gc
+            b_lo = (f2 << (_SIXTY_THREE - gc)) << _ONE
+            if bool(gbig.any()):
+                g2 = gap - _I64C
+                g2big = g2 >= _I64C
+                g2c = np.minimum(g2, _I63).view(_U64)
+                b_hi = np.where(gbig, _U0, b_hi)
+                b_lo = np.where(gbig,
+                                np.where(g2big, _U0, f2 >> g2c), b_lo)
+                st_b = gbig & ((f2 & np.where(
+                    g2big, _FULL64, (_ONE << g2c) - _ONE)) != 0)
+            else:
+                st_b = gbig  # all-False, correctly shaped
             same = s1 == s2
             # Operand-dependent gating: probability workloads are almost
             # always sign-uniform (all positive), so compute each branch
             # only where some lane needs it.  Results are identical
             # either way (the merge selects per lane); the exhaustive
-            # suites cover mixed batches.
+            # suites cover mixed batches.  The same-sign path also
+            # serves the empty-array case.
             any_diff = not bool(same.all())
-            # The same-sign path also serves the empty-array case (both
-            # ``any`` flags false), where every op below is a no-op
-            # anyway.
             any_same = bool(same.any()) or not any_diff
 
             if any_same:
@@ -600,43 +627,88 @@ class BatchPosit(BatchBackend):
             return frac, sticky, dec
 
     # ------------------------------------------------------------------
-    # Packed-pattern arithmetic
+    # Decoded-plane ops (each result rounded once, element-exact)
     # ------------------------------------------------------------------
-    def mul(self, a, b) -> np.ndarray:
+    def _rounded(self, sign, scale, frac, sticky, zero, nar, live):
+        """Planes of a rounded exact result (``zero`` flags lanes known
+        to be exact zeros; a flush-to-zero rounding adds its own)."""
+        pm = self._round_mag(scale, frac, sticky, live)
+        f2, s2 = self._parse_body(pm)
+        return Unpacked(zero | (pm == 0), nar, sign, f2, s2, pm)
+
+    def mul_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
+        """Rounded product in the decoded plane (element-exact)."""
         with np.errstate(over="ignore"):
-            a, b = _u64(a), _u64(b)
-            za, na, sa, fa, ea = self._decode(a)
-            zb, nb, sb, fb, eb = self._decode(b)
-            ua = Unpacked(za, na, sa, fa, ea)
-            ub = Unpacked(zb, nb, sb, fb, eb)
             sign, scale, frac, sticky = self._mul_core(ua, ub)
+            dead = ua.zero | ub.zero
+            nar = ua.nar | ub.nar
             live = None
             if _tele.current() is not None:
-                live = self._tally_nar(na | nb, za | zb)
-            pattern = self._encode(sign, scale, frac, sticky, live)
-            pattern = np.where(za | zb, _U64(0), pattern)
-            return np.where(na | nb, self._nar, pattern)
+                live = self._tally_nar(nar, dead)
+            return self._rounded(sign, scale, frac, sticky, dead, nar,
+                                 live)
 
-    def add(self, a, b) -> np.ndarray:
+    def add_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
+        """Rounded sum in the decoded plane (element-exact), with the
+        zero passthrough merges gated off when no operand lane is
+        zero."""
         with np.errstate(over="ignore"):
-            a, b = _u64(a), _u64(b)
-            am = a & self._mask
-            bm = b & self._mask
-            za, na, sa, fa, ea = self._decode(am)
-            zb, nb, sb, fb, eb = self._decode(bm)
-            ua = Unpacked(za, na, sa, fa, ea)
-            ub = Unpacked(zb, nb, sb, fb, eb)
+            za, zb = ua.zero, ub.zero
             s1, scale, frac, sticky, cancelled, same = \
                 self._add_core(ua, ub)
+            mixed = ~same & cancelled
+            nar = ua.nar | ub.nar
             live = None
             if _tele.current() is not None:
-                live = self._tally_nar(na | nb,
-                                       za | zb | (~same & cancelled))
-            pattern = self._encode(s1, scale, frac, sticky, live)
-            pattern = np.where(~same & cancelled, _U64(0), pattern)
-            pattern = np.where(za, bm, pattern)
-            pattern = np.where(zb & ~za, am, pattern)
-            return np.where(na | nb, self._nar, pattern)
+                live = self._tally_nar(nar, za | zb | mixed)
+            out = self._rounded(s1, scale, frac, sticky, mixed, nar, live)
+            if not (bool(za.any()) or bool(zb.any())):
+                return out
+            # add(0, x) and add(x, 0) pass x through exactly.
+            merged = ub.map(
+                lambda b, a, r: np.where(za, b, np.where(zb, a, r)),
+                ua, out)
+            return merged._replace(
+                zero=(za & zb) | (~za & ~zb & out.zero), nar=nar)
+
+    def axpy_unpacked(self, a: Unpacked, x: Unpacked,
+                      y: Unpacked) -> Unpacked:
+        """``a*x + y`` with both roundings, in the decoded plane."""
+        return self.add_unpacked(self.mul_unpacked(a, x), y)
+
+    def sum_unpacked(self, u: Unpacked, axis: int = -1) -> Unpacked:
+        """Index-order add fold along ``axis``, op-for-op the scalar
+        ``acc = add(acc, v)`` fold.  It starts at the first slice:
+        ``add(0, x)`` is an exact passthrough, so skipping the zero
+        start changes no bit.  An empty axis sums to zero."""
+        u = u.moveaxis(axis, -1)
+        n = u.shape[-1]
+        if n == 0:
+            return self.zeros_unpacked(u.shape[:-1])
+        acc = u.take(0)
+        for i in range(1, n):
+            acc = self.add_unpacked(acc, u.take(i))
+        return acc
+
+    def dot_unpacked(self, ua: Unpacked, ub: Unpacked,
+                     axis: int = -1) -> Unpacked:
+        """Sum of products along ``axis`` (of the broadcast shape), op
+        for op the base ``sum(mul(a, b))``: one rounding pass over the
+        whole broadcast product (far better ufunc amortization than one
+        per fold slice), then the index-order fold."""
+        return self.sum_unpacked(self.mul_unpacked(ua, ub), axis)
+
+    # ------------------------------------------------------------------
+    # Packed-pattern arithmetic (the plane ops, decoded once and fixed
+    # up once)
+    # ------------------------------------------------------------------
+    def mul(self, a, b) -> np.ndarray:
+        return self.encode_once(
+            self.mul_unpacked(self.decode_once(a), self.decode_once(b)))
+
+    def add(self, a, b) -> np.ndarray:
+        return self.encode_once(
+            self.add_unpacked(self.decode_once(a), self.decode_once(b)))
 
     def neg(self, a) -> np.ndarray:
         """Pattern negation (exact; zero and NaR are fixed points)."""
@@ -652,107 +724,37 @@ class BatchPosit(BatchBackend):
         """Correctly rounded quotient (exact long division + one
         rounding), element-exact against ``PositEnv.div``."""
         with np.errstate(over="ignore"):
-            a, b = _u64(a), _u64(b)
-            za, na, sa, fa, ea = self._decode(a)
-            zb, nb, sb, fb, eb = self._decode(b)
-            fa, fb = np.broadcast_arrays(fa, fb)
+            ua, ub = self.decode_once(a), self.decode_once(b)
+            fa, fb = np.broadcast_arrays(ua.frac64, ub.frac64)
             frac, sticky, dec = self._divide_frac(fa, fb)
-            scale = ea - eb - dec
+            scale = ua.scale - ub.scale - dec
+            nar = ua.nar | ub.nar | ub.zero
             live = None
             if _tele.current() is not None:
-                live = self._tally_nar(na | nb | zb, np.asarray(za))
-            pattern = self._encode(sa ^ sb, scale, frac, sticky, live)
-            pattern = np.where(za, _U64(0), pattern)
-            return np.where(na | nb | zb, self._nar, pattern)
-
-    # ------------------------------------------------------------------
-    # Decoded-plane fused kernels
-    # ------------------------------------------------------------------
-    def zeros_unpacked(self, shape) -> Unpacked:
-        """Probability-0 planes (the fold identity)."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        return Unpacked(np.ones(shape, dtype=bool),
-                        np.zeros(shape, dtype=bool),
-                        np.zeros(shape, dtype=bool),
-                        np.full(shape, _TOP64, dtype=np.uint64),
-                        np.zeros(shape, dtype=np.int64))
-
-    def mul_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
-        """Rounded product in the decoded plane (element-exact)."""
-        sign, scale, frac, sticky = self._mul_core(ua, ub)
-        live = None
-        if _tele.current() is not None:
-            live = self._tally_nar(ua.nar | ub.nar, ua.zero | ub.zero)
-        pm, f2, s2 = self._round_to_planes(sign, scale, frac, sticky,
-                                           live)
-        zero = ua.zero | ub.zero | (pm == 0)
-        return Unpacked(zero, ua.nar | ub.nar, sign, f2, s2)
-
-    def add_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
-        """Rounded sum in the decoded plane (element-exact)."""
-        za, zb = ua.zero, ub.zero
-        s1, scale, frac, sticky, cancelled, same = self._add_core(ua, ub)
-        live = None
-        if _tele.current() is not None:
-            live = self._tally_nar(ua.nar | ub.nar,
-                                   za | zb | (~same & cancelled))
-        pm, f2, s2 = self._round_to_planes(s1, scale, frac, sticky, live)
-        live = ~za & ~zb
-        zero = (za & zb) | (live & ((~same & cancelled) | (pm == 0)))
-        sign = np.where(za, ub.sign, np.where(zb, ua.sign, s1))
-        frac64 = np.where(za, ub.frac64, np.where(zb, ua.frac64, f2))
-        sc = np.where(za, ub.scale, np.where(zb, ua.scale, s2))
-        return Unpacked(zero, ua.nar | ub.nar, sign, frac64, sc)
-
-    def mul_acc(self, acc: Unpacked, x: Unpacked, y: Unpacked) -> Unpacked:
-        """``acc + x*y`` with both roundings, all in the decoded plane
-        (the forward recurrence's inner step)."""
-        return self.add_unpacked(acc, self.mul_unpacked(x, y))
-
-    def dot_unpacked(self, ua: Unpacked, ub: Unpacked,
-                     axis: int = -1) -> Unpacked:
-        """Sum of products along ``axis``, op-for-op the base
-        ``sum(mul(a, b))`` fold — but each operand is decoded once and
-        every intermediate stays in the plane form."""
-        shape = np.broadcast_shapes(ua.shape, ub.shape)
-        # One rounding pass over the whole broadcast product (identical
-        # per-element roundings, far better ufunc amortization than one
-        # pass per fold slice), then the index-order add fold.
-        prod = self.mul_unpacked(ua.broadcast_to(shape),
-                                 ub.broadcast_to(shape)).moveaxis(axis, -1)
-        acc = self.zeros_unpacked(prod.frac64.shape[:-1])
-        for i in range(prod.frac64.shape[-1]):
-            acc = self.add_unpacked(acc, prod.take(i))
-        return acc
+                live = self._tally_nar(nar, np.asarray(ua.zero))
+            pattern = self._encode(ua.sign ^ ub.sign, scale, frac, sticky,
+                                   live)
+            pattern = np.where(ua.zero, _U64(0), pattern)
+            return np.where(nar, self._nar, pattern)
 
     def dot(self, a, b, axis: int = -1) -> np.ndarray:
-        """Fused decoded-plane dot product (element-exact against the
-        base mul-then-fold, enforced by the engine tests)."""
-        with np.errstate(over="ignore"):
-            ua = Unpacked(*self._decode(_u64(a)))
-            ub = Unpacked(*self._decode(_u64(b)))
-            return self.encode_once(self.dot_unpacked(ua, ub, axis=axis))
+        """Decoded-plane dot product (element-exact against the base
+        mul-then-fold, enforced by the engine tests)."""
+        return self.encode_once(self.dot_unpacked(
+            self.decode_once(a), self.decode_once(b), axis=axis))
 
     def sum(self, arr: np.ndarray, axis: int = -1) -> np.ndarray:
         """Index-order fold through the decoded plane (one decode for
         the whole array; op-for-op the base ``add`` fold)."""
-        with np.errstate(over="ignore"):
-            u = Unpacked(*self._decode(_u64(arr))).moveaxis(axis, -1)
-            acc = self.zeros_unpacked(u.frac64.shape[:-1])
-            for i in range(u.frac64.shape[-1]):
-                acc = self.add_unpacked(acc, u.take(i))
-            return self.encode_once(acc)
+        return self.encode_once(
+            self.sum_unpacked(self.decode_once(arr), axis=axis))
 
     def axpy(self, a, x, y) -> np.ndarray:
         """``a*x + y`` with one decode per operand (both intermediate
         roundings preserved — element-exact against ``add(mul(a, x),
         y)``)."""
-        with np.errstate(over="ignore"):
-            ua = Unpacked(*self._decode(_u64(a)))
-            ux = Unpacked(*self._decode(_u64(x)))
-            uy = Unpacked(*self._decode(_u64(y)))
-            prod = self.mul_unpacked(ua, ux)
-            return self.encode_once(self.add_unpacked(prod, uy))
+        return self.encode_once(self.axpy_unpacked(
+            self.decode_once(a), self.decode_once(x), self.decode_once(y)))
 
     # ------------------------------------------------------------------
     # Float conversions (convenience; encode side is exact)
@@ -761,7 +763,8 @@ class BatchPosit(BatchBackend):
         """Exact float64 -> posit conversion (vectorized encode)."""
         with np.errstate(over="ignore"):
             x = np.asarray(values, dtype=np.float64)
-            m, e = np.frexp(np.where(np.isfinite(x), x, 0.0))
+            finite = np.isfinite(x)
+            m, e = np.frexp(np.where(finite, x, 0.0))
             mant = np.abs(m * 9007199254740992.0).astype(np.uint64)  # 2**53
             bl = _bit_length64(mant)
             frac64 = _shl64(mant, 64 - bl)
@@ -769,7 +772,7 @@ class BatchPosit(BatchBackend):
             pattern = self._encode(np.signbit(x), scale, frac64,
                                    np.zeros(x.shape, dtype=bool))
             pattern = np.where(x == 0.0, _U64(0), pattern)
-            return np.where(~np.isfinite(x), self._nar, pattern)
+            return np.where(~finite, self._nar, pattern)
 
     def to_floats(self, arr) -> np.ndarray:
         """Posit -> float64, rounding the (up to 62-bit) significand to
@@ -777,9 +780,9 @@ class BatchPosit(BatchBackend):
         as IEEE does; unlike the scalar ``to_float`` this path may
         double-round in the subnormal range."""
         with np.errstate(over="ignore"):
-            zero, nar, sign, frac64, scale = self._decode(arr)
-            x = np.ldexp(frac64.astype(np.float64),
-                         (scale - 63).astype(np.int32))
-            x = np.where(sign, -x, x)
-            x = np.where(zero, 0.0, x)
-            return np.where(nar, np.nan, x)
+            u = self.decode_once(arr)
+            x = np.ldexp(u.frac64.astype(np.float64),
+                         (u.scale - 63).astype(np.int32))
+            x = np.where(u.sign, -x, x)
+            x = np.where(u.zero, 0.0, x)
+            return np.where(u.nar, np.nan, x)

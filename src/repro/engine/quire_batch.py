@@ -164,23 +164,23 @@ class BatchQuire:
         """Accumulate one array of posit values exactly."""
         with np.errstate(over="ignore"):
             bits = np.broadcast_to(_u64(bits), self.shape)
-            zero, nar, sign, frac64, scale = self._batch._decode(bits)
+            u = self._batch.decode_once(bits)
             if _tele.current() is not None:
-                self._tally(nar)
-            self._nar |= nar
-            dead = zero | nar
-            frac64 = np.where(dead, _U64(0), frac64)
+                self._tally(u.nar)
+            self._nar |= u.nar
+            dead = u.zero | u.nar
+            frac64 = np.where(dead, _U64(0), u.frac64)
             # Value = frac64 * 2**(scale - 63): bit 0 of frac64 sits at
             # fixed-point position frac_bits + scale - 63.  When that is
             # negative the low frac64 bits there are zeros by
             # construction (a decoded posit has <= nbits-2 significant
             # bits), so the pre-shift is exact.
-            bitpos = np.where(dead, 0, self.frac_bits + scale - 63)
+            bitpos = np.where(dead, 0, self.frac_bits + u.scale - 63)
             under = np.maximum(-bitpos, 0)
             frac64 = _shr64(frac64, under)
             bitpos = np.maximum(bitpos, 0)
             addend = self._scatter_chunks(bitpos, [frac64])
-            self._accumulate(addend, np.asarray(sign) ^ bool(negate))
+            self._accumulate(addend, np.asarray(u.sign) ^ bool(negate))
         return self
 
     def sub_posit(self, bits) -> "BatchQuire":
@@ -191,24 +191,26 @@ class BatchQuire:
         with np.errstate(over="ignore"):
             a_bits = np.broadcast_to(_u64(a_bits), self.shape)
             b_bits = np.broadcast_to(_u64(b_bits), self.shape)
-            za, na, sa, fa, ea = self._batch._decode(a_bits)
-            zb, nb, sb, fb, eb = self._batch._decode(b_bits)
+            ua = self._batch.decode_once(a_bits)
+            ub = self._batch.decode_once(b_bits)
             if _tele.current() is not None:
-                self._tally(na | nb)
-            self._nar |= na | nb
-            dead = za | zb | na | nb
-            hi, lo = _umul64(fa, fb)
+                self._tally(ua.nar | ub.nar)
+            self._nar |= ua.nar | ub.nar
+            dead = ua.zero | ub.zero | ua.nar | ub.nar
+            hi, lo = _umul64(ua.frac64, ub.frac64)
             hi = np.where(dead, _U64(0), hi)
             lo = np.where(dead, _U64(0), lo)
             # Product = (hi, lo) * 2**(ea + eb - 126); the two factors
             # carry at most 2*(nbits - 2) significant bits between them,
             # so a negative bit position only ever shifts out zeros.
-            bitpos = np.where(dead, 0, self.frac_bits + ea + eb - 126)
+            bitpos = np.where(dead, 0,
+                              self.frac_bits + ua.scale + ub.scale - 126)
             under = np.maximum(-bitpos, 0)
             hi, lo, _lost = _shr128_sticky(hi, lo, under)
             bitpos = np.maximum(bitpos, 0)
             addend = self._scatter_chunks(bitpos, [lo, hi])
-            self._accumulate(addend, np.asarray(sa ^ sb) ^ bool(negate))
+            self._accumulate(addend,
+                             np.asarray(ua.sign ^ ub.sign) ^ bool(negate))
         return self
 
     def _tally(self, nar_in: np.ndarray) -> None:

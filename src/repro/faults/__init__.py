@@ -14,9 +14,6 @@ Sites shipped with the tree (the glossary in README "Resilience"):
 =========================  ==========================================
 ``kernel.<name>``          entry of each batched kernel wrapper in
                            :mod:`repro.engine.kernels`
-``compiled.<op>``          entry of each fused kernel in
-                           :mod:`repro.engine.compiled` (the
-                           degradation ladder's top rung)
 ``batch.measure``          the batch branch of
                            :func:`repro.core.accuracy.measure_pairs`
                            (the batch -> serial rung)
@@ -56,11 +53,10 @@ chunks) and degrades to ``error`` elsewhere; ``corrupt`` returns the
 mode string for the site to mangle its own data.
 
 The **degradation ladder** (:mod:`repro.faults.degrade`) rides on top:
-a tier that faults at runtime — compiled, then batch — is quarantined
-for the process with a ``faults.degraded.<tier>`` telemetry event, and
-every later call keeps the next tier down (compiled -> batch ->
-serial).  Tiers are exact mirrors of each other, so degrading never
-changes results.
+a tier that faults at runtime is quarantined for the process with a
+``faults.degraded.<tier>`` telemetry event, and every later call keeps
+the next tier down (batch -> serial).  Tiers are exact mirrors of each
+other, so degrading never changes results.
 
 Usage::
 

@@ -1,22 +1,17 @@
 """The graceful-degradation ladder: quarantine a faulting kernel tier.
 
-The execution plane offers the same math at three tiers — compiled
-(:mod:`repro.engine.compiled`), batch (the certified mirrors), serial
-(the scalar backends) — and PR 8's *capability* fallback already picks
-the best tier a format supports.  This module extends that into a
-*runtime* fallback: when a tier raises mid-call, the caller reports it
-with :func:`degrade`, the tier is quarantined **process-wide**, and
-every subsequent selection keeps the next tier down.  Because the
-tiers are exact mirrors of one another (bit-identical / element-exact,
-pinned by the equivalence suites), degrading never changes results —
-it only changes speed.
+The execution plane offers the same math at two tiers — batch (the
+certified mirrors) and serial (the scalar backends) — and the registry's
+*capability* fallback already picks the best tier a format supports.
+This module extends that into a *runtime* fallback: when a tier raises
+mid-call, the caller reports it with :func:`degrade`, the tier is
+quarantined **process-wide**, and every subsequent selection keeps the
+next tier down.  Because the tiers are exact mirrors of one another
+(bit-identical / element-exact, pinned by the equivalence suites),
+degrading never changes results — it only changes speed.
 
-Rungs wired into the tree:
+The rung wired into the tree:
 
-* ``compiled`` — consulted by
-  :func:`repro.engine.compiled.plan_compiled_kernels`; reported by the
-  nd expressions in :mod:`repro.apps.hmm` / :mod:`repro.apps.pbd`
-  when a fused kernel raises (they recompute on the batch path);
 * ``batch`` — consulted and reported by
   :func:`repro.core.accuracy.measure_pairs`, which re-measures the
   chunk through the scalar loop.
@@ -34,7 +29,7 @@ from typing import FrozenSet, Optional, Set
 from .. import telemetry as _tele
 
 #: Tiers the degradation ladder knows, fastest first.
-TIERS = ("compiled", "batch", "serial")
+TIERS = ("batch", "serial")
 
 _quarantined: Set[str] = set()
 

@@ -8,10 +8,11 @@ the plan and the format registry allow:
 
 * **vectorized** — when the active :class:`~repro.engine.plan.ExecPlan`
   has ``batch=True`` and the registry pairs the format with a batch
-  mirror, ``_data`` holds the mirror's *packed code representation*
+  mirror, the array holds the mirror's *packed code representation*
   (float64 values/logs, int64 LNS codes, uint64 posit patterns) and
   ``+``/``*``/reductions run through the mirror's certified array
-  kernels — the canonical path;
+  kernels — the canonical path.  Posit arrays also carry the mirror's
+  decoded planes between operations (see :class:`FArray`);
 * **scalar fallback** — otherwise (the BigFloat oracle, a serial plan,
   a reduction-certified requirement the mirror cannot meet), ``_data``
   is an object array of scalar backend values and every op loops
@@ -80,12 +81,17 @@ __all__ = [
 ]
 
 
-def _tally_nd(op: str, fmt: str, plane: str, data) -> None:
+def _tally_nd(op: str, fmt: str, plane: str, n: int) -> None:
     """Count ``n`` result elements under ``nd.{op}.{fmt}.{plane}``.
 
     Callers guard with ``telemetry.current() is not None`` so the
     disabled path never builds the key string."""
-    _tele.count(f"nd.{op}.{fmt}.{plane}", int(np.asarray(data).size))
+    _tele.count(f"nd.{op}.{fmt}.{plane}", int(n))
+
+
+#: Mirror ops a resident mirror (``BatchBackend.resident``) runs on its
+#: decoded planes, as ``<op>_unpacked``.
+_PLANE_OPS = frozenset({"add", "mul", "sum", "dot", "axpy"})
 
 
 def _mirror(backend: Backend, plan: ExecPlan, certified: bool):
@@ -129,6 +135,14 @@ def _exact(value) -> BigFloat:
                     f"probability value")
 
 
+def _index(p: np.ndarray, key) -> np.ndarray:
+    """``p[key]``, keeping a full index as a 0-d array."""
+    out = p[key]
+    if not isinstance(out, np.ndarray):
+        out = np.asarray(out, dtype=p.dtype)
+    return out
+
+
 class FArray:
     """A format-tagged N-dimensional array of probabilities.
 
@@ -136,17 +150,27 @@ class FArray:
     :func:`wrap`; combine with ``+ - * / @``, slicing, and the
     reductions in this module.  ``item``/``tolist``/``to_bigfloats``
     exit back to scalar-backend values.
+
+    On a *resident* mirror (posit) an array holds packed codes, decoded
+    planes, or both: the planes are decoded at most once and cached,
+    views re-view them, ``+ * dot sum multiply_add`` return planes-only
+    results, and codes are built (once) only when a value escapes —
+    :attr:`data`, :meth:`item`, :meth:`to_bigfloats`, the order ops,
+    ``-`` and ``/``.  Either form holds the same values, so only the
+    speed depends on which one an array carries.
     """
 
-    __slots__ = ("_backend", "_bb", "_data")
+    __slots__ = ("_backend", "_bb", "_codes", "_planes")
     #: NumPy must not try to handle ``ndarray <op> FArray`` itself.
     __array_ufunc__ = None
     __array_priority__ = 1000
 
-    def __init__(self, data: np.ndarray, backend: Backend, bb=None):
+    def __init__(self, data: Optional[np.ndarray], backend: Backend, bb=None,
+                 planes=None):
         self._backend = backend
         self._bb = bb
-        self._data = data
+        self._codes = data
+        self._planes = planes
 
     # ------------------------------------------------------------------
     # Introspection
@@ -174,19 +198,40 @@ class FArray:
         return self._data
 
     @property
+    def _data(self) -> np.ndarray:
+        """The codes, built from the planes at most once."""
+        if self._codes is None:
+            self._codes = self._bb.encode_once(self._planes)
+        return self._codes
+
+    @property
+    def _resident(self) -> bool:
+        return self._bb is not None and self._bb.resident
+
+    def _decoded(self):
+        """The decoded planes (resident mirrors), decoded at most once."""
+        if self._planes is None:
+            self._planes = self._bb.decode_once(self._codes)
+        return self._planes
+
+    @property
     def shape(self):
-        return self._data.shape
+        if self._codes is None:
+            return self._planes.shape
+        return self._codes.shape
 
     @property
     def ndim(self) -> int:
-        return self._data.ndim
+        return len(self.shape)
 
     @property
     def size(self) -> int:
-        return self._data.size
+        return int(np.prod(self.shape))
 
     def __len__(self) -> int:
-        return len(self._data)
+        if not self.shape:
+            raise TypeError("len() of unsized object")
+        return self.shape[0]
 
     def __repr__(self):
         mode = "batch" if self._bb is not None else "scalar"
@@ -195,23 +240,28 @@ class FArray:
     # ------------------------------------------------------------------
     # Shape manipulation (never touches values)
     # ------------------------------------------------------------------
+    def _view(self, fn) -> "FArray":
+        """``fn`` applied to the codes and, on a resident mirror, to the
+        planes — decoded first (once), so every view of an array stays
+        in the plane."""
+        planes = self._decoded().map(fn) if self._resident else None
+        codes = None if self._codes is None else fn(self._codes)
+        return FArray(codes, self._backend, self._bb, planes)
+
     def __getitem__(self, key) -> "FArray":
         if isinstance(key, FArray):
             key = key._data
-        out = self._data[key]
-        if not isinstance(out, np.ndarray):  # full index -> 0-d view
-            out = np.asarray(out, dtype=self._data.dtype)
-        return FArray(out, self._backend, self._bb)
+        return self._view(lambda p: _index(p, key))
 
     @property
     def T(self) -> "FArray":
-        return FArray(self._data.T, self._backend, self._bb)
+        return self._view(lambda p: p.T)
 
     def reshape(self, *shape) -> "FArray":
-        return FArray(self._data.reshape(*shape), self._backend, self._bb)
+        return self._view(lambda p: p.reshape(*shape))
 
     def ravel(self) -> "FArray":
-        return FArray(self._data.ravel(), self._backend, self._bb)
+        return self._view(np.ravel)
 
     # ------------------------------------------------------------------
     # Exits (scalar values / exact values / floats)
@@ -267,8 +317,9 @@ class FArray:
         if bb is self._bb:
             return self
         if bb is not None and self._bb is not None:
-            # Two mirrors of one format share the code space; retag.
-            return FArray(self._data, self._backend, bb)
+            # Two mirrors of one format share the code space (and the
+            # plane layout); retag.
+            return FArray(self._codes, self._backend, bb, self._planes)
         items = self._items_flat()
         if bb is None:
             out = np.empty(self.shape, dtype=object)
@@ -301,21 +352,34 @@ class FArray:
     # ------------------------------------------------------------------
     # Arithmetic (dispatch: batch mirror op -> scalar fallback)
     # ------------------------------------------------------------------
+    def _vector_op(self, op: str, *operands: "FArray", **kw) -> "FArray":
+        """Mirror op ``op`` over ``operands`` (this array's format and
+        representation): on the decoded planes when the mirror keeps
+        them resident, else on packed codes.
+
+        Every registry mirror implements the full op set natively
+        (``BatchBackend.sub``/``div`` raise for exotic mirrors without
+        one — there is no silent per-element fallback on the vectorized
+        representation)."""
+        bb = self._bb
+        if bb.resident and op in _PLANE_OPS:
+            planes = getattr(bb, op + "_unpacked")(
+                *(x._decoded() for x in operands), **kw)
+            out = FArray(None, self._backend, bb, planes)
+        else:
+            codes = getattr(bb, op)(*(x._data for x in operands), **kw)
+            out = FArray(np.asarray(codes), self._backend, bb)
+        if _tele.current() is not None:
+            _tally_nd(op, self.format, "batch", out.size)
+        return out
+
     def _binary(self, other, op: str, reflected: bool = False):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         a, b = (rhs, self) if reflected else (self, rhs)
         if self._bb is not None:
-            # Every registry mirror implements the full op set natively
-            # (``BatchBackend.sub``/``div`` raise for exotic mirrors
-            # without one — there is no silent per-element fallback on
-            # the vectorized representation).
-            fn = getattr(self._bb, op)
-            out = fn(a._data, b._data)
-            if _tele.current() is not None:
-                _tally_nd(op, self.format, "batch", out)
-            return FArray(out, self._backend, self._bb)
+            return self._vector_op(op, a, b)
         return self._scalar_binary(a, b, op)
 
     def _scalar_binary(self, a: "FArray", b: "FArray", op: str) -> "FArray":
@@ -324,7 +388,7 @@ class FArray:
         fn = getattr(self._backend, op)
         out = np.frompyfunc(fn, 2, 1)(a._data, b._data)
         if _tele.current() is not None:
-            _tally_nd(op, self._backend.name, "scalar", out)
+            _tally_nd(op, self._backend.name, "scalar", np.size(out))
         return FArray(np.asarray(out, dtype=object), self._backend, None)
 
     def __add__(self, other):
@@ -390,16 +454,13 @@ class FArray:
         if axis is None:
             return self.ravel().sum(axis=0)
         if self._bb is not None:
-            out = self._bb.sum(self._data, axis=axis)
-            if _tele.current() is not None:
-                _tally_nd("sum", self.format, "batch", out)
-            return FArray(np.asarray(out), self._backend, self._bb)
+            return self._vector_op("sum", self, axis=axis)
         moved = np.moveaxis(self._data, axis, -1)
         out = np.empty(moved.shape[:-1], dtype=object)
         for idx in np.ndindex(*out.shape):
             out[idx] = self._backend.sum(list(moved[idx]))
         if _tele.current() is not None:
-            _tally_nd("sum", self.format, "scalar", out)
+            _tally_nd("sum", self.format, "scalar", out.size)
         return FArray(out, self._backend, None)
 
     def dot(self, other, axis: int = -1) -> "FArray":
@@ -407,20 +468,15 @@ class FArray:
         ``sum`` fold — the forward algorithm's inner kernel).
 
         On the vectorized representation this dispatches to the batch
-        mirror's ``dot``, which mirrors with a decoded plane (posit)
-        override with a fused kernel: each operand is decoded once per
-        call instead of once per elementwise op, with every
-        intermediate still rounded op-for-op like the fold.
+        mirror's ``dot``; the posit mirror runs it on the decoded planes
+        with every intermediate still rounded op-for-op like the fold.
         """
         rhs = self._coerce(other)
         if rhs is None:
             raise TypeError(f"cannot dot {type(other).__name__} with an "
                             f"FArray")
         if self._bb is not None:
-            out = self._bb.dot(self._data, rhs._data, axis=axis)
-            if _tele.current() is not None:
-                _tally_nd("dot", self.format, "batch", out)
-            return FArray(np.asarray(out), self._backend, self._bb)
+            return self._vector_op("dot", self, rhs, axis=axis)
         return (self * rhs).sum(axis=axis)
 
     def max(self, axis: Optional[int] = None) -> "FArray":
@@ -435,10 +491,7 @@ class FArray:
         if axis is None:
             return self.ravel().max(axis=0)
         if self._bb is not None:
-            out = self._bb.amax(self._data, axis=axis)
-            if _tele.current() is not None:
-                _tally_nd("amax", self.format, "batch", out)
-            return FArray(np.asarray(out), self._backend, self._bb)
+            return self._vector_op("amax", self, axis=axis)
         moved = np.moveaxis(self._data, axis, -1)
         out = np.empty(moved.shape[:-1], dtype=object)
         for idx in np.ndindex(*out.shape):
@@ -447,7 +500,7 @@ class FArray:
                 acc = self._backend.maximum(acc, v)
             out[idx] = acc
         if _tele.current() is not None:
-            _tally_nd("amax", self.format, "scalar", out)
+            _tally_nd("amax", self.format, "scalar", out.size)
         return FArray(out, self._backend, None)
 
     def argmax(self, axis: int = -1) -> np.ndarray:
@@ -459,10 +512,11 @@ class FArray:
         tie-break), which is what makes traceback paths plan-invariant.
         """
         if self._bb is not None:
-            out = self._bb.argmax(self._data, axis=axis)
+            out = np.asarray(self._bb.argmax(self._data, axis=axis),
+                             dtype=np.intp)
             if _tele.current() is not None:
-                _tally_nd("argmax", self.format, "batch", out)
-            return np.asarray(out, dtype=np.intp)
+                _tally_nd("argmax", self.format, "batch", out.size)
+            return out
         moved = np.moveaxis(self._data, axis, -1)
         out = np.empty(moved.shape[:-1], dtype=np.intp)
         for idx in np.ndindex(*out.shape):
@@ -472,7 +526,7 @@ class FArray:
                     best, best_i = v, i
             out[idx] = best_i
         if _tele.current() is not None:
-            _tally_nd("argmax", self.format, "scalar", out)
+            _tally_nd("argmax", self.format, "scalar", out.size)
         return out
 
     # ------------------------------------------------------------------
@@ -637,25 +691,36 @@ def _common(arrays: Sequence[FArray]) -> Sequence[FArray]:
     return [first] + [first._coerce(a) for a in arrays[1:]]
 
 
-def concatenate(arrays: Sequence[FArray], axis: int = 0) -> FArray:
+def _join(arrays: Sequence[FArray], fn) -> FArray:
+    """``fn`` over the arrays' codes when all carry codes, and over
+    their planes (decoding the rest, once each) when any carries
+    planes."""
     arrays = _common(arrays)
-    data = np.concatenate([a._data for a in arrays], axis=axis)
-    return FArray(data, arrays[0]._backend, arrays[0]._bb)
+    first = arrays[0]
+    codes = planes = None
+    if all(a._codes is not None for a in arrays):
+        codes = fn(*(a._codes for a in arrays))
+    if first._resident and any(a._planes is not None for a in arrays):
+        planes = first._decoded().map(
+            fn, *(a._decoded() for a in arrays[1:]))
+    return FArray(codes, first._backend, first._bb, planes)
+
+
+def concatenate(arrays: Sequence[FArray], axis: int = 0) -> FArray:
+    return _join(arrays, lambda *ps: np.concatenate(ps, axis=axis))
 
 
 def stack(arrays: Sequence[FArray], axis: int = 0) -> FArray:
-    arrays = _common(arrays)
-    data = np.stack([a._data for a in arrays], axis=axis)
-    return FArray(data, arrays[0]._backend, arrays[0]._bb)
+    return _join(arrays, lambda *ps: np.stack(ps, axis=axis))
 
 
 def broadcast_to(x: FArray, shape) -> FArray:
-    return FArray(np.broadcast_to(x._data, shape), x._backend, x._bb)
+    return x._view(lambda p: np.broadcast_to(p, shape))
 
 
 def take_along_axis(x: FArray, indices: np.ndarray, axis: int) -> FArray:
-    data = np.take_along_axis(x._data, np.asarray(indices), axis=axis)
-    return FArray(data, x._backend, x._bb)
+    indices = np.asarray(indices)
+    return x._view(lambda p: np.take_along_axis(p, indices, axis=axis))
 
 
 # ----------------------------------------------------------------------
@@ -690,20 +755,15 @@ def argmax(x: FArray, axis: int = -1) -> np.ndarray:
 
 def multiply_add(x: FArray, y, z) -> FArray:
     """Fused ``x*y + z`` — identical results to the spelled-out
-    expression (both intermediate roundings preserved), but routed
-    through the batch mirror's ``axpy`` so decoded-plane mirrors
-    (posit) decode each operand once (the PBD recurrence's inner
-    step)."""
+    expression (both intermediate roundings preserved), routed through
+    the batch mirror's ``axpy`` (the PBD recurrence's inner step)."""
     ry = x._coerce(y)
     rz = x._coerce(z)
     if ry is None or rz is None:
         raise TypeError("multiply_add operands must be coercible to "
                         "the FArray's format")
     if x._bb is not None:
-        out = x._bb.axpy(x._data, ry._data, rz._data)
-        if _tele.current() is not None:
-            _tally_nd("axpy", x.format, "batch", out)
-        return FArray(out, x._backend, x._bb)
+        return x._vector_op("axpy", x, ry, rz)
     return x * ry + rz
 
 

@@ -298,11 +298,10 @@ class WorkloadRequest:
         ``.repro-cache`` dedupe keys on.  Excludes ``request_id``,
         ``priority`` and the plan's scheduling knobs: none of them may
         change a result (plan-invariance is the execution plane's
-        certification).  ``plan.compiled`` *is* part of the identity:
-        the compiled tier is certified bit-identical today, but keying
-        on it keeps compiled and uncompiled results from ever
-        cross-contaminating a cache that outlives that certification
-        (new tiers, new formats, a JIT toolchain bump)."""
+        certification).  ``plan.compiled`` stays part of the identity
+        although it now selects nothing (plan-schema v2 still carries
+        it): keeping the key shape means entries already written under
+        ``.repro-cache/`` keep their keys."""
         return {"api_version": self.api_version, "kind": self.kind,
                 "format": self.format, "payload": self.payload,
                 "compiled": bool(self.plan.compiled)

@@ -65,21 +65,6 @@ class TestCheckPayload:
         bad = _payload("apps_throughput", "quire_accumulate_posit16_1", 9.0)
         assert len(gate.check_payload(bad, self.FLOORS)) == 1
 
-    def test_fused_forward_floor(self):
-        """The PR 8 compiled-tier gate: the fused resident-plane
-        forward must stay >= 2x the PR 5 batch path."""
-        ok = _payload("batch_throughput", "posit_forward_fused", 2.3)
-        assert gate.check_payload(ok, self.FLOORS) == []
-        bad = _payload("batch_throughput", "posit_forward_fused", 1.8)
-        assert len(gate.check_payload(bad, self.FLOORS)) == 1
-        relaxed = gate.gate_floors(
-            {"REPRO_POSIT_FUSED_SPEEDUP_FLOOR": "1.2"})
-        assert gate.check_payload(bad, relaxed) == []
-
-    def test_fused_forward_required_entry(self):
-        partial = _payload("batch_throughput", "forward_log_batch64", 20.0)
-        assert "posit_forward_fused" in gate.missing_required(partial)
-
     def test_sub_div_entries_gated(self):
         for key in ("binary64_sub", "logspace_div", "posit64_12_div",
                     "lns6_8_sub", "lns12_50_div"):

@@ -1,34 +1,40 @@
-"""The compiled kernel tier (:mod:`repro.engine.compiled`).
+"""The fused posit path: decoded planes resident through nd expressions.
 
-The tier's whole contract is *bit-identity with the batch path*: the
-lean plane ops are pinned exhaustively against :class:`BatchPosit` at
-8 bits (every operand pair, both underflow modes), the fused
-whole-recurrence kernels against :mod:`repro.engine.kernels` at 8 and
-64 bits, and the plan routing is checked for the silent-fallback
-guarantee (``ExecPlan(compiled=True)`` never errors and never changes
-results on formats without a tier).
+Posit arrays in :mod:`repro.nd` stay in the decoded plane between
+operations (each operand decodes once; codes are built only when a
+value escapes).  The contract is *exactness against the scalar
+reference*:
 
-Every comparison is on **encoded outputs**: the decoded-plane
-representation of zero/NaR lanes is unspecified (the JIT and NumPy
-paths legitimately differ there), and only the packed codes are the
-tier's contract.
+* the resident ``*``/``+``/chained/``multiply_add`` FArray ops equal
+  :class:`PositEnv` on every posit(8, es) operand pair, in both
+  underflow modes;
+* the whole recurrences (shared-model forward and trace, multi-model
+  forward, PBD) under the default plan equal the same expressions run
+  through the scalar backend under :meth:`ExecPlan.serial`, at 8 and 64
+  bits, zero-heavy operands and the k=1 PBD edge included;
+* residency itself is pinned by the engine's telemetry spans: the
+  decode count does not grow with the number of recurrence steps.
 
-The JIT classes run only where numba is installed (the ``[compiled]``
-extra / the CI ``compiled`` job) and are skipped elsewhere.
+Every comparison is on **encoded outputs**: the planes of zero/NaR lanes
+are unspecified, and only the packed codes are the contract.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
-from repro.arith import Binary64Backend, LogSpaceBackend
+from repro import nd, telemetry
+from repro.apps.hmm import (_forward_models_nd, _forward_nd,
+                            _forward_trace_nd, forward_batch,
+                            forward_models_batch)
+from repro.apps.pbd import _pbd_nd, pbd_pvalue
+from repro.arith import (REGISTRY, Binary64Backend, LogSpaceBackend,
+                         standard_backends)
+from repro.bigfloat import BigFloat
+from repro.data.dirichlet import sample_hmm
 from repro.engine import ExecPlan, kernels
 from repro.engine.batch import BatchBinary64, BatchLogSpace
-from repro.engine.compiled import (
-    HAVE_NUMBA,
-    PositPlaneKernels,
-    numba_available,
-    plan_compiled_kernels,
-)
 from repro.engine.posit_batch import BatchPosit
 from repro.formats.posit import FLUSH, SATURATE, PositEnv
 
@@ -40,6 +46,25 @@ def _all_pairs(env):
     a = np.repeat(codes, codes.size)
     b = np.tile(codes, codes.size)
     return a, b
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_pairs(es, underflow):
+    """PositEnv's ``mul``, ``mul``-then-``add b`` and ``mul``-then-
+    ``add a`` over every posit(8, es) pair, plus plain ``add``."""
+    env = PositEnv(8, es, underflow)
+    a, b = _all_pairs(env)
+    prod = [env.mul(int(x), int(y)) for x, y in zip(a, b)]
+
+    def arr(vals):
+        return np.fromiter(vals, dtype=np.uint64, count=a.size)
+
+    return {
+        "mul": arr(prod),
+        "add": arr(env.add(int(x), int(y)) for x, y in zip(a, b)),
+        "chain": arr(env.add(p, int(y)) for p, y in zip(prod, b)),
+        "madd": arr(env.add(p, int(x)) for p, x in zip(prod, a)),
+    }
 
 
 def _hmm_arrays(bp, h, m, b_sz, t_len, seed=0):
@@ -54,40 +79,55 @@ def _hmm_arrays(bp, h, m, b_sz, t_len, seed=0):
             rng.integers(0, m, size=(b_sz, t_len)))
 
 
-@pytest.mark.parametrize("es", [1, 2])
+def _serial(bp, expr, *arrays, **kw):
+    """``expr`` over scalar-backend copies of packed arrays (the
+    ``ExecPlan.serial()`` representation), as packed codes."""
+    serial = ExecPlan.serial()
+    fas = [nd.asarray(nd.wrap(x, bb=bp), bp.scalar, plan=serial)
+           for x in arrays]
+    out = expr(*fas, **kw)
+    assert not out.batch
+    return np.array(out.tolist(), dtype=np.uint64).reshape(out.shape)
+
+
+@pytest.mark.parametrize("es", [0, 1, 2])
 @pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
 class TestLeanOpsExhaustive:
-    """The lean ``_mul_u``/``_add_u`` plane ops equal the batch tier's
-    packed ``mul``/``add`` on *every* posit(8, es) operand pair, in
-    both underflow modes — the foundation of the fused kernels'
-    bit-identity claim."""
+    """The resident FArray ops — planes in, planes out, codes only at
+    the end — equal ``PositEnv`` on *every* posit(8, es) operand pair,
+    in both underflow modes."""
 
-    def _fixture(self, es, underflow):
+    def _operands(self, es, underflow):
         env = PositEnv(8, es, underflow)
         bp = BatchPosit(env)
-        ck = PositPlaneKernels(bp, use_numba=False)
         a, b = _all_pairs(env)
-        return bp, ck, a, b
+        return (nd.wrap(a, bb=bp), nd.wrap(b, bb=bp),
+                _scalar_pairs(es, underflow))
 
     def test_mul_exhaustive(self, es, underflow):
-        bp, ck, a, b = self._fixture(es, underflow)
-        want = bp.mul(a, b)
-        got = bp.encode_once(
-            ck._mul_u(bp.decode_once(a), bp.decode_once(b)))
-        assert np.array_equal(want, got)
+        x, y, want = self._operands(es, underflow)
+        assert np.array_equal((x * y).data, want["mul"])
 
     def test_add_exhaustive(self, es, underflow):
-        bp, ck, a, b = self._fixture(es, underflow)
-        want = bp.add(a, b)
-        got = bp.encode_once(
-            ck._add_u(bp.decode_once(a), bp.decode_once(b)))
-        assert np.array_equal(want, got)
+        x, y, want = self._operands(es, underflow)
+        assert np.array_equal((x + y).data, want["add"])
+
+    def test_mul_then_add_chain_exhaustive(self, es, underflow):
+        x, y, want = self._operands(es, underflow)
+        prod = x * y
+        assert prod._codes is None  # the product stays in the plane
+        assert np.array_equal((prod + y).data, want["chain"])
+
+    def test_multiply_add_exhaustive(self, es, underflow):
+        x, y, want = self._operands(es, underflow)
+        assert np.array_equal(nd.multiply_add(x, y, x).data, want["madd"])
 
 
 class TestFusedKernelsBitIdentical:
-    """The whole-recurrence kernels equal the batch path's packed
-    outputs — the workload widths (64, 12), the exhaustive-prone 8-bit
-    environments, zero-heavy operands, and the k=1 PBD edge."""
+    """The whole recurrences under the default plan equal the same
+    expressions through the scalar backend — the workload widths
+    (64, 12), the exhaustive-prone 8-bit environments, zero-heavy
+    operands, and the k=1 PBD edge."""
 
     ENVS = [PositEnv(8, 1), PositEnv(8, 2, FLUSH), PositEnv(64, 12)]
 
@@ -95,14 +135,12 @@ class TestFusedKernelsBitIdentical:
     def test_forward_and_trace(self, env):
         bp = BatchPosit(env)
         a, b, pi, obs = _hmm_arrays(bp, h=5, m=6, b_sz=9, t_len=11)
-        plan = ExecPlan(compiled=True)
         assert np.array_equal(
             kernels.forward_batch(bp, a, b, pi, obs),
-            kernels.forward_batch(bp, a, b, pi, obs, plan=plan))
+            _serial(bp, _forward_nd, a, b, pi, obs=obs))
         assert np.array_equal(
             kernels.forward_alpha_trace_batch(bp, a, b, pi, obs),
-            kernels.forward_alpha_trace_batch(bp, a, b, pi, obs,
-                                              plan=plan))
+            _serial(bp, _forward_trace_nd, a, b, pi, obs=obs))
 
     @pytest.mark.parametrize("env", ENVS, ids=str)
     @pytest.mark.parametrize("k", [1, 3])
@@ -111,13 +149,11 @@ class TestFusedKernelsBitIdentical:
         rng = np.random.default_rng(3)
         pf = rng.uniform(0.01, 0.4, size=(7, 12))
         pn, qn = bp.from_floats(pf), bp.from_floats(1.0 - pf)
-        assert np.array_equal(
-            kernels.pbd_pvalue_batch(bp, pn, qn, k),
-            kernels.pbd_pvalue_batch(bp, pn, qn, k,
-                                     plan=ExecPlan(compiled=True)))
+        assert np.array_equal(kernels.pbd_pvalue_batch(bp, pn, qn, k),
+                              _serial(bp, _pbd_nd, pn, qn, k=k))
 
     def test_zero_heavy_model(self):
-        """Zero lanes exercise the merge paths whose decoded-plane
+        """Zero lanes exercise the passthrough merges whose plane
         garbage must never escape into the packed outputs."""
         env = PositEnv(8, 1)
         bp = BatchPosit(env)
@@ -130,62 +166,77 @@ class TestFusedKernelsBitIdentical:
         a, b = bp.from_floats(av), bp.from_floats(bv)
         pi = bp.from_floats(rng.uniform(0.1, 1.0, size=(h,)))
         obs = rng.integers(0, m, size=(6, 8))
-        plan = ExecPlan(compiled=True)
-        assert np.array_equal(
-            kernels.forward_batch(bp, a, b, pi, obs),
-            kernels.forward_batch(bp, a, b, pi, obs, plan=plan))
+        assert np.array_equal(kernels.forward_batch(bp, a, b, pi, obs),
+                              _serial(bp, _forward_nd, a, b, pi, obs=obs))
         pf = rng.uniform(0.0, 0.5, size=(5, 9))
         pf[pf < 0.2] = 0.0
         pn, qn = bp.from_floats(pf), bp.from_floats(1.0 - pf)
+        assert np.array_equal(kernels.pbd_pvalue_batch(bp, pn, qn, 2),
+                              _serial(bp, _pbd_nd, pn, qn, k=2))
+
+    @pytest.mark.parametrize("env", [PositEnv(8, 1), PositEnv(64, 12)],
+                             ids=str)
+    def test_zero_heavy_multi_model(self, env):
+        """The per-model forward (the service's ``forward`` kind and
+        ViCAR/MCMC) with zero-heavy parameters."""
+        bp = BatchPosit(env)
+        rng = np.random.default_rng(6)
+        n, h, m = 5, 4, 3
+        av = rng.uniform(0.0, 1.0, size=(n, h, h))
+        av[av < 0.4] = 0.0
+        bv = rng.uniform(0.0, 1.0, size=(n, h, m))
+        bv[bv < 0.4] = 0.0
+        a, b = bp.from_floats(av), bp.from_floats(bv)
+        pi = bp.from_floats(rng.uniform(0.0, 1.0, size=(n, h)))
+        obs = rng.integers(0, m, size=(n, 7))
         assert np.array_equal(
-            kernels.pbd_pvalue_batch(bp, pn, qn, 2),
-            kernels.pbd_pvalue_batch(bp, pn, qn, 2, plan=plan))
+            kernels.forward_multi_batch(bp, a, b, pi, obs),
+            _serial(bp, _forward_models_nd, a, b, pi, obs=obs))
 
     def test_fused_shape_validation(self):
         bp = BatchPosit(PositEnv(8, 1))
-        ck = PositPlaneKernels(bp, use_numba=False)
         one = bp.ones((3, 3))
-        with pytest.raises(ValueError, match="shared model"):
-            ck.forward(bp.ones((2, 3, 3)), one, bp.ones((3,)),
-                       np.zeros((2, 4), dtype=int))
         with pytest.raises(ValueError, match="obs"):
-            ck.forward(one, one, bp.ones((3,)),
-                       np.zeros(4, dtype=int))
+            kernels.forward_batch(bp, one, one, bp.ones((3,)),
+                                  np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match="per-model"):
+            kernels.forward_multi_batch(bp, one, one, bp.ones((3,)),
+                                        np.zeros((2, 4), dtype=int))
         with pytest.raises(ValueError, match="k must be"):
-            ck.pbd(one, one, 0)
+            kernels.pbd_pvalue_batch(bp, one, one, 0)
 
 
 class TestPlanRouting:
-    """``ExecPlan(compiled=True)`` selects the tier exactly when one
-    exists, and otherwise falls back silently without changing
-    results."""
+    """The format's mirror decides which arrays run on resident planes;
+    ``ExecPlan(compiled=True)`` is accepted and ignored."""
 
     def test_routes_to_kernels_for_posit(self):
-        from repro import nd
-        bp = BatchPosit(PositEnv(64, 12))
-        fa = nd.wrap(bp.ones((2, 2)), bb=bp)
-        ck = plan_compiled_kernels(ExecPlan(compiled=True), fa, fa)
-        assert isinstance(ck, PositPlaneKernels)
-        assert ck.backend is bp
+        for plan in (ExecPlan(), ExecPlan(compiled=True)):
+            x = nd.asarray([[0.5, 0.25], [0.125, 0.3]], "posit(64,12)",
+                           plan=plan)
+            prod = x * x
+            assert prod.batch and prod._codes is None
+            mul = x.backend.mul
+            assert prod.tolist() == [[mul(v, v) for v in row]
+                                     for row in x.tolist()]
 
     def test_none_without_compiled_flag(self):
-        from repro import nd
-        bp = BatchPosit(PositEnv(64, 12))
-        fa = nd.wrap(bp.ones((2, 2)), bb=bp)
-        assert plan_compiled_kernels(None, fa) is None
-        assert plan_compiled_kernels(ExecPlan(), fa) is None
-        assert plan_compiled_kernels(ExecPlan(compiled=True)) is None
+        """The flag selects no mirror of its own."""
+        from repro.engine import plan_batch_backend
+        for fmt in ("posit(64,12)", "binary64", "log", "lns(12,50)"):
+            backend = REGISTRY.create(fmt)
+            assert (plan_batch_backend(backend, ExecPlan(compiled=True))
+                    is plan_batch_backend(backend, ExecPlan()))
 
     def test_none_for_mixed_or_scalar_operands(self):
-        from repro import nd
-        bp = BatchPosit(PositEnv(64, 12))
-        fa = nd.wrap(bp.ones((2, 2)), bb=bp)
-        fb = nd.wrap(np.ones((2, 2)), bb=BatchBinary64())
-        plan = ExecPlan(compiled=True)
-        assert plan_compiled_kernels(plan, fa, fb) is None
-        scalar = nd.asarray([1.0, 2.0], Binary64Backend(),
+        """Non-resident mirrors and the scalar representation never
+        carry planes."""
+        fb = nd.asarray([0.5, 0.25], "binary64")
+        assert (fb * fb)._planes is None and (fb * fb).batch
+        scalar = nd.asarray([0.5, 0.25], "posit(64,12)",
                             plan=ExecPlan.serial())
-        assert plan_compiled_kernels(plan, scalar) is None
+        assert (scalar * scalar)._planes is None
+        assert not (scalar * scalar).batch
 
     @pytest.mark.parametrize("backend_cls, batch_cls", [
         (Binary64Backend, BatchBinary64),
@@ -193,88 +244,51 @@ class TestPlanRouting:
     ])
     def test_silent_fallback_formats_without_tier(self, backend_cls,
                                                   batch_cls):
-        """compiled=True on a format with no compiled tier never
-        errors and never changes results."""
-        bb = batch_cls()
-        rng = np.random.default_rng(5)
-        h, m, b_sz, t_len = 4, 5, 6, 7
-        conv = (lambda x: np.log(x)) if batch_cls is BatchLogSpace \
-            else (lambda x: x)
-        a = conv(rng.uniform(0.1, 1.0, size=(h, h)))
-        b = conv(rng.uniform(0.1, 1.0, size=(h, m)))
-        pi = conv(rng.uniform(0.1, 1.0, size=(h,)))
-        obs = rng.integers(0, m, size=(b_sz, t_len))
-        base = kernels.forward_batch(bb, a, b, pi, obs)
-        routed = kernels.forward_batch(bb, a, b, pi, obs,
-                                       plan=ExecPlan(compiled=True))
-        assert np.array_equal(base, routed)
-
-    def test_registry_compiled_for(self):
-        from repro.arith.registry import REGISTRY
-        bp = BatchPosit(PositEnv(64, 12))
-        ck = REGISTRY.compiled_for(bp)
-        assert isinstance(ck, PositPlaneKernels)
-        assert REGISTRY.compiled_for(bp) is ck  # memoized per mirror
-        assert REGISTRY.compiled_for(BatchBinary64()) is None
-        assert REGISTRY.compiled_for(None) is None
+        """``compiled=True`` never errors and never changes results."""
+        hmm = sample_hmm(4, 5, 7, seed=5)
+        obs = np.random.default_rng(5).integers(0, 5, size=(6, 7))
+        backend = backend_cls()
+        assert isinstance(REGISTRY.batch_for(backend), batch_cls)
+        assert (forward_batch(hmm, backend, obs)
+                == forward_batch(hmm, backend, obs,
+                                 plan=ExecPlan(compiled=True)))
 
 
-class TestConstruction:
-    def test_xp_defaults_to_numpy(self):
-        bp = BatchPosit(PositEnv(8, 1))
-        assert PositPlaneKernels(bp, use_numba=False).xp is np
-        assert bp.xp is np  # the BatchBackend default namespace
+class TestResidency:
+    """Each posit operand decodes once per call, however many steps the
+    recurrence runs — counted with the engine's own ``posit.decode`` /
+    ``posit.encode`` spans (deterministic; no wall clock)."""
 
-    def test_use_numba_true_requires_numba(self):
-        bp = BatchPosit(PositEnv(8, 1))
-        if HAVE_NUMBA:
-            assert PositPlaneKernels(bp, use_numba=True)._jit is not None
-        else:
-            with pytest.raises(RuntimeError, match="numba"):
-                PositPlaneKernels(bp, use_numba=True)
+    @staticmethod
+    def _span_counts(fn):
+        with telemetry.collect() as col:
+            fn()
+        return {name: agg[0] for name, agg in col.spans.items()}
 
-    def test_numba_available_reports_import_state(self):
-        assert numba_available() is HAVE_NUMBA
+    def test_forward_models_decodes_once_per_model_array(self):
+        backend = standard_backends()["posit(64,12)"]
+        h = 8
+        counts = {}
+        for t_len in (8, 24):
+            models = [sample_hmm(h, h, t_len, seed=s) for s in range(2)]
+            counts[t_len] = self._span_counts(lambda: forward_models_batch(
+                models, backend, certified=True))
+        # A, B and pi decode once each; alpha never leaves the plane.
+        assert counts[8]["posit.decode"] == 3
+        assert counts[24]["posit.decode"] == 3
+        # Per step: one rounding pass over the (B, H, H) products, H - 1
+        # fold adds (the fold starts at the first slice), one emission
+        # product.
+        assert (counts[24]["posit.encode"] - counts[8]["posit.encode"]
+                == (24 - 8) * (h + 1))
 
-    def test_repr_names_tier(self):
-        bp = BatchPosit(PositEnv(8, 1))
-        ck = PositPlaneKernels(bp, use_numba=False)
-        assert "numpy" in repr(ck)
-        assert set(ck.ops) == {"forward", "forward_trace", "pbd"}
+    def test_pbd_decodes_independent_of_trials(self):
+        backend = standard_backends()["posit(64,12)"]
 
+        def decodes(n_trials):
+            probs = [BigFloat.from_float(0.01 * (i + 1))
+                     for i in range(n_trials)]
+            return self._span_counts(
+                lambda: pbd_pvalue(probs, 2, backend))["posit.decode"]
 
-@pytest.mark.skipif(not numba_available(),
-                    reason="numba not installed (the [compiled] extra)")
-class TestJitBitIdentical:
-    """Where numba is present, the JIT loops must match the batch tier
-    on the same suites as the NumPy lean kernels — compared on encoded
-    outputs only (zero/NaR plane garbage is unspecified)."""
-
-    @pytest.mark.parametrize("es", [1, 2])
-    @pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
-    def test_jit_ops_exhaustive(self, es, underflow):
-        env = PositEnv(8, es, underflow)
-        bp = BatchPosit(env)
-        ck = PositPlaneKernels(bp, use_numba=True)
-        a, b = _all_pairs(env)
-        ua, ub = bp.decode_once(a), bp.decode_once(b)
-        assert np.array_equal(bp.mul(a, b),
-                              bp.encode_once(ck._mul_u(ua, ub)))
-        assert np.array_equal(bp.add(a, b),
-                              bp.encode_once(ck._add_u(ua, ub)))
-
-    def test_jit_forward_matches_batch(self):
-        bp = BatchPosit(PositEnv(64, 12))
-        ck = PositPlaneKernels(bp, use_numba=True)
-        a, b, pi, obs = _hmm_arrays(bp, h=6, m=7, b_sz=8, t_len=10)
-        assert np.array_equal(kernels.forward_batch(bp, a, b, pi, obs),
-                              ck.forward(a, b, pi, obs))
-
-    def test_jit_pbd_matches_batch(self):
-        bp = BatchPosit(PositEnv(64, 12))
-        ck = PositPlaneKernels(bp, use_numba=True)
-        rng = np.random.default_rng(9)
-        pf = rng.uniform(0.01, 0.4, size=(6, 10))
-        pn, qn = bp.from_floats(pf), bp.from_floats(1.0 - pf)
-        assert np.array_equal(kernels.pbd_pvalue_batch(bp, pn, qn, 2),
-                              ck.pbd(pn, qn, 2))
+        assert decodes(6) == decodes(12)

@@ -87,29 +87,30 @@ def test_deep_magnitudes_and_cancellation():
 
 @pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
 def test_exhaustive_posit8(underflow):
-    """Every posit(8,0) pattern pair — the full 256x256 space — for
-    both add and mul, in both underflow modes."""
-    env = PositEnv(8, 0, underflow)
-    bp = BatchPosit(env)
-    pats = np.arange(256, dtype=np.uint64)
-    a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
-    got_add = bp.add(a, b)
-    got_mul = bp.mul(a, b)
-    want_add = np.fromiter(
-        (env.add(int(x), int(y)) for x, y in zip(a, b)),
-        dtype=np.uint64, count=a.size)
-    want_mul = np.fromiter(
-        (env.mul(int(x), int(y)) for x, y in zip(a, b)),
-        dtype=np.uint64, count=a.size)
-    assert (got_add == want_add).all()
-    assert (got_mul == want_mul).all()
+    """Every posit(8, es) pattern pair — the full 256x256 space, es 0,
+    1 and 2 — for both add and mul, in both underflow modes."""
+    for es in (0, 1, 2):
+        env = PositEnv(8, es, underflow)
+        bp = BatchPosit(env)
+        pats = np.arange(256, dtype=np.uint64)
+        a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
+        got_add = bp.add(a, b)
+        got_mul = bp.mul(a, b)
+        want_add = np.fromiter(
+            (env.add(int(x), int(y)) for x, y in zip(a, b)),
+            dtype=np.uint64, count=a.size)
+        want_mul = np.fromiter(
+            (env.mul(int(x), int(y)) for x, y in zip(a, b)),
+            dtype=np.uint64, count=a.size)
+        assert (got_add == want_add).all(), env
+        assert (got_mul == want_mul).all(), env
 
 
 def test_decode_encode_roundtrip_is_identity():
     env = PositEnv(64, 12)
     bp = BatchPosit(env)
     pats = np.array(_random_patterns(env, 500, seed=7), dtype=np.uint64)
-    zero, nar, sign, frac, scale = bp._decode(pats)
+    zero, nar, sign, frac, scale, _mag = bp.decode_once(pats)
     re = bp._encode(sign, scale, frac, np.zeros(pats.shape, bool))
     re = np.where(zero, np.uint64(0), re)
     re = np.where(nar, np.uint64(env.nar), re)
@@ -158,24 +159,25 @@ def test_portable_bit_length_matches_python():
 
 @pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
 def test_exhaustive_posit8_sub_div(underflow):
-    """Every posit(8,0) pattern pair for the new native sub and div,
-    in both underflow modes — sub must equal add(a, neg(b)) and div the
-    correctly rounded quotient (NaR for zero/NaR divisors), exactly as
-    the scalar environment computes them."""
-    env = PositEnv(8, 0, underflow)
-    bp = BatchPosit(env)
-    pats = np.arange(256, dtype=np.uint64)
-    a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
-    got_sub = bp.sub(a, b)
-    got_div = bp.div(a, b)
-    want_sub = np.fromiter(
-        (env.sub(int(x), int(y)) for x, y in zip(a, b)),
-        dtype=np.uint64, count=a.size)
-    want_div = np.fromiter(
-        (env.div(int(x), int(y)) for x, y in zip(a, b)),
-        dtype=np.uint64, count=a.size)
-    assert (got_sub == want_sub).all()
-    assert (got_div == want_div).all()
+    """Every posit(8, es) pattern pair (es 0, 1 and 2) for the native
+    sub and div, in both underflow modes — sub must equal add(a, neg(b))
+    and div the correctly rounded quotient (NaR for zero/NaR divisors),
+    exactly as the scalar environment computes them."""
+    for es in (0, 1, 2):
+        env = PositEnv(8, es, underflow)
+        bp = BatchPosit(env)
+        pats = np.arange(256, dtype=np.uint64)
+        a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
+        got_sub = bp.sub(a, b)
+        got_div = bp.div(a, b)
+        want_sub = np.fromiter(
+            (env.sub(int(x), int(y)) for x, y in zip(a, b)),
+            dtype=np.uint64, count=a.size)
+        want_div = np.fromiter(
+            (env.div(int(x), int(y)) for x, y in zip(a, b)),
+            dtype=np.uint64, count=a.size)
+        assert (got_sub == want_sub).all(), env
+        assert (got_div == want_div).all(), env
 
 
 @pytest.mark.parametrize("nbits,es", [(64, 9), (64, 12), (32, 2), (16, 1)])
@@ -266,7 +268,7 @@ class TestFusedPlaneKernels:
         acc_p = bp.zeros((50,))
         for c in cols:
             cu = bp.decode_once(c)
-            acc_u = bp.mul_acc(acc_u, cu, cu)
+            acc_u = bp.axpy_unpacked(cu, cu, acc_u)
             acc_p = bp.add(acc_p, bp.mul(c, c))
         assert (bp.encode_once(acc_u) == acc_p).all()
 

@@ -1,7 +1,7 @@
 """Deterministic fault injection (:mod:`repro.faults`) and the recovery
 paths it exercises: trigger semantics and schedule determinism, the
-zero-cost disabled path, the compiled -> batch -> serial degradation
-ladder (bit-identical at every rung), and worker-crash recovery in the
+zero-cost disabled path, the batch -> serial degradation ladder
+(bit-identical at every rung), and worker-crash recovery in the
 parallel sweep runner (``kill`` mode, pool restart, deterministic
 merge)."""
 
@@ -14,8 +14,7 @@ from repro import faults, telemetry
 from repro.arith import standard_backends
 from repro.core.accuracy import measure_pairs
 from repro.core.sweep import FIG3_BINS, plan_chunks
-from repro.engine import ExecPlan, kernels
-from repro.engine.compiled import plan_compiled_kernels
+from repro.engine import kernels
 from repro.engine.posit_batch import BatchPosit
 from repro.engine.runner import run_sweep_parallel
 from repro.faults import FaultPlan, FaultRule, InjectedFault
@@ -187,34 +186,25 @@ class TestKernelSites:
 
 
 class TestDegradationLadder:
-    def test_compiled_tier_degrades_to_batch_bit_identically(self):
-        bp = BatchPosit(PositEnv(64, 12))
-        a, b, pi, obs = _hmm_arrays(bp)
-        want = kernels.forward_batch(bp, a, b, pi, obs)
-        plan = ExecPlan(compiled=True)
-        rule = FaultPlan([FaultRule("compiled.forward", max_fires=1)])
-        with faults.inject(rule), telemetry.collect() as col:
-            got = kernels.forward_batch(bp, a, b, pi, obs, plan=plan)
-        assert np.array_equal(want, got)
-        assert col.events["faults.degraded.compiled"] == 1
-        assert faults.quarantined_tiers() == frozenset({"compiled"})
-
     def test_quarantine_skips_tier_selection(self):
-        from repro import nd
-        bp = BatchPosit(PositEnv(64, 12))
-        fa = nd.wrap(bp.ones((2, 2)), bb=bp)
-        plan = ExecPlan(compiled=True)
-        assert plan_compiled_kernels(plan, fa, fa) is not None
-        faults.quarantine("compiled")
-        assert plan_compiled_kernels(plan, fa, fa) is None
+        backend = standard_backends()["posit(64,12)"]
+        (chunk,) = plan_chunks("mul", [BINS[1]], per_bin=8, seed=1,
+                               chunk_size=8)
+        pairs = chunk.generate()
+        faults.quarantine("batch")
+        with telemetry.collect() as col:
+            measure_pairs(backend, "mul", pairs, batch=True)
+        assert col.counters["faults.fallback.batch"] == 1
         faults.reset_quarantine()
-        assert plan_compiled_kernels(plan, fa, fa) is not None
+        with telemetry.collect() as col:
+            measure_pairs(backend, "mul", pairs, batch=True)
+        assert "faults.fallback.batch" not in col.counters
 
     def test_quarantined_tier_counts_fallbacks(self):
-        faults.quarantine("compiled")
+        faults.quarantine("batch")
         with telemetry.collect() as col:
-            assert faults.quarantined("compiled") is True
-        assert col.counters["faults.fallback.compiled"] == 1
+            assert faults.quarantined("batch") is True
+        assert col.counters["faults.fallback.batch"] == 1
 
     def test_batch_tier_degrades_to_scalar_identically(self):
         backend = standard_backends()["posit(64,12)"]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import repro.nd as nd
-from repro.arith import BIT_IDENTICAL, ELEMENT_EXACT, ORACLE, REGISTRY
+from repro.arith import (BIT_IDENTICAL, ELEMENT_EXACT, ORACLE, REGISTRY,
+                         STANDARD_FORMATS)
 from repro.bigfloat import BigFloat
 from repro.engine import ExecPlan
 
@@ -129,6 +130,25 @@ class TestScalarBroadcasting:
         canonical, serial = both_representations([0.5, 0.25], "posit(64,9)")
         assert (canonical * 3).tolist() == (serial * 3).tolist()
         assert (1 - canonical).tolist() == (1 - serial).tolist()
+
+
+class TestEmptyAxis:
+    @pytest.mark.parametrize("fmt", list(STANDARD_FORMATS) + ["lns(12,50)"])
+    @pytest.mark.parametrize("op", ["sum", "dot"])
+    def test_empty_axis_matches_serial_plane(self, fmt, op):
+        """A fold over an empty axis is probability 0 on both planes —
+        log-space's n-ary reduction and posit's first-slice fold
+        included."""
+        canonical, serial = both_representations(np.zeros((2, 0)), fmt)
+        assert canonical.batch and not serial.batch
+
+        def reduce(x):
+            return nd.sum(x, axis=1) if op == "sum" else nd.dot(x, x, axis=1)
+
+        got, want = reduce(canonical), reduce(serial)
+        assert got.shape == want.shape == (2,)
+        assert got.tolist() == want.tolist()
+        assert got.is_zero().all()
 
 
 class TestAstypeExactness:

@@ -181,21 +181,9 @@ class TestRegistryDescribe:
 
     def test_reprs_are_informative(self):
         assert "7 formats" in repr(REGISTRY)
-        assert "compiled tiers" in repr(REGISTRY)
         spec = REGISTRY.spec("posit(64,9)")
         assert "posit(64,9)" in repr(spec) and "standard" in repr(spec)
         assert "quire_fused_sum" in repr(spec.caps)
-        assert "compiled=forward" in repr(spec.caps)
-
-    def test_describe_has_compiled_column(self):
-        """``python -m repro.experiments --formats`` surfaces the
-        compiled tier per format."""
-        table = REGISTRY.describe()
-        header = table.splitlines()[1]
-        assert "compiled" in header
-        posit_row = next(line for line in table.splitlines()
-                         if line.startswith("posit(64,12)"))
-        assert "forward_trace" in posit_row
 
 
 class TestCapabilityTable:
@@ -204,11 +192,6 @@ class TestCapabilityTable:
         assert caps.max_width == 64
         assert "quire_fused_sum" in caps.fused_ops
         assert caps.exactness == ELEMENT_EXACT
-        # PR 8: the compiled tier is declared per format.
-        assert caps.compiled
-        assert caps.compiled_ops == ("forward", "forward_trace", "pbd")
-        assert not REGISTRY.capabilities("binary64").compiled
-        assert REGISTRY.capabilities("lns(12,50)").compiled_ops == ()
 
     def test_log_flags(self):
         caps = REGISTRY.capabilities("log")
@@ -288,18 +271,3 @@ class TestRegistryApi:
         seq = REGISTRY.create("log", sum_mode="sequential")
         assert REGISTRY.batch_for(seq) is \
             REGISTRY.batch_for(seq, reductions=True)
-
-    def test_compiled_for_pairs_and_memoizes(self):
-        """``compiled_for`` hands out one kernel set per batch mirror
-        (the JIT cache and hoisted constants live there), and None for
-        mirrors without a registered tier."""
-        from repro.engine.compiled import PositPlaneKernels
-        scalar = REGISTRY.create("posit(64,12)")
-        mirror = REGISTRY.batch_for(scalar)
-        ck = REGISTRY.compiled_for(mirror)
-        assert isinstance(ck, PositPlaneKernels)
-        assert ck.backend is mirror
-        assert REGISTRY.compiled_for(mirror) is ck
-        assert REGISTRY.compiled_for(
-            batch_backend_for(REGISTRY.create("binary64"))) is None
-        assert REGISTRY.compiled_for(None) is None
