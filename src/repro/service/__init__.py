@@ -3,7 +3,8 @@
 The ROADMAP's serving tier: a stdlib-only asyncio evaluation server
 (:class:`EvalServer`) that accepts typed workload requests — HMM
 forwards, PBD p-values, elementwise op sweeps, ``astype`` conversions,
-registered experiments — from many concurrent clients and *coalesces*
+Viterbi paths, pair-HMM alignments, Kalman tracks, registered
+experiments — from many concurrent clients and *coalesces*
 same-shaped requests into single batched kernel calls, so the measured
 11-37x batch speedups collapse per-request cost under load.
 
@@ -12,10 +13,12 @@ Layers (each its own module):
 * :mod:`repro.service.api` — the versioned, typed request/response
   contract (``WorkloadRequest``/``WorkloadResult``/``ErrorInfo`` with
   strict ``to_json``/``from_json``) and the exact BigFloat value codec;
-* :mod:`repro.service.workloads` — one handler per kind: validation,
-  coalesce keys, batched execution with bit-identical scatter;
-  :func:`execute` is the in-process single-request dispatcher the CLI
-  runner shares with the server;
+* :mod:`repro.service.workloads` — the ``ROW_KINDS`` table: one
+  ``RowKind`` per row-batched kind (payload parser, batched kernel,
+  result encoder) drives one shared handler that validates, keys
+  coalescing and scatters bit-identically; ``experiment`` keeps its own
+  handler.  :func:`execute` is the in-process single-request dispatcher
+  the CLI runner shares with the server;
 * :mod:`repro.service.scheduler` — the :class:`Microbatcher`: hold
   windows, flush-on-full, priorities, bounded-queue backpressure;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — HTTP/JSON

@@ -4,8 +4,9 @@ Every way into the execution plane that crosses a process or module
 boundary speaks the same three dataclasses:
 
 * :class:`WorkloadRequest` — one unit of work: a ``kind`` (``forward``,
-  ``pbd``, ``op``, ``astype``, ``experiment``), a registry format name,
-  a kind-specific ``payload`` dict, an optional
+  ``pbd``, ``op``, ``astype``, ``viterbi``, ``pairhmm``, ``kalman``,
+  ``experiment``), a registry format name, a kind-specific ``payload``
+  dict, an optional
   :class:`~repro.engine.plan.ExecPlan`, and a scheduling ``priority``;
 * :class:`WorkloadResult` — the per-request answer: exact wire-encoded
   values (see :func:`encode_value`), plus execution stats (coalesced

@@ -1,37 +1,35 @@
 """Workload handlers: the executable side of the service contract.
 
-One :class:`WorkloadHandler` per request ``kind`` knows how to
+A :class:`WorkloadHandler` per request ``kind`` **validates** a payload
+(raising :class:`~repro.service.api.InvalidRequest` naming the field),
+gives its **coalesce key** (equal keys within the scheduler's window run
+as ONE batched kernel call; ``None`` runs solo), and **runs a batch**,
+scattering per-request results back in order.
 
-* **validate** a :class:`~repro.service.api.WorkloadRequest` payload
-  (raising :class:`~repro.service.api.InvalidRequest` with a message
-  that names the offending field),
-* produce a **coalesce key** — requests with equal keys arriving within
-  the scheduler's window are executed as ONE batched kernel call
-  (``None`` means "never coalesce": the ragged/odd-shaped case), and
-* **run a batch** of same-key requests through the execution plane,
-  scattering per-request results back in order.
+Seven kinds are row batches — rows along one batch axis plus fields
+every row shares — served by one :class:`RowBatchHandler` per
+:class:`RowKind` row of :data:`ROW_KINDS`; ``experiment`` is bespoke.
+The scatter is bit-identical to solo execution by certifications the
+execution plane already proves: ``forward`` runs
+:func:`repro.apps.hmm.forward_models_batch` with ``certified=True``,
+``pbd``/``op``/``astype``/``kalman`` are elementwise across rows,
+``viterbi``'s max/argmax decisions are exact in every format, and the
+``pairhmm`` recurrence never mixes batch lanes.
 
-Coalescing leans entirely on certifications the execution plane already
-proves: ``forward`` runs through
-:func:`repro.apps.hmm.forward_models_batch` with ``certified=True``
-(reduction-certified mirrors only, so a coalesced likelihood is
-*guaranteed* bit-identical to a solo :func:`repro.apps.hmm.forward`
-call), and ``pbd``/``op``/``astype`` are elementwise workloads where
-batching over the request axis is value-preserving by construction.
-That is why the scatter can promise bit-identity without the scheduler
-knowing any numerics.
-
-:func:`execute` is the single-request entry point — the in-process
-dispatcher the CLI runner and the tests share with the server (the
-server's scheduler calls ``run_batch`` directly).
+:func:`execute` is the in-process single-request dispatcher the CLI
+runner and the tests share with the server (whose scheduler calls
+``run_batch`` directly).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import json
+import math
+import operator
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry as _tele
-from ..arith.registry import REGISTRY
 from ..bigfloat import BigFloat
 from ..engine.plan import ExecPlan, resolve_plan
 from .api import (
@@ -45,70 +43,6 @@ from .api import (
 
 #: ``(values, stats)`` for one request — what ``run_batch`` yields.
 RequestOutput = Tuple[list, dict]
-
-
-def _backend(format_name: Optional[str]):
-    """The shared scalar backend for a registry format name (shared so
-    the registry's weak-keyed mirror memoization holds across
-    requests — LNS tables in particular must survive)."""
-    from ..nd.context import _default_backend
-    if not isinstance(format_name, str) or not format_name:
-        raise InvalidRequest("this workload kind needs a registry "
-                             "format name in the request's 'format' "
-                             "field (e.g. \"binary64\", \"posit(64,12)\")")
-    try:
-        return _default_backend(format_name)
-    except (KeyError, ValueError) as exc:
-        raise InvalidRequest(f"unknown format {format_name!r}: "
-                             f"{exc}") from exc
-
-
-def _check_format(format_name) -> str:
-    """Registry-validate a format name at request-validation time
-    (cheap: no backend construction on the rejection path)."""
-    if not isinstance(format_name, str) or not format_name:
-        raise InvalidRequest("this workload kind needs a registry "
-                             "format name in the request's 'format' "
-                             "field (e.g. \"binary64\", \"posit(64,12)\")")
-    try:
-        REGISTRY.spec(format_name)
-    except KeyError as exc:
-        raise InvalidRequest(str(exc.args[0]) if exc.args else
-                             f"unknown format {format_name!r}") from exc
-    return format_name
-
-
-def _probability(value, *, where: str) -> BigFloat:
-    """One JSON number as an exact BigFloat probability operand."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidRequest(f"{where} must be numbers, got "
-                             f"{type(value).__name__}")
-    try:
-        return BigFloat.from_float(float(value))
-    except (OverflowError, ValueError) as exc:
-        raise InvalidRequest(f"{where}: {exc}") from exc
-
-
-def _number_list(values, *, where: str) -> List[BigFloat]:
-    if not isinstance(values, (list, tuple)) or not values:
-        raise InvalidRequest(f"{where} must be a non-empty list of "
-                             f"numbers")
-    return [_probability(v, where=where) for v in values]
-
-
-def _memo(request: WorkloadRequest, attr: str, compute):
-    """Parse each request's payload exactly once.
-
-    Every request is parsed at three layers (validation, coalesce-key,
-    batch execution); the parsed form is stashed on the (frozen)
-    request instance so layers two and three are free — under load the
-    triple parse costs more than the coalesced kernel itself.
-    """
-    cached = request.__dict__.get(attr)
-    if cached is None:
-        cached = compute()
-        object.__setattr__(request, attr, cached)
-    return cached
 
 
 class WorkloadHandler:
@@ -134,620 +68,361 @@ class WorkloadHandler:
 
 
 # ----------------------------------------------------------------------
-# forward — HMM forward likelihoods (single- and multi-model)
+# Payload parsing
 # ----------------------------------------------------------------------
-def _model_from_json(model, *, where: str):
-    """One JSON model object as an exact :class:`HMMData`."""
-    from ..data.dirichlet import HMMData
-    if not isinstance(model, dict):
-        raise InvalidRequest(f"{where} must be an object with "
-                             f"'transition', 'emission', 'initial', "
-                             f"'observations'")
-    missing = [k for k in ("transition", "emission", "initial",
-                           "observations") if k not in model]
-    if missing:
-        raise InvalidRequest(f"{where} is missing field(s) "
-                             f"{', '.join(missing)}")
-    unknown = sorted(set(model) - {"transition", "emission", "initial",
-                                   "observations"})
+def _backend(format_name, where: str = "format"):
+    """The shared scalar backend for a registry format name (shared so
+    mirror memoization, LNS tables in particular, holds across
+    requests)."""
+    from ..nd.context import _default_backend
+    if not isinstance(format_name, str) or not format_name:
+        raise InvalidRequest(f"{where} must be a registry format name "
+                             f"(e.g. \"binary64\", \"posit(64,12)\")")
+    try:
+        return _default_backend(format_name)
+    except (KeyError, ValueError) as exc:
+        raise InvalidRequest(f"{where}: {exc.args[0]}") from exc
+
+
+def _known(payload: dict, where: str, *fields: str) -> None:
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
         raise InvalidRequest(f"{where} has unknown field(s) "
-                             f"{', '.join(unknown)}")
-
-    def matrix(name, rows):
-        if not isinstance(rows, (list, tuple)) or not rows:
-            raise InvalidRequest(f"{where}.{name} must be a non-empty "
-                                 f"list of rows")
-        width = None
-        out = []
-        for row in rows:
-            bf_row = tuple(_number_list(row, where=f"{where}.{name} rows"))
-            if width is None:
-                width = len(bf_row)
-            elif len(bf_row) != width:
-                raise InvalidRequest(f"{where}.{name} rows must share "
-                                     f"one length")
-            out.append(bf_row)
-        return tuple(out)
-
-    transition = matrix("transition", model["transition"])
-    emission = matrix("emission", model["emission"])
-    initial = tuple(_number_list(model["initial"],
-                                 where=f"{where}.initial"))
-    if len(transition) != len(transition[0]) or \
-            len(transition) != len(emission) or \
-            len(transition) != len(initial):
-        raise InvalidRequest(f"{where}: transition must be (H, H) with "
-                             f"emission (H, M) and initial (H,)")
-    obs = model["observations"]
-    if not isinstance(obs, (list, tuple)) or not obs:
-        raise InvalidRequest(f"{where}.observations must be a non-empty "
-                             f"list of symbol indices")
-    n_symbols = len(emission[0])
-    observations = []
-    for o in obs:
-        if isinstance(o, bool) or not isinstance(o, int) \
-                or not 0 <= o < n_symbols:
-            raise InvalidRequest(f"{where}.observations must be ints in "
-                                 f"[0, {n_symbols})")
-        observations.append(o)
-    return HMMData(transition, emission, initial, tuple(observations))
+                             f"{', '.join(unknown)}; known: "
+                             f"{', '.join(fields)}")
 
 
-class ForwardHandler(WorkloadHandler):
-    """``forward``: likelihoods for one or many HMMs.
-
-    Payload: ``{"models": [<model>, ...]}`` where each model carries
-    ``transition``/``emission``/``initial`` probability matrices (JSON
-    numbers — exact, the doubles the data layer samples) and an integer
-    ``observations`` sequence.  One likelihood per model comes back.
-
-    Requests whose models all share one ``(H, M, T)`` shape coalesce by
-    ``(format, H, M, T)``; a mixed-shape multi-model request runs solo
-    (``forward_models_batch`` still groups internally).  Execution is
-    ``certified=True``: coalesced results are bit-identical to solo
-    ``forward()`` by the registry's reduction certification.
-    """
-
-    kind = "forward"
-
-    def _models(self, request: WorkloadRequest) -> list:
-        return _memo(request, "_parsed_models",
-                     lambda: self._parse_models(request))
-
-    def _parse_models(self, request: WorkloadRequest) -> list:
-        payload = request.payload
-        unknown = sorted(set(payload) - {"models"})
-        if unknown:
-            raise InvalidRequest(f"forward payload has unknown field(s) "
-                                 f"{', '.join(unknown)}; expected "
-                                 f"{{'models': [...]}}")
-        models = payload.get("models")
-        if not isinstance(models, (list, tuple)) or not models:
-            raise InvalidRequest("forward payload needs a non-empty "
-                                 "'models' list")
-        return [_model_from_json(m, where=f"models[{i}]")
-                for i, m in enumerate(models)]
-
-    def validate(self, request: WorkloadRequest) -> None:
-        _check_format(request.format)
-        self._models(request)
-
-    def coalesce_key(self, request: WorkloadRequest) -> Optional[tuple]:
-        models = self._models(request)
-        shapes = {(m.n_states, m.n_symbols, m.length) for m in models}
-        if len(shapes) != 1:
-            return None  # ragged multi-model request: runs solo
-        h, m, t = shapes.pop()
-        return ("forward", request.format, h, m, t)
-
-    def run_batch(self, requests, plan=None) -> List[RequestOutput]:
-        from ..apps.hmm import forward_models_batch
-        plan = resolve_plan(plan, where="ForwardHandler.run_batch")
-        per_request = [self._models(r) for r in requests]
-        flat = [m for models in per_request for m in models]
-        backend = _backend(requests[0].format)
-        _tele.count("service.forward.models", len(flat))
-        likes = forward_models_batch(flat, backend, plan, certified=True)
-        out: List[RequestOutput] = []
-        lo = 0
-        for models in per_request:
-            hi = lo + len(models)
-            values = [encode_value(backend, v) for v in likes[lo:hi]]
-            out.append((values, {"models": len(models)}))
-            lo = hi
-        return out
+def _number(value, where: str, domain=None) -> BigFloat:
+    """One JSON number as an exact BigFloat operand; ``domain`` is an
+    optional ``(test, description)`` the value must pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidRequest(f"{where} must be numbers, got "
+                             f"{type(value).__name__}")
+    if domain is not None and not domain[0](value):
+        raise InvalidRequest(f"{where} must be {domain[1]}, got {value!r}")
+    try:
+        return BigFloat.from_float(float(value))
+    except (OverflowError, ValueError) as exc:
+        raise InvalidRequest(f"{where}: {exc}") from exc
 
 
-# ----------------------------------------------------------------------
-# pbd — Poisson Binomial p-values
-# ----------------------------------------------------------------------
-class PbdHandler(WorkloadHandler):
-    """``pbd``: P(X >= k) per site.
-
-    Payload: ``{"sites": [[p, ...], ...], "k": K}`` — equal-length rows
-    of success probabilities.  Coalesces by
-    ``(format, n_trials, k)``; the PBD recurrence is add/mul only
-    (elementwise certification tier), so batching over the site axis is
-    value-preserving for every format.
-    """
-
-    kind = "pbd"
-
-    def _sites(self, request: WorkloadRequest):
-        return _memo(request, "_parsed_sites",
-                     lambda: self._parse_sites(request))
-
-    def _parse_sites(self, request: WorkloadRequest):
-        payload = request.payload
-        unknown = sorted(set(payload) - {"sites", "k"})
-        if unknown:
-            raise InvalidRequest(f"pbd payload has unknown field(s) "
-                                 f"{', '.join(unknown)}; expected "
-                                 f"{{'sites': [...], 'k': K}}")
-        k = payload.get("k")
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise InvalidRequest("pbd payload needs an integer k >= 1")
-        rows = payload.get("sites")
-        if not isinstance(rows, (list, tuple)) or not rows:
-            raise InvalidRequest("pbd payload needs a non-empty 'sites' "
-                                 "list of probability rows")
-        sites = [_number_list(row, where=f"sites[{i}]")
-                 for i, row in enumerate(rows)]
-        n_trials = len(sites[0])
-        if any(len(row) != n_trials for row in sites):
-            raise InvalidRequest("pbd sites must share one trial count")
-        if n_trials < k:
-            raise InvalidRequest(f"pbd sites need at least k={k} trials, "
-                                 f"got {n_trials}")
-        return sites, k
-
-    def validate(self, request: WorkloadRequest) -> None:
-        _check_format(request.format)
-        sites, _k = self._sites(request)
-        from ..apps.pbd import complement
-        for i, row in enumerate(sites):
-            for p in row:
-                try:
-                    complement(p)
-                except ValueError as exc:
-                    raise InvalidRequest(f"sites[{i}]: {exc}") from exc
-
-    def coalesce_key(self, request: WorkloadRequest) -> Optional[tuple]:
-        sites, k = self._sites(request)
-        return ("pbd", request.format, len(sites[0]), k)
-
-    def run_batch(self, requests, plan=None) -> List[RequestOutput]:
-        from ..apps.pbd import pbd_pvalue_batch
-        plan = resolve_plan(plan, where="PbdHandler.run_batch")
-        parsed = [self._sites(r) for r in requests]
-        k = parsed[0][1]
-        flat = [row for sites, _ in parsed for row in sites]
-        backend = _backend(requests[0].format)
-        _tele.count("service.pbd.sites", len(flat))
-        pvalues = pbd_pvalue_batch(flat, k, backend, plan)
-        out: List[RequestOutput] = []
-        lo = 0
-        for sites, _ in parsed:
-            hi = lo + len(sites)
-            values = [encode_value(backend, v) for v in pvalues[lo:hi]]
-            out.append((values, {"sites": len(sites)}))
-            lo = hi
-        return out
+_POSITIVE = (lambda v: v > 0.0, "positive")
 
 
-# ----------------------------------------------------------------------
-# op — elementwise arithmetic sweeps
-# ----------------------------------------------------------------------
-_OPS = ("add", "sub", "mul", "div")
+def _probability(value, where: str) -> BigFloat:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0.0 <= value <= 1.0:
+        raise InvalidRequest(f"{where} must be probabilities in [0, 1], "
+                             f"got {value!r}")
+    return BigFloat.from_float(float(value))
 
 
-class OpHandler(WorkloadHandler):
-    """``op``: one elementwise op over operand vectors.
-
-    Payload: ``{"op": "add"|"sub"|"mul"|"div", "a": [...], "b": [...]}``.
-    Coalesces by ``(format, op)`` — operand vectors of *different
-    lengths* still coalesce (they concatenate along the flat element
-    axis; elementwise ops carry no cross-element state).
-    """
-
-    kind = "op"
-
-    def _operands(self, request: WorkloadRequest):
-        return _memo(request, "_parsed_operands",
-                     lambda: self._parse_operands(request))
-
-    def _parse_operands(self, request: WorkloadRequest):
-        payload = request.payload
-        unknown = sorted(set(payload) - {"op", "a", "b"})
-        if unknown:
-            raise InvalidRequest(f"op payload has unknown field(s) "
-                                 f"{', '.join(unknown)}; expected "
-                                 f"{{'op': ..., 'a': [...], 'b': [...]}}")
-        op = payload.get("op")
-        if op not in _OPS:
-            raise InvalidRequest(f"op payload needs 'op' in "
-                                 f"{_OPS}, got {op!r}")
-        a = _number_list(payload.get("a"), where="op operand 'a'")
-        b = _number_list(payload.get("b"), where="op operand 'b'")
-        if len(a) != len(b):
-            raise InvalidRequest(f"op operands must pair up: len(a)="
-                                 f"{len(a)} vs len(b)={len(b)}")
-        return op, a, b
-
-    def validate(self, request: WorkloadRequest) -> None:
-        _check_format(request.format)
-        self._operands(request)
-
-    def coalesce_key(self, request: WorkloadRequest) -> Optional[tuple]:
-        op, _a, _b = self._operands(request)
-        return ("op", request.format, op)
-
-    def run_batch(self, requests, plan=None) -> List[RequestOutput]:
-        from .. import nd
-        plan = resolve_plan(plan, where="OpHandler.run_batch")
-        parsed = [self._operands(r) for r in requests]
-        op = parsed[0][0]
-        backend = _backend(requests[0].format)
-        a = nd.asarray([x for _, xs, _ in parsed for x in xs],
-                       backend, plan=plan)
-        b = nd.asarray([y for _, _, ys in parsed for y in ys],
-                       backend, plan=plan)
-        _tele.count(f"service.op.{op}", a.size)
-        result = {"add": lambda: a + b, "sub": lambda: a - b,
-                  "mul": lambda: a * b, "div": lambda: a / b}[op]()
-        out: List[RequestOutput] = []
-        lo = 0
-        for _, xs, _ in parsed:
-            hi = lo + len(xs)
-            values = [encode_value(backend, result.item(i))
-                      for i in range(lo, hi)]
-            out.append((values, {"elements": len(xs)}))
-            lo = hi
-        return out
+def _index(bound=math.inf):
+    """An item parser for ints in ``[0, bound)``."""
+    def item(value, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or \
+                not 0 <= value < bound:
+            raise InvalidRequest(f"{where} must be ints in [0, {bound})")
+        return value
+    return item
 
 
-# ----------------------------------------------------------------------
-# astype — exact-plane format conversion
-# ----------------------------------------------------------------------
-class AstypeHandler(WorkloadHandler):
-    """``astype``: values rounded from the request format into another.
-
-    Payload: ``{"to": "<format>", "values": [...]}``.  Coalesces by
-    ``(src format, target format)``; conversion goes through the exact
-    BigFloat plane per element, so batching is value-preserving.
-    """
-
-    kind = "astype"
-
-    def _parsed(self, request: WorkloadRequest):
-        return _memo(request, "_parsed_astype",
-                     lambda: self._parse_astype(request))
-
-    def _parse_astype(self, request: WorkloadRequest):
-        payload = request.payload
-        unknown = sorted(set(payload) - {"to", "values"})
-        if unknown:
-            raise InvalidRequest(f"astype payload has unknown field(s) "
-                                 f"{', '.join(unknown)}; expected "
-                                 f"{{'to': ..., 'values': [...]}}")
-        to = payload.get("to")
-        if not isinstance(to, str) or not to:
-            raise InvalidRequest("astype payload needs a 'to' registry "
-                                 "format name")
-        _check_format(to)
-        values = _number_list(payload.get("values"),
-                              where="astype 'values'")
-        return to, values
-
-    def validate(self, request: WorkloadRequest) -> None:
-        _check_format(request.format)
-        self._parsed(request)
-
-    def coalesce_key(self, request: WorkloadRequest) -> Optional[tuple]:
-        to, _values = self._parsed(request)
-        return ("astype", request.format, to)
-
-    def run_batch(self, requests, plan=None) -> List[RequestOutput]:
-        from .. import nd
-        plan = resolve_plan(plan, where="AstypeHandler.run_batch")
-        parsed = [self._parsed(r) for r in requests]
-        to = parsed[0][0]
-        backend = _backend(requests[0].format)
-        src = nd.asarray([v for _, vs in parsed for v in vs],
-                         backend, plan=plan)
-        _tele.count(f"service.astype.{requests[0].format}->{to}", src.size)
-        converted = src.astype(_backend(to), plan=plan).to_bigfloats()
-        out: List[RequestOutput] = []
-        lo = 0
-        for _, vs in parsed:
-            hi = lo + len(vs)
-            values = [encode_bigfloat(bf) for bf in converted[lo:hi]]
-            out.append((values, {"elements": len(vs)}))
-            lo = hi
-        return out
+def _list(values, where: str, item, what: str = "numbers",
+          index: bool = False) -> list:
+    """A non-empty JSON list, each entry parsed by ``item(value, name)``
+    (``name`` is ``where``, or ``where[i]`` with ``index``)."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InvalidRequest(f"{where} must be a non-empty list of {what}")
+    if index:
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    return [item(v, where) for v in values]
 
 
-# ----------------------------------------------------------------------
-# viterbi / pairhmm / kalman — the registered recurrence workloads
-# ----------------------------------------------------------------------
-def _canonical_json(obj) -> str:
-    """A deterministic hashable rendering of a JSON payload fragment
-    (for coalesce keys over structured inputs like a shared model)."""
-    import json
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _int_rows(rows, *, where: str, width: Optional[int] = None,
-              bound: Optional[int] = None) -> list:
-    """A non-empty list of equal-length integer rows."""
-    if not isinstance(rows, (list, tuple)) or not rows:
-        raise InvalidRequest(f"{where} must be a non-empty list of "
-                             f"integer rows")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)) or not row:
-            raise InvalidRequest(f"{where}[{i}] must be a non-empty "
-                                 f"list of ints")
-        vals = []
-        for v in row:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0 \
-                    or (bound is not None and v >= bound):
-                hi = f" in [0, {bound})" if bound is not None else " >= 0"
-                raise InvalidRequest(f"{where}[{i}] must be ints{hi}")
-            vals.append(v)
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise InvalidRequest(f"{where} rows must share one length")
-        out.append(vals)
+def _rows(rows, where: str, item, what: str = "numbers") -> list:
+    """A non-empty list of equal-length rows (each a :func:`_list`)."""
+    out = _list(rows, where, lambda row, w: _list(row, w, item, what),
+                "rows", index=True)
+    if any(len(row) != len(out[0]) for row in out):
+        raise InvalidRequest(f"{where} rows must share one length")
     return out
 
 
-class ViterbiHandler(WorkloadHandler):
-    """``viterbi``: most probable state paths under one HMM.
+def _constants(payload: dict, kind: str, domains: dict) -> dict:
+    """The optional float constants of ``domains`` (name -> a
+    :func:`_number` domain) that ``payload`` sets."""
+    out = {}
+    for name, domain in domains.items():
+        if name in payload:
+            _number(payload[name], f"{kind} {name}", domain)
+            out[name] = float(payload[name])
+    return out
 
-    Payload: ``{"model": <model>, "sequences": [[...], ...]}`` — the
-    same model object as ``forward`` (its ``observations`` field is the
-    default when ``sequences`` is omitted).  Per sequence the result is
-    ``{"score": <triple>, "path": [state, ...]}``.
 
-    Requests sharing the identical model and sequence length coalesce
-    (sequences concatenate along the batch axis into one
-    :func:`repro.workloads.viterbi.viterbi_batch` call) — safe without
-    any certification tier because max/argmax decisions are exact and
-    plan-invariant in every format.
-    """
+@dataclass(frozen=True)
+class RowKind:
+    """One row-batched request kind, as data: ``rows`` names a row (the
+    stats key); ``parse(payload) -> (key, shared, rows)`` validates a
+    payload, ``key`` holding every field the rows share (so equal keys
+    mean one kernel call serves both requests; ``None``: run solo),
+    ``shared`` those fields parsed and ``rows`` the batch-axis items;
+    ``kernel(shared, rows, backend, plan)`` gives one result per row and
+    ``encode(backend, result)`` puts one on the wire."""
 
-    kind = "viterbi"
+    kind: str
+    rows: str
+    parse: Callable[[dict], Tuple[Optional[tuple], Any, list]]
+    kernel: Callable[..., Sequence]
+    encode: Callable[[Any, Any], Any] = encode_value
+
+
+class RowBatchHandler(WorkloadHandler):
+    """Serves one :class:`RowKind`: parse once, coalesce by
+    ``(kind, format, *key)``, concatenate rows, one kernel call,
+    scatter by row counts, encode."""
+
+    def __init__(self, spec: RowKind):
+        self.spec = spec
+        self.kind = spec.kind
 
     def _parsed(self, request: WorkloadRequest):
-        return _memo(request, "_parsed_viterbi",
-                     lambda: self._parse(request))
-
-    def _parse(self, request: WorkloadRequest):
-        payload = request.payload
-        unknown = sorted(set(payload) - {"model", "sequences"})
-        if unknown:
-            raise InvalidRequest(f"viterbi payload has unknown field(s) "
-                                 f"{', '.join(unknown)}; expected "
-                                 f"{{'model': ..., 'sequences': [...]}}")
-        hmm = _model_from_json(payload.get("model"), where="model")
-        sequences = payload.get("sequences")
-        if sequences is None:
-            seqs = [list(hmm.observations)]
-        else:
-            seqs = _int_rows(sequences, where="sequences",
-                             bound=hmm.n_symbols)
-        return hmm, seqs
+        """``(key, shared, rows)``, parsed once and stashed on the
+        (frozen) request: validation, the coalesce key and the batch all
+        read it, and under load a triple parse outcosts the kernel."""
+        parsed = request.__dict__.get("_parsed")
+        if parsed is None:
+            _backend(request.format)
+            parsed = self.spec.parse(request.payload)
+            object.__setattr__(request, "_parsed", parsed)
+        return parsed
 
     def validate(self, request: WorkloadRequest) -> None:
-        _check_format(request.format)
         self._parsed(request)
 
     def coalesce_key(self, request: WorkloadRequest) -> Optional[tuple]:
-        _hmm, seqs = self._parsed(request)
-        return ("viterbi", request.format,
-                _canonical_json(request.payload.get("model")),
-                len(seqs[0]))
+        key = self._parsed(request)[0]
+        return None if key is None else (self.kind, request.format, *key)
 
     def run_batch(self, requests, plan=None) -> List[RequestOutput]:
-        from ..workloads.viterbi import viterbi_batch
-        plan = resolve_plan(plan, where="ViterbiHandler.run_batch")
+        # Same-key requests share every field outside their rows, so the
+        # first request's parsed shared fields serve the whole batch.
+        plan = resolve_plan(plan, where=f"{self.kind} run_batch")
         parsed = [self._parsed(r) for r in requests]
-        hmm = parsed[0][0]
-        flat = [s for _, seqs in parsed for s in seqs]
+        flat = [row for _, _, rows in parsed for row in rows]
         backend = _backend(requests[0].format)
-        _tele.count("service.viterbi.sequences", len(flat))
-        decoded = viterbi_batch(hmm, backend, flat, plan=plan)
+        _tele.count(f"service.{self.kind}.{self.spec.rows}", len(flat))
+        results = self.spec.kernel(parsed[0][1], flat, backend, plan)
         out: List[RequestOutput] = []
         lo = 0
-        for _, seqs in parsed:
-            hi = lo + len(seqs)
-            values = [{"score": encode_value(backend, d.score),
-                       "path": d.states()} for d in decoded[lo:hi]]
-            out.append((values, {"sequences": len(seqs)}))
+        for _, _, rows in parsed:
+            hi = lo + len(rows)
+            values = [self.spec.encode(backend, r) for r in results[lo:hi]]
+            out.append((values, {self.spec.rows: len(rows)}))
             lo = hi
         return out
 
 
-class PairhmmHandler(WorkloadHandler):
-    """``pairhmm``: read-vs-haplotype alignment likelihoods.
-
-    Payload: ``{"haplotype": [...], "reads": [[...], ...]}`` plus
-    optional ``gap_open``/``gap_extend``/``mismatch`` (floats) and
-    ``semiring`` (a registered name; default the HaplotypeCaller
-    ``"pairhmm-max"`` hybrid).  One likelihood triple per read.
-
-    Requests sharing ``(format, haplotype, read length, parameters,
-    semiring)`` coalesce — reads concatenate along the batch axis into
-    one kernel call, which is value-preserving because the recurrence
-    never mixes batch lanes.
-    """
-
-    kind = "pairhmm"
-
-    _PARAM_FIELDS = ("gap_open", "gap_extend", "mismatch")
-
-    def _parsed(self, request: WorkloadRequest):
-        return _memo(request, "_parsed_pairhmm",
-                     lambda: self._parse(request))
-
-    def _parse(self, request: WorkloadRequest):
-        from ..workloads.pairhmm import PairHMMParams
-        from ..workloads.semiring import SEMIRINGS
-        payload = request.payload
-        known = {"haplotype", "reads", "semiring", *self._PARAM_FIELDS}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise InvalidRequest(f"pairhmm payload has unknown field(s) "
-                                 f"{', '.join(unknown)}; known: "
-                                 f"{', '.join(sorted(known))}")
-        hap = payload.get("haplotype")
-        if not isinstance(hap, (list, tuple)) or not hap or \
-                any(isinstance(v, bool) or not isinstance(v, int) or v < 0
-                    for v in hap):
-            raise InvalidRequest("pairhmm payload needs a non-empty "
-                                 "'haplotype' list of ints >= 0")
-        reads = _int_rows(payload.get("reads"), where="reads")
-        kwargs = {}
-        for name in self._PARAM_FIELDS:
-            if name in payload:
-                value = payload[name]
-                if isinstance(value, bool) or \
-                        not isinstance(value, (int, float)) or \
-                        not 0.0 < float(value) < 0.5:
-                    raise InvalidRequest(f"pairhmm {name} must be a "
-                                         f"number in (0, 0.5)")
-                kwargs[name] = float(value)
-        params = PairHMMParams(**kwargs)
-        semiring = payload.get("semiring", "pairhmm-max")
-        if semiring not in SEMIRINGS:
-            raise InvalidRequest(f"unknown semiring {semiring!r} "
-                                 f"(one of {sorted(SEMIRINGS)})")
-        return list(hap), reads, params, semiring
-
-    def validate(self, request: WorkloadRequest) -> None:
-        _check_format(request.format)
-        self._parsed(request)
-
-    def coalesce_key(self, request: WorkloadRequest) -> Optional[tuple]:
-        hap, reads, params, semiring = self._parsed(request)
-        return ("pairhmm", request.format, tuple(hap), len(reads[0]),
-                params.gap_open, params.gap_extend, params.mismatch,
-                semiring)
-
-    def run_batch(self, requests, plan=None) -> List[RequestOutput]:
-        from ..workloads.pairhmm import pairhmm_batch
-        plan = resolve_plan(plan, where="PairhmmHandler.run_batch")
-        parsed = [self._parsed(r) for r in requests]
-        hap, _reads, params, semiring = parsed[0]
-        flat = [row for _, reads, _, _ in parsed for row in reads]
-        backend = _backend(requests[0].format)
-        _tele.count("service.pairhmm.reads", len(flat))
-        likes = pairhmm_batch(hap, flat, backend, params=params,
-                              plan=plan, semiring=semiring)
-        out: List[RequestOutput] = []
-        lo = 0
-        for _, reads, _, _ in parsed:
-            hi = lo + len(reads)
-            values = [encode_value(backend, v) for v in likes[lo:hi]]
-            out.append((values, {"reads": len(reads)}))
-            lo = hi
-        return out
+# perfbench/svc.py's traced phase wraps ForwardHandler.validate/run_batch.
+ForwardHandler = RowBatchHandler
 
 
-class KalmanHandler(WorkloadHandler):
-    """``kalman``: filtered state estimates for measurement tracks.
+# ----------------------------------------------------------------------
+# The seven row kinds
+# ----------------------------------------------------------------------
+_MODEL_FIELDS = ("transition", "emission", "initial", "observations")
 
-    Payload: ``{"tracks": [[z, ...], ...]}`` (strictly positive
-    measurements) plus optional ``a``/``q``/``r``/``x0``/``p0`` filter
-    constants.  Per track the result is ``{"x": <triple>,
-    "p": <triple>}`` — the final state estimate and variance.
 
-    Requests sharing ``(format, track length, constants)`` coalesce:
-    tracks concatenate along the batch axis (the recurrence is
-    elementwise across tracks, so batching is value-preserving by the
-    registry's elementwise certification).
-    """
+def _model_from_json(model, where: str):
+    """One JSON model object as an exact :class:`HMMData`: probability
+    matrices ``transition``/``emission``/``initial`` and an integer
+    ``observations`` sequence."""
+    from ..data.dirichlet import HMMData
+    if not isinstance(model, dict):
+        raise InvalidRequest(f"{where} must be an object with "
+                             f"{', '.join(map(repr, _MODEL_FIELDS))}")
+    _known(model, where, *_MODEL_FIELDS)
+    missing = [k for k in _MODEL_FIELDS if k not in model]
+    if missing:
+        raise InvalidRequest(f"{where} is missing field(s) "
+                             f"{', '.join(missing)}")
+    transition, emission = (_rows(model[k], f"{where}.{k}", _probability)
+                            for k in ("transition", "emission"))
+    initial = _list(model["initial"], f"{where}.initial", _probability)
+    if not len(transition) == len(transition[0]) == len(emission) \
+            == len(initial):
+        raise InvalidRequest(f"{where}: transition must be (H, H) with "
+                             f"emission (H, M) and initial (H,)")
+    observations = _list(model["observations"], f"{where}.observations",
+                         _index(len(emission[0])), "symbol indices")
+    return HMMData(tuple(map(tuple, transition)),
+                   tuple(map(tuple, emission)), tuple(initial),
+                   tuple(observations))
 
-    kind = "kalman"
 
-    _PARAM_FIELDS = ("a", "q", "r", "x0", "p0")
+def _parse_forward(payload):
+    """``{"models": [<model>, ...]}``: one likelihood per model.  Models
+    of one ``(H, M, T)`` shape coalesce by it; mixed shapes run solo."""
+    _known(payload, "forward payload", "models")
+    models = _list(payload.get("models"), "models", _model_from_json,
+                   "model objects", index=True)
+    shapes = {(m.n_states, m.n_symbols, m.length) for m in models}
+    return (shapes.pop() if len(shapes) == 1 else None), None, models
 
-    def _parsed(self, request: WorkloadRequest):
-        return _memo(request, "_parsed_kalman",
-                     lambda: self._parse(request))
 
-    def _parse(self, request: WorkloadRequest):
-        from ..workloads.kalman import KalmanParams
-        payload = request.payload
-        known = {"tracks", *self._PARAM_FIELDS}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise InvalidRequest(f"kalman payload has unknown field(s) "
-                                 f"{', '.join(unknown)}; known: "
-                                 f"{', '.join(sorted(known))}")
-        rows = payload.get("tracks")
-        if not isinstance(rows, (list, tuple)) or not rows:
-            raise InvalidRequest("kalman payload needs a non-empty "
-                                 "'tracks' list of measurement rows")
-        length = None
-        tracks = []
-        for i, row in enumerate(rows):
-            values = _number_list(row, where=f"tracks[{i}]")
-            for v, bf in zip(row, values):
-                if float(v) <= 0.0:
-                    raise InvalidRequest(f"tracks[{i}] must be strictly "
-                                         f"positive measurements")
-            if length is None:
-                length = len(values)
-            elif len(values) != length:
-                raise InvalidRequest("kalman tracks must share one "
-                                     "length")
-            tracks.append([float(v) for v in row])
-        kwargs = {}
-        for name in self._PARAM_FIELDS:
-            if name in payload:
-                value = payload[name]
-                if isinstance(value, bool) or \
-                        not isinstance(value, (int, float)) or \
-                        not float(value) > 0.0:
-                    raise InvalidRequest(f"kalman {name} must be a "
-                                         f"positive number")
-                kwargs[name] = float(value)
-        if "a" in kwargs and kwargs["a"] > 1.0:
-            raise InvalidRequest("kalman a must be in (0, 1]")
-        return tracks, KalmanParams(**kwargs)
+def _forward_kernel(_shared, models, backend, plan):
+    from ..apps.hmm import forward_models_batch
+    return forward_models_batch(models, backend, plan, certified=True)
 
-    def validate(self, request: WorkloadRequest) -> None:
-        _check_format(request.format)
-        self._parsed(request)
 
-    def coalesce_key(self, request: WorkloadRequest) -> Optional[tuple]:
-        tracks, params = self._parsed(request)
-        return ("kalman", request.format, len(tracks[0]), params.a,
-                params.q, params.r, params.x0, params.p0)
+def _parse_pbd(payload):
+    """``{"sites": [[p, ...], ...], "k": K}``: P(X >= k) per row of
+    success probabilities.  Coalesces by ``(n_trials, k)``."""
+    _known(payload, "pbd payload", "sites", "k")
+    k = payload.get("k")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise InvalidRequest("pbd payload needs an integer k >= 1")
+    sites = _rows(payload.get("sites"), "sites", _probability)
+    if len(sites[0]) < k:
+        raise InvalidRequest(f"sites need at least k={k} trials, got "
+                             f"{len(sites[0])}")
+    return (len(sites[0]), k), k, sites
 
-    def run_batch(self, requests, plan=None) -> List[RequestOutput]:
-        from ..workloads.kalman import kalman_batch
-        plan = resolve_plan(plan, where="KalmanHandler.run_batch")
-        parsed = [self._parsed(r) for r in requests]
-        params = parsed[0][1]
-        flat = [row for tracks, _ in parsed for row in tracks]
-        backend = _backend(requests[0].format)
-        _tele.count("service.kalman.tracks", len(flat))
-        estimates = kalman_batch(flat, backend, params=params, plan=plan)
-        out: List[RequestOutput] = []
-        lo = 0
-        for tracks, _ in parsed:
-            hi = lo + len(tracks)
-            values = [{"x": encode_value(backend, e.x),
-                       "p": encode_value(backend, e.p)}
-                      for e in estimates[lo:hi]]
-            out.append((values, {"tracks": len(tracks)}))
-            lo = hi
-        return out
+
+def _pbd_kernel(k, sites, backend, plan):
+    from ..apps.pbd import pbd_pvalue_batch
+    return pbd_pvalue_batch(sites, k, backend, plan)
+
+
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "div": operator.truediv}
+
+
+def _parse_op(payload):
+    """``{"op": "add"|"sub"|"mul"|"div", "a": [...], "b": [...]}``.
+    Coalesces by ``op`` alone, whatever the vector lengths."""
+    _known(payload, "op payload", "op", "a", "b")
+    op = payload.get("op")
+    if not isinstance(op, str) or op not in _OPS:
+        raise InvalidRequest(f"op payload needs 'op' in {tuple(_OPS)}, "
+                             f"got {op!r}")
+    a, b = (_list(payload.get(name), name, _number) for name in "ab")
+    if len(a) != len(b):
+        raise InvalidRequest(f"op operands must pair up: len(a)="
+                             f"{len(a)} vs len(b)={len(b)}")
+    return (op,), op, list(zip(a, b))
+
+
+def _op_kernel(op, pairs, backend, plan):
+    from .. import nd
+    a, b = (nd.asarray([pair[i] for pair in pairs], backend, plan=plan)
+            for i in (0, 1))
+    result = _OPS[op](a, b)
+    return [result.item(i) for i in range(result.size)]
+
+
+def _parse_astype(payload):
+    """``{"to": "<format>", "values": [...]}``: values rounded from the
+    request format into ``to``.  Coalesces by ``to``."""
+    _known(payload, "astype payload", "to", "values")
+    target = _backend(payload.get("to"), where="astype 'to'")
+    values = _list(payload.get("values"), "values", _number)
+    return (payload["to"],), target, values
+
+
+def _astype_kernel(target, values, backend, plan):
+    from .. import nd
+    src = nd.asarray(values, backend, plan=plan)
+    return src.astype(target, plan=plan).to_bigfloats()
+
+
+def _parse_viterbi(payload):
+    """``{"model": <model>, "sequences": [[...], ...]}``: the most
+    probable state path per sequence (default: ``observations``)."""
+    _known(payload, "viterbi payload", "model", "sequences")
+    hmm = _model_from_json(payload.get("model"), "model")
+    seqs = payload.get("sequences")
+    seqs = [list(hmm.observations)] if seqs is None else \
+        _rows(seqs, "sequences", _index(hmm.n_symbols), "ints")
+    model = json.dumps(payload["model"], sort_keys=True,
+                       separators=(",", ":"))
+    return (model, len(seqs[0])), hmm, seqs
+
+
+def _viterbi_kernel(hmm, seqs, backend, plan):
+    from ..workloads.viterbi import viterbi_batch
+    return viterbi_batch(hmm, backend, seqs, plan=plan)
+
+
+_PAIRHMM_CONSTANTS = dict.fromkeys(("gap_open", "gap_extend", "mismatch"),
+                                   (lambda v: 0.0 < v < 0.5, "in (0, 0.5)"))
+
+
+def _parse_pairhmm(payload):
+    """``{"haplotype": [...], "reads": [[...], ...]}`` plus optional
+    constants and ``semiring``: one likelihood per read."""
+    from ..workloads.pairhmm import PairHMMParams
+    from ..workloads.semiring import SEMIRINGS
+    _known(payload, "pairhmm payload", "haplotype", "reads", "semiring",
+           *_PAIRHMM_CONSTANTS)
+    hap = tuple(_list(payload.get("haplotype"), "haplotype", _index(),
+                      "ints"))
+    reads = _rows(payload.get("reads"), "reads", _index(), "ints")
+    params = PairHMMParams(**_constants(payload, "pairhmm",
+                                        _PAIRHMM_CONSTANTS))
+    semiring = payload.get("semiring", "pairhmm-max")
+    if not isinstance(semiring, str) or semiring not in SEMIRINGS:
+        raise InvalidRequest(f"unknown semiring {semiring!r} "
+                             f"(one of {sorted(SEMIRINGS)})")
+    return ((hap, len(reads[0]), params, semiring),
+            (hap, params, semiring), reads)
+
+
+def _pairhmm_kernel(shared, reads, backend, plan):
+    from ..workloads.pairhmm import pairhmm_batch
+    hap, params, semiring = shared
+    return pairhmm_batch(hap, reads, backend, params=params, plan=plan,
+                         semiring=semiring)
+
+
+_KALMAN_CONSTANTS = {"a": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                     **dict.fromkeys(("q", "r", "x0", "p0"), _POSITIVE)}
+
+
+def _measurement(value, where: str) -> float:
+    _number(value, where, _POSITIVE)
+    return float(value)
+
+
+def _parse_kalman(payload):
+    """``{"tracks": [[z, ...], ...]}`` plus optional filter constants:
+    the final estimate and variance per track."""
+    from ..workloads.kalman import KalmanParams
+    _known(payload, "kalman payload", "tracks", *_KALMAN_CONSTANTS)
+    tracks = _rows(payload.get("tracks"), "tracks", _measurement)
+    params = KalmanParams(**_constants(payload, "kalman",
+                                       _KALMAN_CONSTANTS))
+    return (len(tracks[0]), params), params, tracks
+
+
+def _kalman_kernel(params, tracks, backend, plan):
+    from ..workloads.kalman import kalman_batch
+    return kalman_batch(tracks, backend, params=params, plan=plan)
+
+
+#: The seven row-batched kinds, in dispatch-table order.
+ROW_KINDS: Tuple[RowKind, ...] = (
+    RowKind("forward", "models", _parse_forward, _forward_kernel),
+    RowKind("pbd", "sites", _parse_pbd, _pbd_kernel),
+    RowKind("op", "elements", _parse_op, _op_kernel),
+    RowKind("astype", "elements", _parse_astype, _astype_kernel,
+            lambda _, bf: encode_bigfloat(bf)),
+    RowKind("viterbi", "sequences", _parse_viterbi, _viterbi_kernel,
+            lambda backend, d: {"score": encode_value(backend, d.score),
+                                "path": d.states()}),
+    RowKind("pairhmm", "reads", _parse_pairhmm, _pairhmm_kernel),
+    RowKind("kalman", "tracks", _parse_kalman, _kalman_kernel,
+            lambda backend, e: {"x": encode_value(backend, e.x),
+                                "p": encode_value(backend, e.p)}),
+)
 
 
 # ----------------------------------------------------------------------
@@ -757,28 +432,22 @@ class ExperimentHandler(WorkloadHandler):
     """``experiment``: one registered figure/table experiment.
 
     Payload: ``{"experiment_id": ..., "scale": ..., "out_dir": ...,
-    "use_cache": ..., "cache_dir": ..., "refresh": ...}`` (everything
-    but the id optional).  Never coalesces — experiments are
-    coarse-grained and internally batched already.  ``values`` holds the
-    rendered report text; ``stats["cached"]`` says whether the
-    ``.repro-cache`` served it.
+    "use_cache": ..., "cache_dir": ..., "refresh": ...}`` (all but the
+    id optional).  Never coalesces — experiments are coarse-grained and
+    internally batched already.  ``values`` holds the rendered report;
+    ``stats["cached"]`` says whether the ``.repro-cache`` served it.
     """
 
     kind = "experiment"
 
-    _FIELDS = ("experiment_id", "scale", "out_dir", "use_cache",
-               "cache_dir", "refresh")
-
     def validate(self, request: WorkloadRequest) -> None:
         from ..experiments.runner import REGISTRY as EXPERIMENTS
         payload = request.payload
-        unknown = sorted(set(payload) - set(self._FIELDS))
-        if unknown:
-            raise InvalidRequest(f"experiment payload has unknown "
-                                 f"field(s) {', '.join(unknown)}; known: "
-                                 f"{', '.join(self._FIELDS)}")
+        _known(payload, "experiment payload", "experiment_id", "scale",
+               "out_dir", "use_cache", "cache_dir", "refresh")
         experiment_id = payload.get("experiment_id")
-        if experiment_id not in EXPERIMENTS:
+        if not isinstance(experiment_id, str) or \
+                experiment_id not in EXPERIMENTS:
             known = ", ".join(sorted(EXPERIMENTS))
             raise InvalidRequest(f"unknown experiment "
                                  f"{experiment_id!r}; known: {known}")
@@ -786,6 +455,15 @@ class ExperimentHandler(WorkloadHandler):
         if scale not in ("test", "bench", "full"):
             raise InvalidRequest(f"experiment scale must be 'test', "
                                  f"'bench' or 'full', got {scale!r}")
+        for name in ("out_dir", "cache_dir"):
+            value = payload.get(name)
+            if value is not None and not (isinstance(value, str) and value):
+                raise InvalidRequest(f"experiment {name} must be a path "
+                                     f"or null, got {value!r}")
+        for name in ("use_cache", "refresh"):
+            if not isinstance(payload.get(name, False), bool):
+                raise InvalidRequest(f"experiment {name} must be true or "
+                                     f"false, got {payload[name]!r}")
 
     def run_batch(self, requests, plan=None) -> List[RequestOutput]:
         from ..experiments.runner import _run_experiment
@@ -800,21 +478,16 @@ class ExperimentHandler(WorkloadHandler):
                 scale=payload.get("scale", "bench"),
                 out_dir=payload.get("out_dir"),
                 plan=run_plan,
-                use_cache=bool(payload.get("use_cache", True)),
+                use_cache=payload.get("use_cache", True),
                 cache_dir=payload.get("cache_dir"),
-                refresh=bool(payload.get("refresh", False)))
+                refresh=payload.get("refresh", False))
             out.append(([text], {"cached": hit}))
         return out
 
 
-# ----------------------------------------------------------------------
-# Dispatch
-# ----------------------------------------------------------------------
 HANDLERS: Dict[str, WorkloadHandler] = {
-    handler.kind: handler
-    for handler in (ForwardHandler(), PbdHandler(), OpHandler(),
-                    AstypeHandler(), ExperimentHandler(),
-                    ViterbiHandler(), PairhmmHandler(), KalmanHandler())
+    **{spec.kind: RowBatchHandler(spec) for spec in ROW_KINDS},
+    "experiment": ExperimentHandler(),
 }
 
 
@@ -830,12 +503,9 @@ def handler_for(kind: str) -> WorkloadHandler:
 
 def execute(request: WorkloadRequest,
             plan: Optional[ExecPlan] = None) -> WorkloadResult:
-    """Run one request in-process — the solo (batch-of-one) path.
-
-    The CLI runner, the tests, and the server's non-coalescing fallback
-    all come through here, so a coalesced batch and a solo call share
-    every line of workload code below the scatter/gather.
-    """
+    """Run one request in-process — the solo (batch-of-one) path the
+    CLI runner and the tests take, sharing every line of workload code
+    below the scatter/gather with a coalesced batch."""
     handler = handler_for(request.kind)
     handler.validate(request)
     plan = request.plan if request.plan is not None else plan
@@ -849,14 +519,10 @@ def execute(request: WorkloadRequest,
 
 __all__ = [
     "HANDLERS",
-    "AstypeHandler",
+    "ROW_KINDS",
     "ExperimentHandler",
-    "ForwardHandler",
-    "KalmanHandler",
-    "OpHandler",
-    "PairhmmHandler",
-    "PbdHandler",
-    "ViterbiHandler",
+    "RowBatchHandler",
+    "RowKind",
     "WorkloadHandler",
     "execute",
     "handler_for",

@@ -1,10 +1,12 @@
 """The WORKLOADS table: every registered recurrence workload, by name.
 
 What :data:`repro.arith.registry.REGISTRY` does for formats this table
-does for workloads: one entry makes a kernel discoverable to the
-service layer (each name is a typed request kind in
-:mod:`repro.service`), to the experiments CLI (the
-``fig_<name>_accuracy`` modules), and to the equivalence tests.  The
+does for workloads: one entry records a kernel's batch runner,
+semiring and the batch/serial equivalence it certifies.  Nothing in
+the package reads the table — the service kinds
+(:data:`repro.service.workloads.ROW_KINDS`) and the experiments (the
+``fig_<name>_accuracy`` modules) wire each kernel by hand — and the
+tests pin its entries.  The
 ``certification`` field states *why* batch and serial plans agree:
 
 * ``"max-exact"`` — every recombination is a max over monotone code

@@ -408,6 +408,63 @@ class TestErrorPaths:
                                 payload={"models": [
                                     model_json(3, 3, 10, seed=0)]})))
 
+    def _status(self, request):
+        return self._server_run(lambda c: c._round_trip(
+            "POST", "/v1/workload", request.to_json()))
+
+    @pytest.mark.parametrize("fmt", ("binary64", "log"))
+    @pytest.mark.parametrize("field", ("transition", "emission",
+                                       "initial"))
+    def test_negative_model_probability_is_400(self, field, fmt):
+        model = model_json(3, 3, 10, seed=0)
+        row = model[field][0] if field != "initial" else model[field]
+        row[0] = -row[0]
+        status, payload = self._status(WorkloadRequest(
+            kind="forward", format=fmt, payload={"models": [model]}))
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-request"
+        assert field in payload["error"]["message"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("out_dir", 5), ("cache_dir", ["x"]), ("use_cache", "false"),
+        ("refresh", 1)])
+    def test_mistyped_experiment_payload_is_400(self, field, value):
+        status, payload = self._status(WorkloadRequest(
+            kind="experiment",
+            payload={"experiment_id": "table1", field: value}))
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-request"
+        assert field in payload["error"]["message"]
+
+    def test_bad_model_never_joins_a_batch(self):
+        """A bad model is rejected before queueing, so its would-be
+        batchmate runs once, alone, with the exact answer."""
+        bad_model = model_json(3, 3, 10, seed=1)
+        bad_model["initial"][0] = -0.5
+        requests = [forward_request("log", 3, 3, 10, seed=0),
+                    WorkloadRequest(kind="forward", format="log",
+                                    payload={"models": [bad_model]})]
+
+        async def run():
+            async with EvalServer(port=0, window_s=0.2, max_batch=2,
+                                  cache="off") as server:
+                async def one(request):
+                    async with ServiceClient("127.0.0.1",
+                                             server.port) as client:
+                        try:
+                            return await client.submit(request)
+                        except InvalidRequest as exc:
+                            return exc
+                results = await asyncio.gather(*map(one, requests))
+                async with ServiceClient("127.0.0.1",
+                                         server.port) as client:
+                    return results, await client.stats()
+
+        (good, bad), stats = asyncio.run(run())
+        assert good.values == [_solo_forward_wire("log", 0)]
+        assert isinstance(bad, InvalidRequest)
+        assert stats["telemetry"]["counters"]["service.forward.models"] == 1
+
     def test_unknown_field_is_protocol_error(self):
         async def bad(client):
             status, payload = await client._round_trip(
@@ -485,6 +542,21 @@ class TestExperimentKind:
             execute(WorkloadRequest(
                 kind="experiment",
                 payload={"experiment_id": "table1", "scale": "huge"}))
+
+    @pytest.mark.parametrize("field,value", [
+        ("out_dir", 5), ("out_dir", ""), ("cache_dir", ["x"]),
+        ("use_cache", "false"), ("use_cache", None), ("refresh", "true"),
+        ("refresh", 1)])
+    def test_mistyped_payload_rejected(self, field, value):
+        with pytest.raises(InvalidRequest, match=field):
+            execute(WorkloadRequest(
+                kind="experiment",
+                payload={"experiment_id": "table1", field: value}))
+
+    def test_unhashable_experiment_id_rejected(self):
+        with pytest.raises(InvalidRequest, match="experiment"):
+            execute(WorkloadRequest(kind="experiment",
+                                    payload={"experiment_id": ["fig1"]}))
 
 
 class TestServiceErrorHierarchy:

@@ -1,19 +1,22 @@
-"""The workload-subsystem service handlers: ``viterbi``, ``pairhmm``,
-and ``kalman`` as typed request kinds — validation, coalescing, and
+"""The row-batched service kinds: the contract every :class:`RowKind`
+keeps (solo = coalesced, shared fields in the coalesce key, one handler
+table), HMM probability validation, and the workload-subsystem kinds
+``viterbi``, ``pairhmm`` and ``kalman`` — validation, coalescing, and
 scatter correctness against the underlying kernels."""
 
 import numpy as np
 import pytest
 
 from repro.nd.context import _resolve_format
-from repro.service.api import InvalidRequest, WorkloadRequest
+from repro.service.api import WORKLOAD_KINDS, InvalidRequest, WorkloadRequest
 from repro.service.workloads import (
     HANDLERS,
-    KalmanHandler,
-    PairhmmHandler,
-    ViterbiHandler,
+    ROW_KINDS,
+    ForwardHandler,
+    RowBatchHandler,
     encode_value,
     execute,
+    handler_for,
 )
 from repro.workloads import kalman_batch, pairhmm_batch, viterbi_batch
 
@@ -32,9 +35,17 @@ def _req(kind, payload, fmt="binary64"):
 class TestRegistration:
     def test_kinds_served(self):
         assert {"viterbi", "pairhmm", "kalman"} <= set(HANDLERS)
-        assert isinstance(HANDLERS["viterbi"], ViterbiHandler)
-        assert isinstance(HANDLERS["pairhmm"], PairhmmHandler)
-        assert isinstance(HANDLERS["kalman"], KalmanHandler)
+        for kind in ("viterbi", "pairhmm", "kalman"):
+            assert isinstance(HANDLERS[kind], RowBatchHandler)
+
+    def test_handler_table_is_the_api_contract(self):
+        assert set(HANDLERS) == set(WORKLOAD_KINDS)
+        assert {spec.kind for spec in ROW_KINDS} == set(ROW_PAIRS)
+
+    def test_forward_handler_name_still_resolves(self):
+        # The traced benchmark wraps these two methods by class name.
+        assert isinstance(handler_for("forward"), ForwardHandler)
+        assert {"validate", "run_batch"} <= set(ForwardHandler.__dict__)
 
 
 class TestViterbiHandler:
@@ -203,3 +214,110 @@ class TestExoticFormats:
                 ("kalman", {"tracks": [[0.5, 0.6]]})):
             result = execute(_req(kind, payload, fmt=fmt))
             assert len(result.values) == 1, (kind, fmt)
+
+
+# ----------------------------------------------------------------------
+# The row-kind contract, over all seven row kinds
+# ----------------------------------------------------------------------
+MODEL_B = {
+    "transition": [[0.9, 0.1], [0.25, 0.75]],
+    "emission": [[0.2, 0.2, 0.6], [0.7, 0.2, 0.1]],
+    "initial": [0.15, 0.85],
+    "observations": [2, 2, 0, 1, 1],
+}
+
+#: kind -> two payloads sharing one coalesce key, with 1 and 2+ rows.
+ROW_PAIRS = {
+    "forward": ({"models": [MODEL]}, {"models": [MODEL_B, MODEL]}),
+    "pbd": ({"sites": [[0.1, 0.2, 0.3]], "k": 2},
+            {"sites": [[0.5, 0.25, 0.125], [0.9, 0.05, 0.4]], "k": 2}),
+    "op": ({"op": "div", "a": [0.3], "b": [0.7]},
+           {"op": "div", "a": [1.5, 0.1, 3.0], "b": [0.2, 0.9, 1e-3]}),
+    "astype": ({"to": "posit(16,1)", "values": [0.3]},
+               {"to": "posit(16,1)", "values": [0.7, 1e-30]}),
+    "viterbi": ({"model": MODEL, "sequences": [[0, 1, 2]]},
+                {"model": MODEL, "sequences": [[2, 2, 0], [1, 0, 1]]}),
+    "pairhmm": ({"haplotype": [0, 1, 2, 3], "reads": [[0, 1]]},
+                {"haplotype": [0, 1, 2, 3], "reads": [[3, 3], [1, 2]]}),
+    "kalman": ({"tracks": [[0.5, 0.6]]},
+               {"tracks": [[1.5, 1.6], [2.5, 2.6]]}),
+}
+
+#: kind -> {field: another value}; each changes what the rows share.
+SHARED_FIELDS = {
+    "forward": {"models": [dict(MODEL, observations=[0, 1, 2, 1])]},
+    "pbd": {"k": 1, "sites": [[0.1, 0.2, 0.3, 0.4]]},
+    "op": {"op": "mul"},
+    "astype": {"to": "posit(32,2)"},
+    "viterbi": {"model": dict(MODEL, initial=[0.5, 0.5]),
+                "sequences": [[0, 1]]},
+    "pairhmm": {"haplotype": [0, 1, 2, 2], "reads": [[0, 1, 2]],
+                "gap_open": 0.2, "gap_extend": 0.05, "mismatch": 0.02,
+                "semiring": "sum-product"},
+    "kalman": {"tracks": [[0.5, 0.6, 0.7]], "a": 0.8, "q": 1e-3,
+               "r": 1e-3, "x0": 0.1, "p0": 0.5},
+}
+
+
+def _row_stats(result):
+    return {k: v for k, v in result.stats.items()
+            if k not in ("batch_size", "coalesced")}
+
+
+class TestRowKindContract:
+    @pytest.mark.parametrize("fmt", ("binary64", "log", "posit(64,12)"))
+    @pytest.mark.parametrize("kind", sorted(ROW_PAIRS))
+    def test_coalesced_equals_solo(self, kind, fmt):
+        h = handler_for(kind)
+        requests = [_req(kind, p, fmt=fmt) for p in ROW_PAIRS[kind]]
+        for r in requests:
+            h.validate(r)
+        assert h.coalesce_key(requests[0]) == h.coalesce_key(requests[1])
+        merged = h.run_batch(requests)
+        for payload, (values, stats) in zip(ROW_PAIRS[kind], merged):
+            solo = execute(_req(kind, payload, fmt=fmt))
+            assert values == solo.values
+            assert stats == _row_stats(solo)
+
+    @pytest.mark.parametrize("kind,field,value", [
+        (kind, field, value) for kind, fields in SHARED_FIELDS.items()
+        for field, value in fields.items()])
+    def test_shared_field_changes_coalesce_key(self, kind, field, value):
+        h = handler_for(kind)
+        base = ROW_PAIRS[kind][0]
+        r1, r2 = _req(kind, base), _req(kind, dict(base, **{field: value}))
+        for r in (r1, r2):
+            h.validate(r)
+        assert h.coalesce_key(r1) != h.coalesce_key(r2)
+
+    @pytest.mark.parametrize("kind", sorted(ROW_PAIRS))
+    def test_format_changes_coalesce_key(self, kind):
+        h = handler_for(kind)
+        r1, r2 = (_req(kind, ROW_PAIRS[kind][0], fmt=fmt)
+                  for fmt in ("binary64", "log"))
+        for r in (r1, r2):
+            h.validate(r)
+        assert h.coalesce_key(r1) != h.coalesce_key(r2)
+
+
+class TestModelProbabilities:
+    """Every model probability must lie in [0, 1], for ``forward`` and
+    ``viterbi`` alike, in every format."""
+
+    @pytest.mark.parametrize("fmt", ("binary64", "log"))
+    @pytest.mark.parametrize("bad", (-0.25, 1.5))
+    @pytest.mark.parametrize("field", ("transition", "emission",
+                                       "initial"))
+    def test_out_of_range_rejected(self, field, bad, fmt):
+        value = MODEL[field]
+        value = [[bad] + value[0][1:]] + value[1:] \
+            if isinstance(value[0], list) else [bad] + value[1:]
+        model = dict(MODEL, **{field: value})
+        for kind, payload in (("forward", {"models": [model]}),
+                              ("viterbi", {"model": model})):
+            with pytest.raises(InvalidRequest, match=rf"{field}.*\[0, 1\]"):
+                execute(_req(kind, payload, fmt=fmt))
+
+    def test_bounds_are_inclusive(self):
+        model = dict(MODEL, initial=[1.0, 0.0])
+        assert len(execute(_req("forward", {"models": [model]})).values) == 1
