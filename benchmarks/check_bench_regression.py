@@ -3,7 +3,8 @@
 its gate.
 
 Reads every ``BENCH_*.json`` found in the given files/directories
-(default: the repo root's committed artifacts) and enforces the
+(default: the repo root, recursively — the committed records plus any
+fresh ones in ``bench-out/``) and enforces the
 execution plane's standing performance guarantees:
 
 * ``batch_throughput.forward_log_batch64`` — the batched log-space

@@ -2,20 +2,18 @@
 multi-model ViCAR forward, multi-chain MCMC, batched quire
 accumulation, and batched LNS multiplication.
 
-Measurements land in ``BENCH_apps.json`` at the repo root (the
-companion of ``BENCH_batch.json``).  The acceptance gate is the
+Measurements land in ``bench-out/BENCH_apps.json`` (the companion of
+``BENCH_batch.json``).  The acceptance gate is the
 multi-model log-space forward — the ViCAR/Figure 10 shape — at >= 5x
 over the per-model scalar loop with bit-identical likelihoods; shared
 CI runners can lower the floor via ``REPRO_APPS_SPEEDUP_FLOOR``.
 """
 
-import json
 import math
 import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.apps.hmm import forward, forward_models_batch
 from repro.apps.mcmc import run_chain, run_chains
@@ -26,28 +24,15 @@ from repro.engine import BatchLNS, BatchQuire, ExecPlan
 from repro.formats.posit import PositEnv
 from repro.formats.quire import Quire
 
+#: Filled by the tests; benchmarks/conftest.py writes it to
+#: bench-out/BENCH_apps.json once this module finishes.
 _RESULTS = {}
-_JSON_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "BENCH_apps.json")
 
 #: Acceptance floor for the batched multi-model forward speedup (the
 #: recorded dedicated-hardware result is far above it; CI lowers this
 #: because shared runners make wall-clock asserts flaky).
 APPS_SPEEDUP_FLOOR = float(
     os.environ.get("REPRO_APPS_SPEEDUP_FLOOR", "5.0"))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_json():
-    yield
-    if _RESULTS:
-        payload = {
-            "benchmark": "apps_throughput",
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "results": _RESULTS,
-        }
-        with open(_JSON_PATH, "w") as f:
-            json.dump(payload, f, indent=1)
 
 
 def test_vicar_multi_model_forward_speedup(report):

@@ -1,7 +1,7 @@
 """Batched vs serial throughput for the registered workloads:
 Viterbi decoding, pair-HMM read alignment, and the Kalman filter.
 
-Measurements land in ``BENCH_workloads.json`` at the repo root.  The
+Measurements land in ``bench-out/BENCH_workloads.json``.  The
 acceptance gates are batched Viterbi and batched pair-HMM at >= 5x
 over per-item serial plans, decision- (and where the format allows,
 bit-) identical; shared CI runners can lower the floor via
@@ -10,12 +10,10 @@ only sanity-gated (> 1x) — its recurrence is short enough that the
 conversion cost, not the arithmetic, can dominate at small T.
 """
 
-import json
 import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.arith import Binary64Backend, LogSpaceBackend
 from repro.data.dirichlet import sample_hmm
@@ -24,28 +22,15 @@ from repro.workloads.kalman import kalman_batch, sample_tracks
 from repro.workloads.pairhmm import PairHMMParams, pairhmm_batch
 from repro.workloads.viterbi import viterbi_batch
 
+#: Filled by the tests; benchmarks/conftest.py writes it to
+#: bench-out/BENCH_workloads.json once this module finishes.
 _RESULTS = {}
-_JSON_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "BENCH_workloads.json")
 
 #: Acceptance floor for the batched Viterbi / pair-HMM speedups (the
 #: recorded dedicated-hardware results are far above it; CI lowers this
 #: because shared runners make wall-clock asserts flaky).
 WORKLOADS_SPEEDUP_FLOOR = float(
     os.environ.get("REPRO_WORKLOADS_SPEEDUP_FLOOR", "5.0"))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_json():
-    yield
-    if _RESULTS:
-        payload = {
-            "benchmark": "workloads_throughput",
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "results": _RESULTS,
-        }
-        with open(_JSON_PATH, "w") as f:
-            json.dump(payload, f, indent=1)
 
 
 def test_viterbi_batch_speedup(report):

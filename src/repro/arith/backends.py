@@ -6,14 +6,11 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from ..bigfloat import BigFloat, DEFAULT_PRECISION
 from ..formats.logspace import LogSpace, log_mul, lse2, lse_n, lse_sequential
 from .backend import Backend
-
-try:  # Optional here: the scalar stack must import without NumPy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - NumPy-less installs
-    _np = None
 
 
 class Binary64Backend(Backend):
@@ -105,9 +102,7 @@ class LogSpaceBackend(Backend):
         The interior evaluates through NumPy's scalar ``exp``/``log1p``
         kernels (elementwise-consistent with the array kernels), so
         :meth:`BatchLogSpace.sub <repro.engine.batch.BatchLogSpace.sub>`
-        is bit-identical by construction; without NumPy the ``math``
-        fallback may differ from a batch result in the last ulp — moot,
-        since no batch plane exists there.
+        is bit-identical by construction.
         """
         if b == -math.inf:
             return a
@@ -116,9 +111,7 @@ class LogSpaceBackend(Backend):
                 "log-space subtraction would produce a negative probability")
         if a == b:
             return -math.inf
-        if _np is not None:
-            return float(a + _np.log1p(-_np.exp(_np.float64(b - a))))
-        return a + math.log1p(-math.exp(b - a))  # pragma: no cover
+        return float(a + np.log1p(-np.exp(np.float64(b - a))))
 
     def div(self, a: float, b: float) -> float:
         if b == -math.inf:

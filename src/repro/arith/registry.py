@@ -33,9 +33,9 @@ the equivalence suites):
 * ``oracle`` — arbitrary-precision reference; no array implementation,
   every caller keeps the scalar loop.
 
-The registry deliberately does not import :mod:`repro.engine` at module
-load: pairing factories resolve lazily so the scalar stack stays usable
-on NumPy-less installs (every pairing then reports ``None``).
+The registry does not import :mod:`repro.engine` at module load (the
+engine's batch backends import :mod:`repro.arith`): pairing factories
+resolve lazily.
 """
 
 from __future__ import annotations
@@ -252,8 +252,6 @@ class FormatRegistry:
         first tier but not the second (NumPy's SIMD ``exp`` is not
         libm's); the oracle passes neither.
         """
-        if not _have_numpy():
-            return None
         for pairing in self._pairings:
             if isinstance(backend, pairing.scalar_cls):
                 if reductions and not pairing.reductions_certified(backend):
@@ -284,11 +282,6 @@ class FormatRegistry:
         if m:
             return _bigfloat_spec(int(m.group(1)))
         return None
-
-
-def _have_numpy() -> bool:
-    from ..engine import HAVE_NUMPY
-    return HAVE_NUMPY
 
 
 # ----------------------------------------------------------------------

@@ -27,13 +27,9 @@ them — see :mod:`repro.arith.registry` and
   carrying batch toggle, group width, worker fan-out, chunking and
   cache policy through apps and experiments.
 
-NumPy is a hard install requirement of the distribution (setup.py), so
-the ``HAVE_NUMPY`` gate below is defensive: it keeps this module
-importable if the engine + format/arith core are ever vendored into a
-NumPy-less interpreter, with every batch entry point degrading to
-``None``/scalar.  Formats without an array implementation (the
-BigFloat oracle) always take the callers' per-format scalar fallback
-loops, NumPy or not.
+NumPy is a hard install requirement (setup.py).  Formats without an
+array implementation (the BigFloat oracle) take the callers'
+per-format scalar loops.
 """
 
 from __future__ import annotations
@@ -50,44 +46,29 @@ from .plan import (
     use_plan,
 )
 
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-if HAVE_NUMPY:
-    from .batch import (
-        SUM_NARY,
-        SUM_SEQUENTIAL,
-        BatchBackend,
-        BatchBinary64,
-        BatchLogSpace,
-    )
-    from .posit_batch import BatchPosit
-    from .lns_batch import BatchLNS
-    from .quire_batch import (
-        BatchQuire,
-        fused_dot_product_batch,
-        fused_sum_batch,
-    )
-    from .kernels import (
-        backward_batch,
-        forward_batch,
-        forward_alpha_trace_batch,
-        forward_multi_batch,
-        pbd_pvalue_batch,
-    )
-    from ..core.accuracy import measure_pairs
-    from .runner import run_sweep_parallel
-else:  # pragma: no cover
-    BatchBackend = BatchBinary64 = BatchLogSpace = BatchPosit = None
-    BatchLNS = BatchQuire = None
-    fused_dot_product_batch = fused_sum_batch = None
-    forward_batch = forward_alpha_trace_batch = pbd_pvalue_batch = None
-    backward_batch = forward_multi_batch = None
-    measure_pairs = run_sweep_parallel = None
-    SUM_NARY, SUM_SEQUENTIAL = "nary", "sequential"
+from .batch import (
+    SUM_NARY,
+    SUM_SEQUENTIAL,
+    BatchBackend,
+    BatchBinary64,
+    BatchLogSpace,
+)
+from .posit_batch import BatchPosit
+from .lns_batch import BatchLNS
+from .quire_batch import (
+    BatchQuire,
+    fused_dot_product_batch,
+    fused_sum_batch,
+)
+from .kernels import (
+    backward_batch,
+    forward_batch,
+    forward_alpha_trace_batch,
+    forward_multi_batch,
+    pbd_pvalue_batch,
+)
+from ..core.accuracy import measure_pairs
+from .runner import run_sweep_parallel
 
 
 def batch_backend_for(backend, *,
@@ -134,7 +115,6 @@ def plan_batch_backend(backend, plan: "ExecPlan", *,
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "CACHE_POLICIES",
     "DEFAULT_PLAN",
     "PLAN_SCHEMA_VERSION",

@@ -43,10 +43,6 @@ The *semantics* of the plan live with the callees:
   parsing.  There is no separate fused tier to select: the batch path
   keeps posit's decoded plane resident through every :mod:`repro.nd`
   expression.
-
-This module must stay import-light (no NumPy): plans are constructed
-by CLI/front-end code that must work even where the vectorized engine
-cannot.
 """
 
 from __future__ import annotations

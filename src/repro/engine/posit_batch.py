@@ -75,19 +75,6 @@ def _i64(x) -> np.ndarray:
     return np.asarray(x).astype(np.int64)
 
 
-def _bit_length64_portable(x: np.ndarray) -> np.ndarray:
-    """Per-element bit length of uint64 values (0 -> 0), as int64.
-
-    Binary-search shift cascade; works on any NumPy."""
-    x = _u64(x).copy()
-    n = np.zeros(x.shape, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        big = x >= (_U64(1) << _U64(s))
-        n += big.astype(np.int64) * s
-        x = np.where(big, x >> _U64(s), x)
-    return n + (x != 0).astype(np.int64)
-
-
 def _bit_length64(x: np.ndarray) -> np.ndarray:
     """Per-element bit length of uint64 values (0 -> 0), as int64.
 

@@ -262,13 +262,16 @@ def main(argv=None) -> int:
         targets = list(REGISTRY)
     else:
         targets = [args.experiment]
-    plan = ExecPlan(
-        batch=not args.serial,
-        batch_size=args.batch_size,
-        n_workers=args.workers,
-        measure=args.measure,
-        cache="off" if args.no_cache
-              else ("refresh" if args.refresh else "auto"))
+    try:
+        plan = ExecPlan(
+            batch=not args.serial,
+            batch_size=args.batch_size,
+            n_workers=args.workers,
+            measure=args.measure,
+            cache="off" if args.no_cache
+                  else ("refresh" if args.refresh else "auto"))
+    except ValueError as exc:
+        parser.error(str(exc))
     for target in targets:
         if target not in REGISTRY:
             print(f"unknown experiment {target!r}", file=sys.stderr)

@@ -12,8 +12,10 @@ through the stack, each firing deterministically from a seeded stream.
 Sites shipped with the tree (the glossary in README "Resilience"):
 
 =========================  ==========================================
-``kernel.<name>``          entry of each batched kernel wrapper in
-                           :mod:`repro.engine.kernels`
+``kernel.<name>``          entry of each wrapper in
+                           :mod:`repro.engine.kernels`; only direct
+                           callers reach it (the apps, experiments and
+                           service do not go through these wrappers)
 ``batch.measure``          the batch branch of
                            :func:`repro.core.accuracy.measure_pairs`
                            (the batch -> serial rung)

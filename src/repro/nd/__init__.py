@@ -20,10 +20,6 @@ kernel (canonical) or scalar fallback`` — see :mod:`repro.nd.farray`
 for the representation rules and certification tiers, and
 :mod:`repro.nd.context` for the ambient ``use_format``/``use_plan``
 state that replaces positional ``(backend, plan)`` threading.
-
-Like :mod:`repro.engine`, the package needs NumPy; it raises on import
-where the engine's ``HAVE_NUMPY`` gate is off (the scalar stack in
-:mod:`repro.arith` keeps working there).
 """
 
 from .context import current_backend, current_plan, use_format, use_plan

@@ -6,9 +6,10 @@ Three subcommands:
   foreground (Ctrl-C to stop; ``--stats-every`` prints live stats);
 * ``ping`` — health-check a running server and print its stats;
 * ``loadtest`` — run the synthetic coalescing-vs-solo load harness
-  against in-process servers and write ``BENCH_service.json``; with
-  ``--chaos``, run the fault-injection harness instead (exit 1 unless
-  every response was exact-or-typed).
+  against in-process servers and print its summary (``--out FILE``
+  also writes the JSON payload); with ``--chaos``, run the
+  fault-injection harness instead (exit 1 unless every response was
+  exact-or-typed).
 """
 
 from __future__ import annotations
@@ -72,20 +73,20 @@ def _build_parser() -> argparse.ArgumentParser:
                            "exact fault-free values nor a typed error")
     load.add_argument("--chaos-seed", type=int, default=1234,
                       help="fault-plan seed (same seed, same schedule)")
-    load.add_argument("--out", default=None,
-                      help="where to write the payload ('-' for stdout "
-                           "only; default BENCH_service.json, or "
-                           "BENCH_chaos_smoke.json with --chaos)")
+    load.add_argument("--out", default="-",
+                      help="file to write the JSON payload to (default "
+                           "'-': print the summary only)")
     return parser
 
 
-async def _serve(args) -> int:
-    plan = ExecPlan.serial() if args.serial else ExecPlan()
-    server = EvalServer(
-        args.host, args.port, window_s=args.window_ms / 1e3,
-        max_batch=args.max_batch, max_queue=args.max_queue, plan=plan,
-        cache="off" if args.no_cache else "auto",
-        cache_dir=args.cache_dir)
+def _write_payload(payload: dict, out: str) -> None:
+    if out != "-":
+        with open(out, "w") as f:
+            json.dump(payload, f, indent=1)
+        print(f"wrote {out}")
+
+
+async def _serve(server: EvalServer, args) -> int:
     await server.start()
     print(f"serving on {server.address} "
           f"(window {args.window_ms}ms, max_batch {args.max_batch})")
@@ -146,11 +147,7 @@ def _chaos(args) -> int:
     print(f"injected: {report['injected']} "
           f"(dropped {report['dropped_connections']} connections, "
           f"shed {report['shed']})")
-    out = args.out if args.out is not None else "BENCH_chaos_smoke.json"
-    if out != "-":
-        with open(out, "w") as f:
-            json.dump(payload, f, indent=1)
-        print(f"wrote {out}")
+    _write_payload(payload, args.out)
     if not report["invariant_ok"]:
         print("chaos invariant VIOLATED: some response was neither the "
               "exact fault-free values nor a typed error",
@@ -179,19 +176,25 @@ def _loadtest(args) -> int:
           f"p99 {headline['coalesced']['p99_ms']:.2f}ms, "
           f"factor {headline['coalesced']['coalescing_factor']:.1f})")
     print(f"speedup:   {headline['speedup']:.2f}x")
-    out = args.out if args.out is not None else "BENCH_service.json"
-    if out != "-":
-        with open(out, "w") as f:
-            json.dump(payload, f, indent=1)
-        print(f"wrote {out}")
+    _write_payload(payload, args.out)
     return 0
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "serve":
+        plan = ExecPlan.serial() if args.serial else ExecPlan()
         try:
-            return asyncio.run(_serve(args))
+            server = EvalServer(
+                args.host, args.port, window_s=args.window_ms / 1e3,
+                max_batch=args.max_batch, max_queue=args.max_queue,
+                plan=plan, cache="off" if args.no_cache else "auto",
+                cache_dir=args.cache_dir)
+        except ValueError as exc:
+            parser.error(str(exc))
+        try:
+            return asyncio.run(_serve(server, args))
         except KeyboardInterrupt:
             return 0
     if args.command == "ping":

@@ -32,10 +32,6 @@ value (every backend's ``to_bigfloat`` is exact), so bit-identity
 between a coalesced and a solo execution can be asserted end to end —
 a float rendering would destroy exactly the low-order bits the paper
 is about.
-
-This module stays import-light (stdlib + :mod:`repro.bigfloat` +
-:mod:`repro.engine.plan`): constructing and validating requests must
-work even where NumPy and the vectorized engine cannot.
 """
 
 from __future__ import annotations
@@ -52,8 +48,7 @@ API_VERSION = 1
 
 #: The workload kinds the entry layer defines.  (The executable handler
 #: table lives in :mod:`repro.service.workloads`; this tuple is the
-#: *contract* side so the light api module can validate without
-#: importing the NumPy-side handlers.)
+#: *contract* side the api module validates against.)
 WORKLOAD_KINDS = ("forward", "pbd", "op", "astype", "experiment",
                   "viterbi", "pairhmm", "kalman")
 

@@ -148,6 +148,13 @@ class TestCheckPayload:
 
 
 class TestMain:
+    @pytest.fixture(autouse=True)
+    def _full_gates(self, monkeypatch):
+        """main() reads its floors from os.environ; CI's relaxed
+        REPRO_* values must not leak into these full-gate checks."""
+        for var, _ in (*gate.GATES.values(), *gate.CEILINGS.values()):
+            monkeypatch.delenv(var, raising=False)
+
     def test_missing_path_is_skipped(self, tmp_path, capsys):
         assert gate.main([str(tmp_path / "nope")]) == 0
         assert "skipping" in capsys.readouterr().out
@@ -176,8 +183,8 @@ class TestCommittedArtifacts:
     speedups)."""
 
     ARTIFACTS = ("BENCH_batch.json", "BENCH_apps.json",
-                 "BENCH_telemetry.json", "BENCH_service.json",
-                 "BENCH_workloads.json")
+                 "BENCH_telemetry.json", "BENCH_faults.json",
+                 "BENCH_service.json", "BENCH_workloads.json")
 
     @pytest.mark.parametrize("name", ARTIFACTS)
     def test_artifact_exists(self, name):

@@ -14,7 +14,6 @@ from repro.arith import (
 )
 from repro.bigfloat import BigFloat
 from repro.engine import (
-    HAVE_NUMPY,
     BatchBinary64,
     BatchLogSpace,
     BatchPosit,
@@ -23,11 +22,6 @@ from repro.engine import (
 )
 from repro.formats import PositEnv
 from repro.formats.logspace import lse2, lse_n, lse_sequential
-
-
-def test_numpy_gate_is_on_here():
-    # The suite runs with numpy installed; the gate must reflect that.
-    assert HAVE_NUMPY
 
 
 class TestFactory:

@@ -145,15 +145,13 @@ def test_rejects_wide_configs():
         BatchPosit(PositEnv(65, 2))
 
 
-def test_portable_bit_length_matches_python():
-    from repro.engine.posit_batch import _bit_length64, _bit_length64_portable
+def test_bit_length_matches_python():
+    from repro.engine.posit_batch import _bit_length64
     rng = random.Random(9)
     vals = [0, 1, 2, (1 << 64) - 1, 1 << 63] + \
         [rng.getrandbits(rng.randrange(1, 65)) for _ in range(2000)]
     arr = np.array(vals, dtype=np.uint64)
     want = [v.bit_length() for v in vals]
-    assert _bit_length64_portable(arr).tolist() == want
-    # The fast path (np.bitwise_count when available) must agree.
     assert _bit_length64(arr).tolist() == want
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import FIG3_BINS
 from repro.experiments import (
     fig1_alpha_exponent,
     fig3_op_accuracy,
@@ -17,12 +18,16 @@ from repro.experiments import (
     table4_column_resources,
 )
 from repro.experiments.runner import REGISTRY, main, run_experiment
+from repro.report import dominance, orders_of_magnitude_gap
 
 
 class TestFig1:
     def test_run_and_render(self):
         result = fig1_alpha_exponent.run("test")
-        assert result.slope_bits_per_iter < -4.0
+        # Shape: linear decrease ~6 bits/iteration; binary64 floor crossed
+        # within the first few hundred iterations (paper Figure 1).
+        assert -8.0 < result.slope_bits_per_iter < -4.0
+        assert result.underflow_iteration < 400
         assert 0 < result.underflow_iteration < len(result.scales)
         text = fig1_alpha_exponent.render(result)
         assert "Figure 1" in text and "underflow" in text
@@ -31,6 +36,11 @@ class TestFig1:
 class TestTable1:
     def test_run_and_render(self):
         rows = table1_range.run()
+        # Golden values from the paper.
+        by_name = {r.format: r for r in rows}
+        assert by_name["posit(64,9)"].smallest_scale == -31_744
+        assert by_name["posit(64,18)"].smallest_scale == -16_252_928
+        assert by_name["binary64"].smallest_scale == -1_074
         text = table1_range.render(rows)
         assert "2^-31744" in text  # posit(64,9) minpos from the paper
         assert "binary64" in text
@@ -45,12 +55,31 @@ class TestFig3:
         add_rows = fig3_op_accuracy._panel_rows(result.add)
         assert add_rows[0]["binary64"] is None
         assert add_rows[-1]["binary64"] is not None
+        for sweep in (result.add, result.mul):
+            deepest = sweep.boxes[FIG3_BINS[0]]
+            near_one = sweep.boxes[FIG3_BINS[-1]]
+            # Takeaway 1: log degrades with magnitude and loses to
+            # binary64 inside the normal range.
+            assert deepest["log"].median > near_one["log"].median + 2.0
+            assert near_one["log"].median > near_one["binary64"].median
+            # Takeaway 2: posit(64,12)/(64,18) beat log outside the
+            # range; posit(64,9) is the noted exception in the deepest
+            # bin.
+            assert deepest["posit(64,12)"].median < deepest["log"].median
+            assert deepest["posit(64,18)"].median < deepest["log"].median
+            assert deepest["posit(64,9)"].median > deepest["log"].median
 
 
 class TestTable2:
     def test_run_and_render(self):
         result = table2_units.run()
         assert len(result["rows"]) == 8
+        model = result["cost_model"]
+        # Section I: log-space addition ~10x slower, ~8x LUTs/FFs.
+        assert 10.0 < model["ratio"] < 11.0
+        assert 7.0 < model["lut_ratio"] < 8.0
+        check = result["lse_check"]
+        assert check["lut"] == check["lut_expected"]
         text = table2_units.render(result)
         assert "LogiCORE" not in text  # names come from our DB
         assert "Table II" in text
@@ -64,6 +93,13 @@ class TestHardwareFigures:
             assert r.posit_seconds < r.log_seconds
             assert r.improvement_pct == pytest.approx(
                 r.paper_improvement_pct, abs=8.0)
+            # Model within 10% of every paper wall-clock time.
+            assert r.posit_seconds == pytest.approx(r.paper_posit, rel=0.10)
+            assert r.log_seconds == pytest.approx(r.paper_log, rel=0.10)
+        # Improvement shrinks with H (paper Fig. 6b), peaking ~33% at H=13.
+        assert rows[0].improvement_pct == pytest.approx(33.3, abs=3.0)
+        assert rows[0].improvement_pct > rows[1].improvement_pct > \
+            rows[2].improvement_pct > rows[3].improvement_pct
         assert "Figure 6" in fig6_forward_perf.render(rows)
 
     def test_fig7(self):
@@ -71,25 +107,56 @@ class TestHardwareFigures:
         assert len(rows) == 4
         assert all(0.0 < r.improvement_pct < 35.0 for r in rows)
         assert "Figure 7" in fig7_column_perf.render(rows)
+        rows = fig7_column_perf.run()
+        assert len(rows) == 8
+        # Posit wins everywhere; improvement spread ~5-25% (paper Fig. 7b).
+        imps = [r.improvement_pct for r in rows]
+        assert all(i > 0 for i in imps)
+        assert max(imps) > 15.0
+        assert min(imps) < 10.0
+        # Wall-clock magnitudes in the paper's band (~2.3k-25k seconds).
+        secs = [r.log_seconds for r in rows]
+        assert 1_500 < min(secs) and max(secs) < 40_000
 
     def test_fig8(self):
         rows = fig8_mmaps_per_clb.run(n_datasets=4)
         for r in rows:
             assert 1.6 < r.ratio < 2.6
         assert "MMAPS" in fig8_mmaps_per_clb.render(rows)
+        rows = fig8_mmaps_per_clb.run()
+        for r in rows:
+            # Paper: posit column units do ~2x MMAPS per CLB on all datasets.
+            assert 1.7 < r.ratio < 2.6
+            # Absolute magnitudes match the figure's axis (~0.1-0.3).
+            assert 0.03 < r.log_mmaps_per_clb < 0.2
+            assert 0.1 < r.posit_mmaps_per_clb < 0.45
 
     def test_table3(self):
         rows = table3_forward_resources.run()
         assert len(rows) == 8
+        for r in rows:
+            if r.paper is None:
+                continue
+            tol = 0.20 if r.h == 128 else 0.05  # lane sharing at H=128
+            assert r.model["LUT"] == pytest.approx(r.paper["LUT"], rel=tol), \
+                (r.style, r.h)
         reductions = table3_forward_resources.reduction_rows(rows)
         for row in reductions:
+            # Paper: ~60-62% LUT reduction at every H.
             assert 55.0 < row["LUT reduction %"] < 67.0
         assert "Table III" in table3_forward_resources.render(rows)
 
     def test_table4(self):
         result = table4_column_resources.run()
         assert len(result["rows"]) == 2
-        assert result["floorplan"]["log_per_slr"].units_per_slr == 4
+        for row in result["rows"]:
+            assert row["model LUT"] == pytest.approx(row["paper LUT"], rel=0.05)
+        red = result["reduction"]
+        assert red["LUT"] == pytest.approx(64.1, abs=4.0)
+        fp = result["floorplan"]
+        assert fp["log_per_slr"].units_per_slr == 4  # paper: at most 4
+        assert fp["posit_per_slr"].units_per_slr >= 10  # paper: easily 10
+        assert fp["replication"]["whole_fpga_speedup"] > 2.0  # the 2x claim
         text = table4_column_resources.render(result)
         assert "Table IV" in text and "SLR" in text
 
@@ -100,9 +167,17 @@ class TestAccuracyFigures:
         rows = result.median_rows()
         assert len(rows) == len(fig9_pvalue_accuracy.FIG9_BINS) \
             if hasattr(fig9_pvalue_accuracy, "FIG9_BINS") else len(rows) == 8
-        # posit(64,9) must be absent (underflowed away) in the deepest bin.
-        assert rows[0]["posit(64,9)"] is None
-        assert rows[0]["posit(64,18)"] is not None
+        deepest, shallowest = rows[0], rows[-1]
+        # posit(64,9) underflows out of the deepest bins (paper: absent in
+        # the two leftmost ranges); posit(64,18) never underflows.
+        assert deepest["posit(64,9)"] is None
+        assert deepest["posit(64,18)"] is not None
+        assert result.lofreq.underflow_count("posit(64,9)") > 0
+        assert result.lofreq.underflow_count("posit(64,18)") == 0
+        # posit(64,18) beats log on the extreme magnitudes...
+        assert deepest["posit(64,18)"] < deepest["log"]
+        # ...while posit(64,9) is the most accurate near the threshold.
+        assert shallowest["posit(64,9)"] <= shallowest["log"]
         text = fig9_pvalue_accuracy.render(result)
         assert "Figure 9" in text
 
@@ -110,7 +185,17 @@ class TestAccuracyFigures:
         result = fig10_vicar_cdf.run("test", seed=2)
         for panel in ("T=100k", "T=500k"):
             cdfs = result.cdfs(panel)
-            assert cdfs["posit(64,18)"].median < cdfs["log"].median
+            posit, log = cdfs["posit(64,18)"], cdfs["log"]
+            assert posit.median < log.median
+            # The posit curve lies left of the log curve (higher accuracy).
+            assert dominance(posit, log)
+            # Paper: ~2 orders of magnitude higher accuracy.  At this
+            # seed only the T=100k panel clears one order (T=500k reads
+            # 0.79); the bench-scale run asserts both panels.
+            if panel == "T=100k":
+                assert orders_of_magnitude_gap(posit, log) > 1.0
+            # Paper readout: 100% of posit results below 1e-8.
+            assert posit.fraction_below(-8.0) == 1.0
         text = fig10_vicar_cdf.render(result)
         assert "orders of magnitude" in text
 
@@ -119,6 +204,13 @@ class TestAccuracyFigures:
         crit = result.cdfs(critical=True)
         assert set(crit) == {"log", "posit(64,9)", "posit(64,12)",
                              "posit(64,18)"}
+        noncrit = result.cdfs(critical=False)
+        # Critical columns: posit(64,12) dominates log (paper Fig. 11a).
+        assert dominance(crit["posit(64,12)"], crit["log"])
+        # Non-critical columns: posit(64,9) achieves the highest accuracy
+        # (paper Fig. 11b).
+        assert noncrit["posit(64,9)"].median <= noncrit["log"].median
+        assert noncrit["posit(64,9)"].median <= noncrit["posit(64,18)"].median
         text = fig11_lofreq_cdf.render(result)
         assert "critical" in text
 
@@ -179,3 +271,13 @@ class TestRunner:
 
     def test_cli_unknown(self):
         assert main(["fig99"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--batch-size", "0"],
+                                       ["--workers", "-1"]])
+    def test_cli_out_of_range_flag_is_a_usage_error(self, flags, capsys):
+        """ExecPlan's own range check surfaces as an argparse usage
+        error (exit 2, its message), not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", *flags])
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err

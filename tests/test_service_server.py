@@ -27,7 +27,7 @@ from repro.service import (
     execute,
     handler_for,
 )
-from repro.service.api import decode_bigfloat, encode_value
+from repro.service.api import encode_value
 from repro.service.loadgen import forward_request, model_json
 from repro.service.workloads import WorkloadHandler
 
@@ -684,3 +684,17 @@ class TestResilience:
         result, retried = asyncio.run(run())
         assert retried >= 1
         assert result.values[0] == _solo_forward_wire("binary64", 0)
+
+
+class TestServeCLI:
+    @pytest.mark.parametrize("flags", [["--max-batch", "0"],
+                                       ["--max-queue", "0"],
+                                       ["--window-ms", "-1"]])
+    def test_out_of_range_flag_is_a_usage_error(self, flags, capsys):
+        """The Microbatcher's own range check surfaces as an argparse
+        usage error (exit 2, its message), not a traceback."""
+        from repro.service.__main__ import main
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *flags])
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
