@@ -25,8 +25,9 @@ import numpy as np
 import pytest
 
 import repro.faults as faults
+from repro import nd
+from repro.apps.hmm import _forward_nd
 from repro.data.dirichlet import sample_hmm
-from repro.engine import kernels
 from repro.engine.batch import BatchLogSpace
 
 #: Filled by the tests; benchmarks/conftest.py writes it to
@@ -44,18 +45,18 @@ B, T, H, M = 64, 1000, 16, 16
 
 @pytest.fixture(scope="module")
 def workload():
-    """The B=64 batched forward through :mod:`repro.engine.kernels`,
-    whose wrappers carry the ``kernel.<name>`` injection sites.  Served
-    and experiment traffic does not take this layer: the service runs
-    :func:`repro.apps.hmm.forward_models_batch`, which has no fault
-    site below ``service.batch``."""
+    """The B=64 batched forward: the shared-model nd recurrence
+    :func:`repro.apps.hmm._forward_nd` on ``nd.wrap``ped log-space
+    arrays, which passes the ``app.hmm.forward`` injection site (the
+    forward recurrences the service and the experiments run carry the
+    same kind of site)."""
     hmm = sample_hmm(H, M, T, seed=5)
     rng = np.random.default_rng(6)
     obs = rng.integers(0, M, size=(B, T))
     bb = BatchLogSpace()
     fa, fb, fpi, _obs = hmm.as_float_arrays()
-    return (bb, bb.from_floats(fa), bb.from_floats(fb),
-            bb.from_floats(fpi), obs)
+    return tuple(nd.wrap(bb.from_floats(x), bb=bb)
+                 for x in (fa, fb, fpi)) + (obs,)
 
 
 def _census(fn):
@@ -100,11 +101,11 @@ def _per_call_seconds(fn, n=100_000):
 
 
 def test_forward_disabled_overhead(workload, report):
-    bb, a, b, pi, obs = workload
+    a, b, pi, obs = workload
     assert faults.active() is None, "fault plan leaked into benchmark"
 
     def run():
-        return kernels.forward_batch(bb, a, b, pi, obs)
+        return _forward_nd(a, b, pi, obs)
 
     run()  # warm
     forward_s = float("inf")
@@ -120,7 +121,7 @@ def test_forward_disabled_overhead(workload, report):
 
     per_call = {
         "fire": _per_call_seconds(
-            lambda: faults.fire("kernel.forward_batch")),
+            lambda: faults.fire("app.hmm.forward")),
         "active": _per_call_seconds(faults.active),
     }
     overhead_s = sum(calls[kind] * per_call[kind] for kind in calls)

@@ -20,8 +20,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.core` — accuracy sweeps, bit-budget analysis, range tables
 * :mod:`repro.apps` — forward algorithm (VICAR), PBD p-values (LoFreq)
 * :mod:`repro.workloads` — semiring-parameterized workloads: Viterbi
-  decoding, pair-HMM alignment, Kalman filtering, and the
-  :data:`~repro.workloads.WORKLOADS` registry
+  decoding, pair-HMM alignment, Kalman filtering
 * :mod:`repro.data` — synthetic workload generators
 * :mod:`repro.hw` — FPGA accelerator timing/resource models
 * :mod:`repro.experiments` — one module per paper table/figure

@@ -12,9 +12,10 @@ mode, the tracing wrapper, and every ``ExecPlan.serial()`` baseline).
 Results are identical either way — that is the registry's
 certification; with the log-space backend the same expression *is*
 Listing 3 (multiplications become float adds, the accumulation the
-n-ary LSE of Equation 3).  Optimized numpy fast paths for binary64 and
-log-space are provided and cross-checked against the generic
-implementation in the tests.
+n-ary LSE of Equation 3).  Plain-numpy float paths for binary64 and
+log-space (:func:`forward_float`, :func:`forward_log`) are kept as
+reference points for the tests and throughput benchmarks, which
+cross-check them against the generic implementation.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .. import faults as _faults
 from .. import nd
 from .. import telemetry as _tele
 from ..arith.backend import Backend
@@ -107,6 +109,7 @@ def _forward_nd(a, b, pi, obs: np.ndarray, semiring=None) -> "nd.FArray":
     if obs.ndim != 2:
         raise ValueError("obs must have shape (batch, T)")
     with _tele.span("app.hmm.forward"):
+        _faults.fire("app.hmm.forward")
         return _forward_recurrence(
             a, pi, lambda t: _emission_shared(b, obs, t),
             obs.shape[1], resolve_semiring(semiring))
@@ -118,6 +121,7 @@ def _forward_trace_nd(a, b, pi, obs: np.ndarray,
     behind Figure 1."""
     obs = np.asarray(obs)
     with _tele.span("app.hmm.forward_trace"):
+        _faults.fire("app.hmm.forward_trace")
         return _forward_recurrence(
             a, pi, lambda t: _emission_shared(b, obs, t),
             obs.shape[1], resolve_semiring(semiring), trace=True)
@@ -141,6 +145,7 @@ def _forward_models_nd(a, b, pi, obs: np.ndarray,
             b, obs[:, t][:, None, None], axis=2)[..., 0]
 
     with _tele.span("app.hmm.forward_models"):
+        _faults.fire("app.hmm.forward_models")
         return _forward_recurrence(a, pi, emission, obs.shape[1],
                                    resolve_semiring(semiring))
 
@@ -220,10 +225,10 @@ def forward_batch(hmm: HMMData, backend: Optional[Backend] = None,
     and log-space with ``sum_mode="sequential"``; for log-space's
     default n-ary mode the batched LSE matches to within an ulp (NumPy's
     SIMD ``exp`` is not libm's; see :mod:`repro.engine.batch`).  The
-    vectorized passes are sliced into groups of at most
-    ``plan.batch_size``; formats without an array backend (the BigFloat
-    oracle) run the same expression through the scalar representation,
-    with the model conversion hoisted out of the per-sequence loop.
+    batch runs as one vectorized pass; formats without an array backend
+    (the BigFloat oracle) run the same expression through the scalar
+    representation, with the model conversion hoisted out of the
+    per-sequence loop.
     """
     plan = resolve_plan(plan, where="forward_batch")
     if observations is None:
@@ -235,12 +240,9 @@ def forward_batch(hmm: HMMData, backend: Optional[Backend] = None,
         return [_forward_nd(a, b, pi, np.asarray([s], dtype=np.intp),
                             semiring=semiring).item(0)
                 for s in seqs]
-    obs = np.asarray(seqs, dtype=np.intp)
-    values: list = []
-    for rows in plan.group_slices(obs.shape[0]):
-        out = _forward_nd(a, b, pi, obs[rows], semiring=semiring)
-        values.extend(out.item(i) for i in range(out.shape[0]))
-    return values
+    out = _forward_nd(a, b, pi, np.asarray(seqs, dtype=np.intp),
+                      semiring=semiring)
+    return [out.item(i) for i in range(out.shape[0])]
 
 
 def forward_models_batch(models, backend: Optional[Backend] = None,
@@ -251,10 +253,9 @@ def forward_models_batch(models, backend: Optional[Backend] = None,
     parameters and observation sequence) — the ViCAR/MCMC shape.
 
     Models are grouped by ``(H, M, T)`` and each group runs through
-    :func:`_forward_models_nd` in passes of at most
-    ``plan.batch_size`` models; the returned list matches the input
-    order and equals calling :func:`forward` per model (exactly for
-    binary64, posit, LNS, and log-space with
+    :func:`_forward_models_nd` in one pass; the returned list matches
+    the input order and equals calling :func:`forward` per model
+    (exactly for binary64, posit, LNS, and log-space with
     ``sum_mode="sequential"``; within an ulp for log-space's default
     n-ary mode).  ``certified=True`` restricts the vectorized
     representation to reduction-certified mirrors, so results are
@@ -270,25 +271,23 @@ def forward_models_batch(models, backend: Optional[Backend] = None,
         key = (hmm.n_states, hmm.n_symbols, hmm.length)
         groups.setdefault(key, []).append(i)
     out: list = [None] * len(models)
-    for _key, group in groups.items():
-        for rows in plan.group_slices(len(group)):
-            indices = group[rows]
-            a = nd.asarray([models[i].transition for i in indices],
-                           backend, plan=plan, certified=certified)
-            b = nd.asarray([models[i].emission for i in indices],
-                           backend, plan=plan, certified=certified)
-            pi = nd.asarray([models[i].initial for i in indices],
-                            backend, plan=plan, certified=certified)
-            obs = np.array([models[i].observations for i in indices],
-                           dtype=np.intp)
-            likes = _forward_models_nd(a, b, pi, obs, semiring=semiring)
-            for j, i in enumerate(indices):
-                out[i] = likes.item(j)
+    for group in groups.values():
+        a = nd.asarray([models[i].transition for i in group],
+                       backend, plan=plan, certified=certified)
+        b = nd.asarray([models[i].emission for i in group],
+                       backend, plan=plan, certified=certified)
+        pi = nd.asarray([models[i].initial for i in group],
+                        backend, plan=plan, certified=certified)
+        obs = np.array([models[i].observations for i in group],
+                       dtype=np.intp)
+        likes = _forward_models_nd(a, b, pi, obs, semiring=semiring)
+        for j, i in enumerate(group):
+            out[i] = likes.item(j)
     return out
 
 
 # ----------------------------------------------------------------------
-# Optimized fast paths (vectorized; used by large-scale experiments)
+# Plain-numpy float paths (references for the tests and benchmarks)
 # ----------------------------------------------------------------------
 def forward_float(a: np.ndarray, b: np.ndarray, pi: np.ndarray,
                   obs: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .. import faults as _faults
 from .. import nd
 from .. import telemetry as _tele
 from ..arith.backend import Backend
@@ -34,6 +35,7 @@ def _backward_nd(a, b, pi, obs: np.ndarray) -> "nd.FArray":
         raise ValueError("obs must have shape (batch, T)")
     n_batch, t_len = obs.shape
     with _tele.span("app.hmm.backward"):
+        _faults.fire("app.hmm.backward")
         beta = nd.ones_like(a, (n_batch, len(pi)))
         for t in range(t_len - 1, 0, -1):
             inner = _emission_shared(b, obs, t) * beta
@@ -64,12 +66,11 @@ def backward_batch(hmm: HMMData, backend: Optional[Backend] = None,
     """Backward-algorithm likelihoods over a batch of observation
     sequences (``(B, T)`` ints; default: a batch of one, the HMM's own
     sequence).  Same contract as :func:`repro.apps.hmm.forward_batch`:
-    vectorized in groups of at most ``plan.batch_size`` where the
-    format has an array mirror, equal to the scalar recurrence per
-    sequence (exactly, except log-space's default n-ary mode, which
-    matches within an ulp); other formats run the same expression
-    through the scalar representation with the model conversion hoisted
-    out of the per-sequence recurrence.
+    one vectorized pass where the format has an array mirror, equal to
+    the scalar recurrence per sequence (exactly, except log-space's
+    default n-ary mode, which matches within an ulp); other formats run
+    the same expression through the scalar representation with the
+    model conversion hoisted out of the per-sequence recurrence.
     """
     from .hmm import _seq_rows, model_arrays
     plan = resolve_plan(plan, where="backward_batch")
@@ -82,12 +83,8 @@ def backward_batch(hmm: HMMData, backend: Optional[Backend] = None,
         return [_backward_nd(a, b, pi,
                              np.asarray([s], dtype=np.intp)).item(0)
                 for s in seqs]
-    obs = np.asarray(seqs, dtype=np.intp)
-    values: list = []
-    for rows in plan.group_slices(obs.shape[0]):
-        out = _backward_nd(a, b, pi, obs[rows])
-        values.extend(out.item(i) for i in range(out.shape[0]))
-    return values
+    out = _backward_nd(a, b, pi, np.asarray(seqs, dtype=np.intp))
+    return [out.item(i) for i in range(out.shape[0])]
 
 
 def forward_matrix(hmm: HMMData, backend: Backend) -> List[list]:

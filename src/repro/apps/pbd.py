@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .. import faults as _faults
 from .. import nd
 from .. import telemetry as _tele
 from ..arith.backend import Backend
@@ -59,6 +60,7 @@ def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k: int) -> "nd.FArray":
     if n_trials < k:
         raise ValueError("need at least k trials")
     with _tele.span("app.pbd"):
+        _faults.fire("app.pbd")
         # pr[s, j] = P(j successes in the first n trials), tracked for
         # j < k.
         pr = nd.concatenate([nd.ones_like(pn, (n_sites, 1)),
@@ -138,9 +140,9 @@ def pbd_pvalue_batch(sites: Sequence[Sequence[BigFloat]], k: int,
     ``sites`` is a list of equal-length success-probability rows.
     Returns one backend value per site, equal element-for-element to
     calling :func:`pbd_pvalue` per site.  Formats with an array backend
-    in :mod:`repro.engine` run the recurrence vectorized in groups of
-    at most ``plan.batch_size`` sites; others (the BigFloat oracle)
-    run the same expression through the scalar representation.
+    in :mod:`repro.engine` run the recurrence vectorized in one pass;
+    others (the BigFloat oracle) run the same expression through the
+    scalar representation.
     """
     plan = resolve_plan(plan, where="pbd_pvalue_batch")
     sites = list(sites)
@@ -150,13 +152,9 @@ def pbd_pvalue_batch(sites: Sequence[Sequence[BigFloat]], k: int,
     if any(len(row) != n_trials for row in sites):
         raise ValueError("batched sites must share a trial count; "
                          "group by (depth, k) first")
-    values: list = []
-    for rows in plan.group_slices(len(sites)):
-        group = sites[rows]
-        pn, qn = _site_arrays(group, backend, plan)
-        out = _pbd_nd(pn, qn, k)
-        values.extend(out.item(i) for i in range(len(group)))
-    return values
+    pn, qn = _site_arrays(sites, backend, plan)
+    out = _pbd_nd(pn, qn, k)
+    return [out.item(i) for i in range(len(sites))]
 
 
 # ----------------------------------------------------------------------

@@ -56,13 +56,6 @@ ORACLE = "oracle"
 STANDARD_FORMATS = ("binary64", "log", "posit(64,9)", "posit(64,12)",
                     "posit(64,18)")
 
-#: The native vectorized op set every registered batch mirror provides
-#: (sub/div landed with the decoded-plane/Gaussian-log kernels; axpy is
-#: the fused ``a*x + y``; maximum/amax/argmax are the max-semiring order
-#: ops — exact by construction on every mirror's monotone code space).
-FULL_BATCH_OPS = ("add", "sub", "mul", "div", "sum", "dot", "axpy",
-                  "maximum", "amax", "argmax")
-
 _POSIT_NAME = re.compile(r"^posit\((\d+),(\d+)\)$")
 _LNS_NAME = re.compile(r"^lns\((\d+),(\d+)\)$")
 _BIGFLOAT_NAME = re.compile(r"^bigfloat(\d+)$")
@@ -86,18 +79,12 @@ class FormatCapabilities:
     fused_ops: Tuple[str, ...] = ()
     #: Widest datapath in bits (None for the unbounded oracle).
     max_width: Optional[int] = None
-    #: Elementwise ops the batch mirror implements natively (vectorized,
-    #: certified against the scalar backend); empty for scalar-only
-    #: formats, whose callers keep the per-element loop.
-    batch_ops: Tuple[str, ...] = ()
 
     def __repr__(self):
         parts = [self.exactness,
                  "batched" if self.batch else "scalar-only"]
         if self.reductions_certified:
             parts.append("reductions-certified")
-        if self.batch_ops:
-            parts.append(f"ops={','.join(self.batch_ops)}")
         if self.fused_ops:
             parts.append(f"fused={','.join(self.fused_ops)}")
         if self.max_width is not None:
@@ -191,7 +178,6 @@ class FormatRegistry:
                 "format": name,
                 "exactness": caps.exactness,
                 "batch": "yes" if caps.batch else "-",
-                "batch ops": ", ".join(caps.batch_ops) or "-",
                 "reductions": "certified" if caps.reductions_certified
                               else ("mode-dependent" if caps.batch else "-"),
                 "fused ops": ", ".join(caps.fused_ops) or "-",
@@ -299,7 +285,7 @@ def _posit_spec(nbits: int, es: int, standard: bool = False) -> FormatSpec:
         caps=FormatCapabilities(
             exactness=ELEMENT_EXACT, batch=True, reductions_certified=True,
             fused_ops=("quire_fused_sum", "quire_fused_dot"),
-            max_width=nbits, batch_ops=FULL_BATCH_OPS),
+            max_width=nbits),
         standard=standard)
 
 
@@ -316,8 +302,7 @@ def _lns_spec(int_bits: int, frac_bits: int) -> FormatSpec:
             exactness=ELEMENT_EXACT, batch=True, reductions_certified=True,
             fused_ops=("exact_mul",),
             # sign + zero flag + integer + fraction bits of the code.
-            max_width=2 + int_bits + frac_bits,
-            batch_ops=FULL_BATCH_OPS),
+            max_width=2 + int_bits + frac_bits),
         standard=False)
 
 
@@ -345,7 +330,7 @@ def _binary64_spec() -> FormatSpec:
         factory=factory,
         caps=FormatCapabilities(
             exactness=BIT_IDENTICAL, batch=True, reductions_certified=True,
-            fused_ops=(), max_width=64, batch_ops=FULL_BATCH_OPS),
+            fused_ops=(), max_width=64),
         standard=True)
 
 
@@ -363,8 +348,7 @@ def _log_spec() -> FormatSpec:
             # reduction is ulp-close, not bit-exact; sequential-mode
             # instances are certified per-instance in batch_for().
             reductions_certified=False,
-            fused_ops=("lse_nary",), max_width=64,
-            batch_ops=FULL_BATCH_OPS),
+            fused_ops=("lse_nary",), max_width=64),
         standard=True)
 
 
@@ -415,7 +399,6 @@ REGISTRY = _default_registry()
 
 __all__ = [
     "BIT_IDENTICAL",
-    "FULL_BATCH_OPS",
     "ELEMENT_EXACT",
     "ORACLE",
     "STANDARD_FORMATS",

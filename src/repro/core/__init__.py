@@ -39,8 +39,6 @@ from .sweep import (
     bin_label,
     generate_add_pairs,
     generate_mul_pairs,
-    generate_sweep,
-    generate_sweep_chunked,
     plan_chunks,
     probability_pairs_from_trace,
     stable_chunk_seed,
@@ -51,13 +49,13 @@ __all__ = [
     "score_value", "score_log10",
     "ulp_relative_error", "OK", "UNDERFLOW", "OVERFLOW", "ERROR_FLOOR",
     "BoxStats", "SweepResult", "run_op_sweep", "accuracy_ordering",
-    "SweepChunk", "plan_chunks", "generate_sweep_chunked",
+    "SweepChunk", "plan_chunks",
     "stable_chunk_seed",
     "binary64_effective_bits", "logspace_effective_bits",
     "posit_effective_bits", "budget_curves", "predicted_log10_error",
     "RangeRow", "TABLE1_ES_VALUES", "binary64_row", "posit_row", "table1_rows",
     "FIG3_BINS", "OperandPair", "bin_label", "generate_add_pairs",
-    "generate_mul_pairs", "generate_sweep", "probability_pairs_from_trace",
+    "generate_mul_pairs", "probability_pairs_from_trace",
     "ErrorPrediction", "predict_logspace", "predict_posit",
     "predicted_gap_log_vs_posit", "per_op_error_log10",
     "forward_op_count", "pbd_op_count",

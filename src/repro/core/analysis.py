@@ -12,13 +12,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..arith.backend import Backend
-from .accuracy import measure_pairs
-from .sweep import (
-    FIG3_BINS,
-    bin_label,
-    binary64_skipped,
-    generate_sweep,
-)
+from .sweep import FIG3_BINS, bin_label
 from ..engine.plan import ExecPlan, resolve_plan
 
 
@@ -92,7 +86,6 @@ class SweepResult:
 def run_op_sweep(op: str, backends: Dict[str, Backend],
                  per_bin: int = 100, bins: Sequence[tuple] = FIG3_BINS,
                  seed: int = 0,
-                 pairs_by_bin: Optional[dict] = None,
                  plan: Optional[ExecPlan] = None) -> SweepResult:
     """Measure every backend on stratified operand pairs.
 
@@ -100,48 +93,22 @@ def run_op_sweep(op: str, backends: Dict[str, Backend],
     normal range, matching the paper's Figure 3 ('Binary64 is not shown
     in ranges to the left of 2**-1022').
 
-    Execution follows the :class:`~repro.engine.plan.ExecPlan`: the
-    canonical path measures through the array backends of
-    :mod:`repro.engine` (bit-identical results; scalar fallback per
-    format), and ``plan=ExecPlan.serial()`` forces the scalar per-pair
-    loop.  ``plan.n_workers`` fans bins out across worker processes via
-    the chunked parallel runner (chunk granularity ``plan.chunk_size``).
-    Serial and chunked pair streams share chunk-0 seeds, so results
-    coincide while ``per_bin`` fits one chunk (250); beyond that the
-    chunked plan reseeds per chunk — use ``plan.n_workers=0`` for the
-    like-for-like reference at larger scales.
+    Every plan runs the same chunk plan through
+    :func:`repro.engine.runner.run_sweep_parallel`, so the plan cannot
+    change which pairs are drawn or what they measure: the canonical
+    path measures through the array backends of :mod:`repro.engine`
+    (bit-identical results; scalar fallback per format),
+    ``plan=ExecPlan.serial()`` forces the scalar per-pair loop, and the
+    sweep stays in-process unless ``plan.n_workers > 1`` fans its
+    chunks across worker processes.
     """
+    from ..engine.runner import run_sweep_parallel
     plan = resolve_plan(plan, where="run_op_sweep")
-    if plan.n_workers is not None:
-        if pairs_by_bin is not None:
-            raise ValueError(
-                "a worker-parallel plan regenerates pairs from the chunked "
-                "plan and cannot measure caller-supplied pairs_by_bin; "
-                "pass one or the other")
-        from ..engine.runner import run_sweep_parallel
-        return run_sweep_parallel(op, backends, per_bin=per_bin, bins=bins,
-                                  seed=seed, n_workers=plan.n_workers,
-                                  chunk_size=plan.chunk_size,
-                                  batch=plan.batch)
-    if pairs_by_bin is None:
-        pairs_by_bin = generate_sweep(op, bins=bins, per_bin=per_bin, seed=seed)
-    result = SweepResult(op)
-    for bin_range, pairs in pairs_by_bin.items():
-        cell: Dict[str, BoxStats] = {}
-        for fmt, backend in backends.items():
-            if binary64_skipped(fmt, bin_range):
-                continue
-            cell[fmt] = _measure_cell(backend, fmt, op, bin_range, pairs,
-                                      plan.batch)
-        result.boxes[bin_range] = cell
-    return result
-
-
-def _measure_cell(backend: Backend, fmt: str, op: str, bin_range: tuple,
-                  pairs, batch: bool) -> BoxStats:
-    """One (format, bin) box from a pair list, optionally batched."""
-    errors, n_uf, n_of = measure_pairs(backend, op, pairs, batch=batch)
-    return BoxStats.from_errors(fmt, bin_range, errors, n_uf, n_of)
+    return run_sweep_parallel(op, backends, per_bin=per_bin, bins=bins,
+                              seed=seed,
+                              n_workers=plan.n_workers if plan.parallel
+                              else 0,
+                              batch=plan.batch)
 
 
 def accuracy_ordering(result: SweepResult, bin_range: tuple) -> list:

@@ -43,9 +43,7 @@ def bin_label(bin_range: tuple) -> str:
 def binary64_skipped(fmt: str, bin_range: tuple) -> bool:
     """Figure 3's presentation rule: binary64 is not measured in bins
     entirely left of its normal range ('Binary64 is not shown in ranges
-    to the left of 2**-1022').  Shared by the serial sweep driver and
-    the parallel runner so the two can never disagree on which cells
-    exist."""
+    to the left of 2**-1022')."""
     return fmt == "binary64" and bin_range[1] <= -1_022
 
 
@@ -141,13 +139,6 @@ def generate_mul_pairs(bin_range: tuple, count: int, seed: int = 0,
             produced += 1
 
 
-def generate_sweep(op: str, bins: Sequence[tuple] = FIG3_BINS,
-                   per_bin: int = 100, seed: int = 0) -> dict:
-    """Full sweep: ``{bin_range: [OperandPair, ...]}`` for one op."""
-    gen = generate_add_pairs if op == "add" else generate_mul_pairs
-    return {b: list(gen(b, per_bin, seed)) for b in bins}
-
-
 # ----------------------------------------------------------------------
 # Chunked generation (the unit of work of the parallel sweep runner)
 # ----------------------------------------------------------------------
@@ -202,17 +193,6 @@ def plan_chunks(op: str, bins: Sequence[tuple] = FIG3_BINS,
             remaining -= count
             index += 1
     return chunks
-
-
-def generate_sweep_chunked(op: str, bins: Sequence[tuple] = FIG3_BINS,
-                           per_bin: int = 100, seed: int = 0,
-                           chunk_size: int = 250) -> dict:
-    """Like :func:`generate_sweep` but via the chunk plan: the exact
-    pair streams the parallel runner produces, merged in chunk order."""
-    result: dict = {b: [] for b in bins}
-    for chunk in plan_chunks(op, bins, per_bin, seed, chunk_size):
-        result[chunk.bin_range].extend(chunk.generate())
-    return result
 
 
 def probability_pairs_from_trace(trace: Sequence, op: str) -> Iterator[OperandPair]:

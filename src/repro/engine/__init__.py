@@ -1,11 +1,12 @@
 """``repro.engine`` — vectorized batch arithmetic and parallel sweeps.
 
 The scalar backends in :mod:`repro.arith` define the reference
-semantics; this package's kernels are the *canonical implementations*
-of the application recurrences wherever the format registry certifies
-the batch mirror exact (the scalar app entry points are B=1 views over
-them — see :mod:`repro.arith.registry` and
-:mod:`repro.engine.plan`):
+semantics; this package's array backends are what the application
+recurrences — written once, as :mod:`repro.nd` expressions in
+:mod:`repro.apps` and :mod:`repro.workloads` — run on wherever the
+format registry certifies the batch mirror exact (the scalar app entry
+points are B=1 views over the same expressions — see
+:mod:`repro.arith.registry` and :mod:`repro.engine.plan`):
 
 * :class:`BatchBinary64`, :class:`BatchLogSpace` — array backends over
   float64 values/logs, bit-identical to the scalar backends (log-space
@@ -19,13 +20,10 @@ them — see :mod:`repro.arith.registry` and
   :class:`~repro.formats.lns.LNSEnv` (exact memoized Gaussian log);
 * :class:`BatchQuire` — exact posit accumulators as uint64 limb
   arrays, element-exact against :class:`~repro.formats.quire.Quire`;
-* :mod:`~repro.engine.kernels` — forward/backward algorithms over
-  batches of sequences *and* batches of models, Poisson-binomial
-  p-values over batches of sites;
 * :mod:`~repro.engine.runner` — the chunked multi-process sweep runner;
 * :mod:`~repro.engine.plan` — :class:`ExecPlan`, the one object
-  carrying batch toggle, group width, worker fan-out, chunking and
-  cache policy through apps and experiments.
+  carrying batch toggle, worker fan-out, cache policy and the
+  measurement switch through apps and experiments.
 
 NumPy is a hard install requirement (setup.py).  Formats without an
 array implementation (the BigFloat oracle) take the callers'
@@ -59,13 +57,6 @@ from .quire_batch import (
     BatchQuire,
     fused_dot_product_batch,
     fused_sum_batch,
-)
-from .kernels import (
-    backward_batch,
-    forward_batch,
-    forward_alpha_trace_batch,
-    forward_multi_batch,
-    pbd_pvalue_batch,
 )
 from ..core.accuracy import measure_pairs
 from .runner import run_sweep_parallel
@@ -133,13 +124,8 @@ __all__ = [
     "batch_backend_for",
     "plan_batch_backend",
     "standard_batch_backends",
-    "backward_batch",
-    "forward_batch",
-    "forward_alpha_trace_batch",
-    "forward_multi_batch",
     "fused_dot_product_batch",
     "fused_sum_batch",
-    "pbd_pvalue_batch",
     "measure_pairs",
     "run_sweep_parallel",
 ]

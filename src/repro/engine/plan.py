@@ -3,9 +3,10 @@
 Before this module, every batch-aware app and experiment grew its own
 ``batch=``/``n_workers=`` kwarg pair, and the pair had to be threaded
 through each call layer by hand.  An :class:`ExecPlan` replaces those
-pairs: it names the batch toggle, the vectorized group width, the
-worker fan-out, the sweep chunk granularity, and the result-cache
-policy once, and flows unchanged from the CLI down to the kernels.
+pairs: it names the batch toggle, the worker fan-out, the result-cache
+policy and the measurement switch once, and flows unchanged from the
+CLI down to the recurrences.  A plan carries only choices that cannot
+change a result, which is why the experiment cache keys leave it out.
 
 Plans travel two ways:
 
@@ -18,31 +19,22 @@ Plans travel two ways:
 
 The *semantics* of the plan live with the callees:
 
-* ``batch`` — run through the vectorized kernels of
-  :mod:`repro.engine.kernels` wherever the format's batch mirror is
-  certified exact (see :mod:`repro.arith.registry`); ``False`` forces
-  the legacy scalar loops (the baseline the throughput benchmarks
-  measure against).  Batch is the *default*: the scalar path is the
-  special case now.
-* ``batch_size`` — optional ceiling on how many batch elements one
-  vectorized kernel call may carry; larger workloads are sliced into
-  ``batch_size``-wide groups.  ``None`` means one pass over everything.
+* ``batch`` — run the :mod:`repro.nd` recurrences of :mod:`repro.apps`
+  and :mod:`repro.workloads` on the format's array mirror wherever it
+  is certified exact (see :mod:`repro.arith.registry`); ``False``
+  forces the legacy scalar loops (the baseline the throughput
+  benchmarks measure against).  Batch is the *default*: the scalar
+  path is the special case now.
 * ``n_workers`` — process fan-out for the embarrassingly parallel
-  stages (the Figure 3 sweep chunks, the ViCAR oracle pass).  ``None``
-  stays serial in-process; ``0``/``1`` use the chunked code path
-  without spawning (the deterministic reference).
-* ``chunk_size`` — pair-generation granularity of the chunked sweep
-  runner (:mod:`repro.engine.runner`).
+  stages (the Figure 3 sweep chunks, the ViCAR oracle pass).  ``None``,
+  ``0`` and ``1`` all stay in-process; only ``n_workers > 1`` spawns
+  worker processes.
 * ``cache`` — experiment result-cache policy: ``"auto"`` (honor the
   caller's cache setting), ``"off"`` (neither read nor write), or
   ``"refresh"`` (recompute and overwrite).
 * ``measure`` — collect wall-clock software-throughput measurements
   where an experiment supports them (fig6's software MMAPS columns).
   Runs that measure wall-clock are never served from the cache.
-* ``compiled`` — accepted and ignored, so plan-schema v2 payloads keep
-  parsing.  There is no separate fused tier to select: the batch path
-  keeps posit's decoded plane resident through every :mod:`repro.nd`
-  expression.
 """
 
 from __future__ import annotations
@@ -57,30 +49,29 @@ CACHE_POLICIES = ("auto", "off", "refresh")
 #: Version of the plan's JSON wire schema (bumped when fields change
 #: incompatibly).  :meth:`ExecPlan.from_json` names this version in its
 #: rejection errors so a schema mismatch is diagnosable from the
-#: message alone.  v2 added ``compiled`` (v1 payloads still parse:
-#: absent fields keep their defaults; the field now selects nothing).
-PLAN_SCHEMA_VERSION = 2
+#: message alone.  v3 dropped the fields in :data:`_DROPPED_FIELDS`.
+PLAN_SCHEMA_VERSION = 3
+
+#: Fields that schema v1/v2 defined and v3 dropped (a group-width cap,
+#: the sweep chunk size, and a tier flag that selected nothing).  A
+#: v1/v2 payload carrying them still parses and they are ignored; a v3
+#: payload naming one is rejected like any unknown field.
+_DROPPED_FIELDS = ("batch_size", "chunk_size", "compiled")
 
 
 @dataclass(frozen=True)
 class ExecPlan:
-    """How to execute a workload: batching, fan-out, chunking, caching."""
+    """How to execute a workload: batching, fan-out, caching,
+    measuring."""
 
     batch: bool = True
-    batch_size: Optional[int] = None
     n_workers: Optional[int] = None
-    chunk_size: int = 250
     cache: str = "auto"
     measure: bool = False
-    compiled: bool = False
 
     def __post_init__(self):
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.n_workers is not None and self.n_workers < 0:
             raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.cache not in CACHE_POLICIES:
             raise ValueError(f"unknown cache policy {self.cache!r}; "
                              f"expected one of {CACHE_POLICIES}")
@@ -99,16 +90,6 @@ class ExecPlan:
     def parallel(self) -> bool:
         """True when the plan fans work across >1 worker process."""
         return self.n_workers is not None and self.n_workers > 1
-
-    def group_slices(self, n: int):
-        """Slices partitioning ``n`` batch elements into groups of at
-        most ``batch_size`` (one slice covering everything when no
-        ceiling is set)."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        width = self.batch_size if self.batch_size is not None else max(n, 1)
-        return [slice(lo, min(lo + width, n))
-                for lo in range(0, n, width)] or [slice(0, 0)]
 
     # ------------------------------------------------------------------
     # JSON wire form (plans travel inside repro.service requests)
@@ -130,7 +111,8 @@ class ExecPlan:
         against a newer schema must fail with a message that names both
         schema versions instead of an opaque constructor error.  Every
         field is optional — absent fields keep their defaults, so old
-        payloads keep parsing as the schema grows.
+        payloads keep parsing as the schema grows; fields an older
+        schema defined and v3 dropped are ignored in those payloads.
         """
         if not isinstance(data, dict):
             raise ValueError(
@@ -149,6 +131,9 @@ class ExecPlan:
                 f"ExecPlan JSON schema v{version} is newer than this "
                 f"build's v{PLAN_SCHEMA_VERSION}; upgrade the receiver or "
                 f"send a v{PLAN_SCHEMA_VERSION} plan")
+        if version < 3:
+            for name in _DROPPED_FIELDS:
+                data.pop(name, None)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

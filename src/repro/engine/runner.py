@@ -1,13 +1,13 @@
-"""Chunked parallel sweep runner.
+"""Chunked sweep runner: the one implementation of the Figure 3 sweep.
 
 The Figure 3 sweep is embarrassingly parallel — (op, bin) cells are
-independent — but the seed code ran every pair through the scalar
-backends in one Python loop.  This runner partitions each bin into
+independent.  This runner partitions each bin into
 :class:`~repro.core.sweep.SweepChunk` units (deterministic per-chunk
-seeds that survive process boundaries), measures chunks across worker
-processes, and merges per-chunk tallies into the same
-:class:`~repro.core.analysis.SweepResult` shape the serial driver
-produces.  Within each worker the measured operation itself runs through
+seeds that survive process boundaries), measures the chunks in-process
+or across worker processes, and merges per-chunk tallies into one
+:class:`~repro.core.analysis.SweepResult`
+(:func:`~repro.core.analysis.run_op_sweep` calls it under every plan).
+Within each chunk the measured operation itself runs through
 the batched backends of :mod:`repro.engine.batch` when the format has
 one (binary64, log, posit), falling back to the scalar loop otherwise
 (BigFloat oracle, LNS).
@@ -194,7 +194,7 @@ def run_sweep_parallel(op: str, backends: Dict[str, Backend],
                        chunk_size: int = 250,
                        batch: bool = True,
                        max_chunk_retries: int = DEFAULT_CHUNK_RETRIES):
-    """Parallel, chunked replacement for the serial ``run_op_sweep``.
+    """Measure the chunk plan of one op's sweep and merge the tallies.
 
     Returns a :class:`~repro.core.analysis.SweepResult`.  ``n_workers``
     of 0 or 1 measures inline (deterministic reference; no subprocess

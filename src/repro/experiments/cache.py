@@ -5,7 +5,10 @@ key is a blake2b digest of **code + params** —
 
 * the source bytes of every ``repro`` module (hashed once per process),
   so *any* code change invalidates every entry, conservatively;
-* the experiment id and the run parameters (scale, batch, workers, ...).
+* the experiment id and the result-affecting run parameters — the
+  scale of a scalable experiment, nothing else
+  (:func:`repro.experiments.runner._cache_params`): the ``ExecPlan`` is
+  left out, since batching and worker count cannot change a result.
 
 Entries live under ``.repro-cache/`` (override with ``cache_dir`` or
 ``$REPRO_CACHE_DIR``) as ``<experiment>-<digest>.json`` files holding

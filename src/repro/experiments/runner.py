@@ -132,8 +132,8 @@ def _cache_params(exp: Experiment, scale: str) -> dict:
 
     Only result-affecting inputs belong here: ``scale`` for scalable
     experiments.  The :class:`ExecPlan` is deliberately excluded — the
-    execution plane's contract is that batching, group width and worker
-    count cannot change a result (wall-clock-*measuring* runs are never
+    execution plane's contract is that batching and worker count cannot
+    change a result (wall-clock-*measuring* runs are never
     cached at all).
     """
     params: dict = {}
@@ -226,10 +226,7 @@ def main(argv=None) -> int:
                              "where supported (fig6's MMAPS columns)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="fan supported sweeps across N worker "
-                             "processes (implies chunked generation)")
-    parser.add_argument("--batch-size", type=int, default=None, metavar="B",
-                        help="cap the number of elements per vectorized "
-                             "kernel call (default: one pass)")
+                             "processes (identical results for any N)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result cache location (default .repro-cache, "
                              "or $REPRO_CACHE_DIR)")
@@ -265,7 +262,6 @@ def main(argv=None) -> int:
     try:
         plan = ExecPlan(
             batch=not args.serial,
-            batch_size=args.batch_size,
             n_workers=args.workers,
             measure=args.measure,
             cache="off" if args.no_cache

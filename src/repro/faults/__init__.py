@@ -11,24 +11,25 @@ through the stack, each firing deterministically from a seeded stream.
 
 Sites shipped with the tree (the glossary in README "Resilience"):
 
-=========================  ==========================================
-``kernel.<name>``          entry of each wrapper in
-                           :mod:`repro.engine.kernels`; only direct
-                           callers reach it (the apps, experiments and
-                           service do not go through these wrappers)
-``batch.measure``          the batch branch of
-                           :func:`repro.core.accuracy.measure_pairs`
-                           (the batch -> serial rung)
-``runner.chunk``           one sweep chunk in a worker process
-                           (``kill`` mode exits the worker: the
-                           crash-recovery path)
-``cache.read``             one ``.repro-cache`` entry read (``corrupt``
-                           mode truncates the bytes: the checksum path)
-``service.batch``          one microbatch execution in the scheduler
-                           (``delay`` mode stalls it past deadlines)
-``service.connection``     one HTTP response about to be written
-                           (``error`` mode drops the connection)
-=========================  ==========================================
+============================  ============================================
+``app.hmm.forward``           entry of each :mod:`repro.nd` recurrence
+``app.hmm.forward_trace``     in :mod:`repro.apps`, inside the span of
+``app.hmm.forward_models``    the same name: every forward and PBD
+``app.hmm.backward``          path passes one (the service's ``forward``
+``app.pbd``                   and ``pbd`` kinds, fig9-11, the B=1 views)
+``batch.measure``             the batch branch of
+                              :func:`repro.core.accuracy.measure_pairs`
+                              (the batch -> serial rung)
+``runner.chunk``              one sweep chunk in a worker process
+                              (``kill`` mode exits the worker: the
+                              crash-recovery path)
+``cache.read``                one ``.repro-cache`` entry read (``corrupt``
+                              mode truncates the bytes: the checksum path)
+``service.batch``             one microbatch execution in the scheduler
+                              (``delay`` mode stalls it past deadlines)
+``service.connection``        one HTTP response about to be written
+                              (``error`` mode drops the connection)
+============================  ============================================
 
 Design mirrors :mod:`repro.telemetry` exactly:
 
@@ -132,7 +133,7 @@ class FaultRule:
     """One injection rule: where, what, and when.
 
     ``site`` matches an injection-site name exactly, or by prefix when
-    it ends with ``*`` (``"kernel.*"`` covers every kernel wrapper).
+    it ends with ``*`` (``"app.hmm.*"`` covers every HMM recurrence).
     ``at`` fires on those 0-based call indices of the site; ``every``
     fires on each Nth call; ``p`` draws from the plan's seeded stream.
     All given conditions must hold.  ``max_fires`` retires the rule

@@ -180,19 +180,26 @@ def _loadtest(args) -> int:
     return 0
 
 
+def _server_or_usage_error(parser, *args, **kwargs) -> EvalServer:
+    """An :class:`EvalServer` built from CLI flags; the constructor's
+    own range checks (an out-of-range flag) surface as an argparse
+    usage error — exit 2 with its message — instead of a traceback."""
+    try:
+        return EvalServer(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "serve":
         plan = ExecPlan.serial() if args.serial else ExecPlan()
-        try:
-            server = EvalServer(
-                args.host, args.port, window_s=args.window_ms / 1e3,
-                max_batch=args.max_batch, max_queue=args.max_queue,
-                plan=plan, cache="off" if args.no_cache else "auto",
-                cache_dir=args.cache_dir)
-        except ValueError as exc:
-            parser.error(str(exc))
+        server = _server_or_usage_error(
+            parser, args.host, args.port, window_s=args.window_ms / 1e3,
+            max_batch=args.max_batch, max_queue=args.max_queue,
+            plan=plan, cache="off" if args.no_cache else "auto",
+            cache_dir=args.cache_dir)
         try:
             return asyncio.run(_serve(server, args))
         except KeyboardInterrupt:
@@ -204,6 +211,11 @@ def main(argv=None) -> int:
         except (ServiceError, OSError, asyncio.TimeoutError) as exc:
             print(f"ping failed: {exc}", file=sys.stderr)
             return 1
+    # The harnesses build their servers inside an event loop, where a
+    # constructor error is a traceback; build one here first so a bad
+    # flag is the same usage error it is for ``serve``.
+    _server_or_usage_error(parser, window_s=args.window_ms / 1e3,
+                           max_batch=args.max_batch)
     return _loadtest(args)
 
 

@@ -292,16 +292,11 @@ class WorkloadRequest:
     def cache_identity(self) -> dict:
         """The result-determining part of the request — what the
         ``.repro-cache`` dedupe keys on.  Excludes ``request_id``,
-        ``priority`` and the plan's scheduling knobs: none of them may
-        change a result (plan-invariance is the execution plane's
-        certification).  ``plan.compiled`` stays part of the identity
-        although it now selects nothing (plan-schema v2 still carries
-        it): keeping the key shape means entries already written under
-        ``.repro-cache/`` keep their keys."""
+        ``priority`` and the whole plan: none of them may change a
+        result (plan-invariance is the execution plane's
+        certification)."""
         return {"api_version": self.api_version, "kind": self.kind,
-                "format": self.format, "payload": self.payload,
-                "compiled": bool(self.plan.compiled)
-                if self.plan is not None else False}
+                "format": self.format, "payload": self.payload}
 
 
 @dataclass(frozen=True)

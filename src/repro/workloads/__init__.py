@@ -5,12 +5,10 @@ The paper's thesis is that number-format behavior is a property of the
 *recurrence*, not of one application.  This package makes the third
 axis explicit: a :class:`~repro.workloads.semiring.Semiring` names the
 recombination algebra (sum-product, max-product, the pair-HMM hybrid),
-a :class:`~repro.workloads.registry.WorkloadSpec` ties a kernel to its
-semiring and equivalence certification, and every kernel is one
-:mod:`repro.nd` expression — so each workload runs on every registered
-format, under batch or serial plans, with the registry's exactness
-guarantees, and is servable through :mod:`repro.service` as a typed
-request kind::
+and every kernel is one :mod:`repro.nd` expression — so each workload
+runs on every registered format, under batch or serial plans, with the
+registry's exactness guarantees, and is servable through
+:mod:`repro.service` as a typed request kind::
 
     import repro.workloads as wl
 
@@ -18,17 +16,16 @@ request kind::
     likes = wl.pairhmm_batch(hap, reads, "log")
     tracks = wl.kalman_batch(zs, "lns(12,50)")
 
-Shipped workloads (see :data:`WORKLOADS`): ``viterbi`` (max-product
-decoding with traceback — max is exact by construction in every
-format), ``pairhmm`` (the GATK HaplotypeCaller alignment kernel),
-``kalman`` (the subtraction/cancellation workload).  Accuracy-vs-
-oracle experiments live in ``repro.experiments`` as
+Shipped workloads: ``viterbi`` (max-product decoding with traceback —
+max is exact by construction in every format), ``pairhmm`` (the GATK
+HaplotypeCaller alignment kernel), ``kalman`` (the
+subtraction/cancellation workload).  Accuracy-vs-oracle experiments
+live in ``repro.experiments`` as
 ``fig_<name>_accuracy``.
 """
 
 from .kalman import KalmanEstimate, KalmanParams, kalman_batch, sample_tracks
 from .pairhmm import PairHMMParams, match_priors, pairhmm_batch
-from .registry import WORKLOADS, WorkloadSpec, get_workload
 from .semiring import (
     LOG_SUM_EXP,
     MAX_PRODUCT,
@@ -48,12 +45,9 @@ __all__ = [
     "SUM_PRODUCT",
     "Semiring",
     "ViterbiPath",
-    "WORKLOADS",
-    "WorkloadSpec",
     "KalmanEstimate",
     "KalmanParams",
     "PairHMMParams",
-    "get_workload",
     "kalman_batch",
     "match_priors",
     "pairhmm_batch",

@@ -89,8 +89,8 @@ def kalman_batch(measurements, backend=None,
     ``measurements`` is a ``(B, T)`` array of strictly positive
     values.  Returns one :class:`KalmanEstimate` per track.  Requires
     a format with ``sub`` and ``div`` (binary64, log-space, posit,
-    LNS, the oracle — every registered format since PR 5); vectorized
-    passes slice into groups of at most ``plan.batch_size``.
+    LNS, the oracle — every registered format); the batch runs as one
+    vectorized pass.
     """
     backend = _resolve_format(backend)
     plan = resolve_plan(plan, where="kalman_batch")
@@ -98,13 +98,10 @@ def kalman_batch(measurements, backend=None,
     zs_f64 = np.asarray(measurements, dtype=np.float64)
     if zs_f64.ndim != 2:
         raise ValueError("measurements must have shape (batch, T)")
-    out: List[KalmanEstimate] = []
-    for rows in plan.group_slices(zs_f64.shape[0]):
-        zs = nd.asarray(zs_f64[rows], backend, plan=plan)
-        x, p = _kalman_nd(zs, params, backend, plan)
-        out.extend(KalmanEstimate(x.item(i), p.item(i))
-                   for i in range(x.shape[0]))
-    return out
+    zs = nd.asarray(zs_f64, backend, plan=plan)
+    x, p = _kalman_nd(zs, params, backend, plan)
+    return [KalmanEstimate(x.item(i), p.item(i))
+            for i in range(x.shape[0])]
 
 
 def sample_tracks(n_tracks: int, length: int, seed: int = 0,

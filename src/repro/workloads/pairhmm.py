@@ -119,8 +119,7 @@ def pairhmm_batch(haplotype, reads, backend=None,
     backend value per read.  ``semiring`` defaults to the
     HaplotypeCaller max/sum hybrid; pass ``"sum-product"`` for the
     full-sum likelihood (the LSE dataflow when the format is
-    log-space).  Vectorized passes slice into groups of at most
-    ``plan.batch_size``.
+    log-space).  The batch runs as one vectorized pass.
     """
     backend = _resolve_format(backend)
     plan = resolve_plan(plan, where="pairhmm_batch")
@@ -131,12 +130,9 @@ def pairhmm_batch(haplotype, reads, backend=None,
     priors_f64 = match_priors(hap, reads, params.mismatch)
     trans = {k: nd.asarray(v, backend, plan=plan)
              for k, v in params.transitions().items()}
-    values: List[Any] = []
-    for rows in plan.group_slices(reads.shape[0]):
-        priors = nd.asarray(priors_f64[rows], backend, plan=plan)
-        out = _pairhmm_nd(priors, sr, trans, hap.size)
-        values.extend(out.item(i) for i in range(out.shape[0]))
-    return values
+    priors = nd.asarray(priors_f64, backend, plan=plan)
+    out = _pairhmm_nd(priors, sr, trans, hap.size)
+    return [out.item(i) for i in range(out.shape[0])]
 
 
 __all__ = ["PairHMMParams", "match_priors", "pairhmm_batch"]

@@ -102,22 +102,18 @@ def viterbi_batch(hmm, backend=None, observations=None,
     per sequence, equal decision-for-decision to calling
     :func:`viterbi` per sequence under any plan — max and argmax are
     exact in every format, so there is no certified/uncertified split.
-    Vectorized passes slice into groups of at most ``plan.batch_size``;
-    formats without an array backend run through the scalar
-    representation with the model conversion hoisted.
+    The batch runs as one vectorized pass; formats without an array
+    backend run through the scalar representation with the model
+    conversion hoisted.
     """
     from ..apps.hmm import _obs_rows, model_arrays
     plan = resolve_plan(plan, where="viterbi_batch")
     if observations is None:
         observations = [hmm.observations]
     a, b, pi = model_arrays(hmm, backend, plan=plan, certified=False)
-    obs = _obs_rows(observations)
-    out: List[ViterbiPath] = []
-    for rows in plan.group_slices(obs.shape[0]):
-        score, path = _viterbi_nd(a, b, pi, obs[rows])
-        out.extend(ViterbiPath(score.item(i), path[i])
-                   for i in range(path.shape[0]))
-    return out
+    score, path = _viterbi_nd(a, b, pi, _obs_rows(observations))
+    return [ViterbiPath(score.item(i), path[i])
+            for i in range(path.shape[0])]
 
 
 __all__ = ["ViterbiPath", "viterbi", "viterbi_batch"]

@@ -10,7 +10,7 @@ from repro.core import (
     bin_label,
     generate_add_pairs,
     generate_mul_pairs,
-    generate_sweep,
+    plan_chunks,
     run_op_sweep,
 )
 from repro.core.sweep import probability_pairs_from_trace
@@ -49,9 +49,9 @@ class TestGenerators:
             assert pair.x.sign == 0 and pair.y.sign == 0
 
     def test_generate_sweep_counts(self):
-        sweep = generate_sweep("add", per_bin=5, seed=0)
-        assert set(sweep) == set(FIG3_BINS)
-        assert all(len(v) == 5 for v in sweep.values())
+        chunks = plan_chunks("add", per_bin=5, seed=0)
+        assert [c.bin_range for c in chunks] == list(FIG3_BINS)
+        assert all(len(c.generate()) == 5 for c in chunks)
 
     def test_bin_label(self):
         assert bin_label((-10, 1)) == "[-10, 0]"

@@ -26,15 +26,12 @@ import pytest
 
 from repro import nd, telemetry
 from repro.apps.hmm import (_forward_models_nd, _forward_nd,
-                            _forward_trace_nd, forward_batch,
-                            forward_models_batch)
+                            _forward_trace_nd, forward_models_batch)
 from repro.apps.pbd import _pbd_nd, pbd_pvalue
-from repro.arith import (REGISTRY, Binary64Backend, LogSpaceBackend,
-                         standard_backends)
+from repro.arith import standard_backends
 from repro.bigfloat import BigFloat
 from repro.data.dirichlet import sample_hmm
-from repro.engine import ExecPlan, kernels
-from repro.engine.batch import BatchBinary64, BatchLogSpace
+from repro.engine import ExecPlan
 from repro.engine.posit_batch import BatchPosit
 from repro.formats.posit import FLUSH, SATURATE, PositEnv
 
@@ -77,6 +74,14 @@ def _hmm_arrays(bp, h, m, b_sz, t_len, seed=0):
 
     return (rows((h, h)), rows((h, m)), rows((h,)),
             rng.integers(0, m, size=(b_sz, t_len)))
+
+
+def _batched(bp, expr, *arrays, **kw):
+    """``expr`` over the packed arrays wrapped on the batch mirror (the
+    default plan's representation), as packed codes."""
+    out = expr(*(nd.wrap(x, bb=bp) for x in arrays), **kw)
+    assert out.batch
+    return np.asarray(out.data)
 
 
 def _serial(bp, expr, *arrays, **kw):
@@ -136,10 +141,10 @@ class TestFusedKernelsBitIdentical:
         bp = BatchPosit(env)
         a, b, pi, obs = _hmm_arrays(bp, h=5, m=6, b_sz=9, t_len=11)
         assert np.array_equal(
-            kernels.forward_batch(bp, a, b, pi, obs),
+            _batched(bp, _forward_nd, a, b, pi, obs=obs),
             _serial(bp, _forward_nd, a, b, pi, obs=obs))
         assert np.array_equal(
-            kernels.forward_alpha_trace_batch(bp, a, b, pi, obs),
+            _batched(bp, _forward_trace_nd, a, b, pi, obs=obs),
             _serial(bp, _forward_trace_nd, a, b, pi, obs=obs))
 
     @pytest.mark.parametrize("env", ENVS, ids=str)
@@ -149,7 +154,7 @@ class TestFusedKernelsBitIdentical:
         rng = np.random.default_rng(3)
         pf = rng.uniform(0.01, 0.4, size=(7, 12))
         pn, qn = bp.from_floats(pf), bp.from_floats(1.0 - pf)
-        assert np.array_equal(kernels.pbd_pvalue_batch(bp, pn, qn, k),
+        assert np.array_equal(_batched(bp, _pbd_nd, pn, qn, k=k),
                               _serial(bp, _pbd_nd, pn, qn, k=k))
 
     def test_zero_heavy_model(self):
@@ -166,12 +171,12 @@ class TestFusedKernelsBitIdentical:
         a, b = bp.from_floats(av), bp.from_floats(bv)
         pi = bp.from_floats(rng.uniform(0.1, 1.0, size=(h,)))
         obs = rng.integers(0, m, size=(6, 8))
-        assert np.array_equal(kernels.forward_batch(bp, a, b, pi, obs),
+        assert np.array_equal(_batched(bp, _forward_nd, a, b, pi, obs=obs),
                               _serial(bp, _forward_nd, a, b, pi, obs=obs))
         pf = rng.uniform(0.0, 0.5, size=(5, 9))
         pf[pf < 0.2] = 0.0
         pn, qn = bp.from_floats(pf), bp.from_floats(1.0 - pf)
-        assert np.array_equal(kernels.pbd_pvalue_batch(bp, pn, qn, 2),
+        assert np.array_equal(_batched(bp, _pbd_nd, pn, qn, k=2),
                               _serial(bp, _pbd_nd, pn, qn, k=2))
 
     @pytest.mark.parametrize("env", [PositEnv(8, 1), PositEnv(64, 12)],
@@ -190,43 +195,33 @@ class TestFusedKernelsBitIdentical:
         pi = bp.from_floats(rng.uniform(0.0, 1.0, size=(n, h)))
         obs = rng.integers(0, m, size=(n, 7))
         assert np.array_equal(
-            kernels.forward_multi_batch(bp, a, b, pi, obs),
+            _batched(bp, _forward_models_nd, a, b, pi, obs=obs),
             _serial(bp, _forward_models_nd, a, b, pi, obs=obs))
 
     def test_fused_shape_validation(self):
         bp = BatchPosit(PositEnv(8, 1))
-        one = bp.ones((3, 3))
+        one = nd.wrap(bp.ones((3, 3)), bb=bp)
+        pi = nd.wrap(bp.ones((3,)), bb=bp)
         with pytest.raises(ValueError, match="obs"):
-            kernels.forward_batch(bp, one, one, bp.ones((3,)),
-                                  np.zeros(4, dtype=int))
+            _forward_nd(one, one, pi, np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="per-model"):
-            kernels.forward_multi_batch(bp, one, one, bp.ones((3,)),
-                                        np.zeros((2, 4), dtype=int))
+            _forward_models_nd(one, one, pi, np.zeros((2, 4), dtype=int))
         with pytest.raises(ValueError, match="k must be"):
-            kernels.pbd_pvalue_batch(bp, one, one, 0)
+            _pbd_nd(one, one, 0)
 
 
 class TestPlanRouting:
-    """The format's mirror decides which arrays run on resident planes;
-    ``ExecPlan(compiled=True)`` is accepted and ignored."""
+    """The format's mirror decides which arrays run on resident
+    planes."""
 
     def test_routes_to_kernels_for_posit(self):
-        for plan in (ExecPlan(), ExecPlan(compiled=True)):
-            x = nd.asarray([[0.5, 0.25], [0.125, 0.3]], "posit(64,12)",
-                           plan=plan)
-            prod = x * x
-            assert prod.batch and prod._codes is None
-            mul = x.backend.mul
-            assert prod.tolist() == [[mul(v, v) for v in row]
-                                     for row in x.tolist()]
-
-    def test_none_without_compiled_flag(self):
-        """The flag selects no mirror of its own."""
-        from repro.engine import plan_batch_backend
-        for fmt in ("posit(64,12)", "binary64", "log", "lns(12,50)"):
-            backend = REGISTRY.create(fmt)
-            assert (plan_batch_backend(backend, ExecPlan(compiled=True))
-                    is plan_batch_backend(backend, ExecPlan()))
+        x = nd.asarray([[0.5, 0.25], [0.125, 0.3]], "posit(64,12)",
+                       plan=ExecPlan())
+        prod = x * x
+        assert prod.batch and prod._codes is None
+        mul = x.backend.mul
+        assert prod.tolist() == [[mul(v, v) for v in row]
+                                 for row in x.tolist()]
 
     def test_none_for_mixed_or_scalar_operands(self):
         """Non-resident mirrors and the scalar representation never
@@ -237,21 +232,6 @@ class TestPlanRouting:
                             plan=ExecPlan.serial())
         assert (scalar * scalar)._planes is None
         assert not (scalar * scalar).batch
-
-    @pytest.mark.parametrize("backend_cls, batch_cls", [
-        (Binary64Backend, BatchBinary64),
-        (LogSpaceBackend, BatchLogSpace),
-    ])
-    def test_silent_fallback_formats_without_tier(self, backend_cls,
-                                                  batch_cls):
-        """``compiled=True`` never errors and never changes results."""
-        hmm = sample_hmm(4, 5, 7, seed=5)
-        obs = np.random.default_rng(5).integers(0, 5, size=(6, 7))
-        backend = backend_cls()
-        assert isinstance(REGISTRY.batch_for(backend), batch_cls)
-        assert (forward_batch(hmm, backend, obs)
-                == forward_batch(hmm, backend, obs,
-                                 plan=ExecPlan(compiled=True)))
 
 
 class TestResidency:

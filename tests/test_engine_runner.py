@@ -1,12 +1,14 @@
-"""Chunked parallel sweep runner: determinism and merge correctness."""
+"""Chunked sweep runner: determinism, merge correctness, and the one
+path every plan of ``run_op_sweep`` takes."""
 
 import pytest
 
 from repro.arith import standard_backends
-from repro.core.analysis import run_op_sweep
+from repro.core.accuracy import measure_pairs
+from repro.core.analysis import BoxStats, run_op_sweep
 from repro.core.sweep import (
     FIG3_BINS,
-    generate_sweep_chunked,
+    binary64_skipped,
     plan_chunks,
     stable_chunk_seed,
 )
@@ -19,6 +21,14 @@ BINS = (FIG3_BINS[0], FIG3_BINS[4], FIG3_BINS[-1])
 def _rows(result):
     return {(b, f): result.boxes[b][f].row()
             for b in result.boxes for f in result.boxes[b]}
+
+
+def _chunk_pairs(op, bins, per_bin, seed, chunk_size=250):
+    """{bin: pairs} as the chunk plan draws them, in chunk order."""
+    pairs = {b: [] for b in bins}
+    for chunk in plan_chunks(op, bins, per_bin, seed, chunk_size):
+        pairs[chunk.bin_range].extend(chunk.generate())
+    return pairs
 
 
 class TestChunkPlanning:
@@ -47,10 +57,8 @@ class TestChunkPlanning:
             plan_chunks("add", BINS, per_bin=5, seed=0, chunk_size=0)
 
     def test_chunked_generation_appends_on_growth(self):
-        small = generate_sweep_chunked("add", BINS, per_bin=6, seed=0,
-                                       chunk_size=4)
-        large = generate_sweep_chunked("add", BINS, per_bin=10, seed=0,
-                                       chunk_size=4)
+        small = _chunk_pairs("add", BINS, per_bin=6, seed=0, chunk_size=4)
+        large = _chunk_pairs("add", BINS, per_bin=10, seed=0, chunk_size=4)
         for b in BINS:
             assert large[b][:6] == small[b]
 
@@ -73,13 +81,21 @@ class TestParallelRunner:
         assert _rows(batched) == _rows(scalar)
 
     def test_matches_serial_sweep_on_same_pairs(self):
+        """The merged boxes equal one serial measurement per (bin,
+        format) over the pairs the chunk plan draws."""
         backends = standard_backends()
-        pairs = generate_sweep_chunked("add", BINS, per_bin=10, seed=4)
-        serial = run_op_sweep("add", backends, bins=BINS,
-                              pairs_by_bin=pairs)
         parallel = run_sweep_parallel("add", backends, per_bin=10,
-                                      bins=BINS, seed=4, n_workers=0)
-        assert _rows(serial) == _rows(parallel)
+                                      bins=BINS, seed=4, n_workers=0,
+                                      chunk_size=4)
+        pairs = _chunk_pairs("add", BINS, per_bin=10, seed=4, chunk_size=4)
+        for b in BINS:
+            for fmt, backend in backends.items():
+                if binary64_skipped(fmt, b):
+                    continue
+                serial = BoxStats.from_errors(
+                    fmt, b, *measure_pairs(backend, "add", pairs[b],
+                                           batch=False))
+                assert serial.row() == parallel.boxes[b][fmt].row()
 
     def test_binary64_skipped_left_of_range(self):
         backends = standard_backends()
@@ -92,12 +108,23 @@ class TestParallelRunner:
 class TestRunOpSweepIntegration:
     def test_serial_plan_preserves_results(self):
         backends = standard_backends()
-        pairs = generate_sweep_chunked("add", BINS, per_bin=8, seed=1)
-        plain = run_op_sweep("add", backends, bins=BINS, pairs_by_bin=pairs,
+        plain = run_op_sweep("add", backends, per_bin=8, bins=BINS, seed=1,
                              plan=ExecPlan.serial())
-        batched = run_op_sweep("add", backends, bins=BINS,
-                               pairs_by_bin=pairs)
+        batched = run_op_sweep("add", backends, per_bin=8, bins=BINS,
+                               seed=1)
         assert _rows(plain) == _rows(batched)
+
+    def test_every_plan_gives_the_same_boxes(self):
+        """300 pairs span two 250-pair chunks: every plan draws and
+        measures the same pairs, in-process or across workers."""
+        backends = standard_backends()
+        bins = ((-500, -100),)
+        results = [_rows(run_op_sweep("add", backends, per_bin=300,
+                                      bins=bins, seed=0, plan=plan))
+                   for plan in (ExecPlan(), ExecPlan.serial(),
+                                ExecPlan(n_workers=0),
+                                ExecPlan(n_workers=2))]
+        assert all(r == results[0] for r in results[1:])
 
     def test_worker_plan_delegates_to_runner(self):
         backends = standard_backends()
@@ -108,11 +135,15 @@ class TestRunOpSweepIntegration:
         assert _rows(via_sweep) == _rows(via_runner)
 
     def test_worker_plan_with_explicit_pairs_rejected(self):
+        """Caller-supplied pairs are gone: every plan draws its pairs
+        from the chunk plan, so ``pairs_by_bin=`` is an unknown keyword
+        under any plan."""
         backends = standard_backends()
-        pairs = generate_sweep_chunked("add", BINS, per_bin=4, seed=0)
-        with pytest.raises(ValueError):
-            run_op_sweep("add", backends, bins=BINS, pairs_by_bin=pairs,
-                         plan=ExecPlan(n_workers=2))
+        pairs = _chunk_pairs("add", BINS, per_bin=4, seed=0)
+        for plan in (ExecPlan(), ExecPlan(n_workers=2)):
+            with pytest.raises(TypeError):
+                run_op_sweep("add", backends, bins=BINS, pairs_by_bin=pairs,
+                             plan=plan)
 
     def test_fig3_accepts_plan(self):
         from repro.experiments import fig3_op_accuracy

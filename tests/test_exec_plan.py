@@ -1,14 +1,15 @@
-"""ExecPlan: validation, plan threading (explicit and ambient), group
-slicing, and the *removal* of the PR 3 ``batch=``/``n_workers=``
-deprecation shims — one release on, every former shim site must reject
-the legacy kwargs with a plain :class:`TypeError`.
+"""ExecPlan: validation, plan threading (explicit and ambient), the
+versioned JSON wire form, and the *removal* of the
+``batch=``/``n_workers=`` deprecation shims — one release on, every
+former shim site must reject the legacy kwargs with a plain
+:class:`TypeError`.
 """
 
-import numpy as np
+import random
+
 import pytest
 
 from repro.arith import LogSpaceBackend, PositBackend, standard_backends
-from repro.bigfloat import BigFloat
 from repro.engine import (DEFAULT_PLAN, ExecPlan, current_plan,
                           resolve_plan, use_plan)
 from repro.formats import PositEnv
@@ -32,7 +33,7 @@ class TestExecPlan:
         assert DEFAULT_PLAN.n_workers is None  # frozen, copy-on-write
 
     @pytest.mark.parametrize("bad", [
-        {"batch_size": 0}, {"chunk_size": 0}, {"n_workers": -1},
+        {"n_workers": -2}, {"cache": "AUTO"}, {"n_workers": -1},
         {"cache": "sometimes"},
     ])
     def test_validation(self, bad):
@@ -44,11 +45,10 @@ class TestExecPlan:
         assert not ExecPlan(n_workers=1).parallel
         assert ExecPlan(n_workers=2).parallel
 
-    def test_group_slices(self):
-        assert ExecPlan().group_slices(5) == [slice(0, 5)]
-        assert ExecPlan(batch_size=2).group_slices(5) == \
-            [slice(0, 2), slice(2, 4), slice(4, 5)]
-        assert ExecPlan(batch_size=2).group_slices(0) == [slice(0, 0)]
+    def test_exactly_four_fields(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(ExecPlan)] == [
+            "batch", "n_workers", "cache", "measure"]
 
 
 class TestResolvePlan:
@@ -81,7 +81,7 @@ class TestAmbientPlan:
         assert current_plan() is DEFAULT_PLAN
 
     def test_explicit_plan_beats_ambient(self):
-        explicit = ExecPlan(batch_size=7)
+        explicit = ExecPlan(n_workers=7)
         with use_plan(ExecPlan.serial()):
             assert resolve_plan(explicit) is explicit
 
@@ -183,44 +183,6 @@ class TestLegacyKwargsRemoved:
             resolve_plan(None, {"batch": True}, where="test")
 
 
-class TestBatchSizeGrouping:
-    """plan.batch_size slices the vectorized passes without changing a
-    single value."""
-
-    def test_forward_batch_grouped(self):
-        from repro.apps.hmm import forward_batch
-        from repro.data.dirichlet import sample_hmm
-        backend = LogSpaceBackend(sum_mode="sequential")
-        hmm = sample_hmm(4, 5, 12, seed=9)
-        obs = np.random.default_rng(10).integers(0, 5, size=(7, 12))
-        whole = forward_batch(hmm, backend, obs)
-        grouped = forward_batch(hmm, backend, obs,
-                                plan=ExecPlan(batch_size=3))
-        assert whole == grouped
-
-    def test_pbd_batch_grouped(self):
-        from repro.apps.pbd import pbd_pvalue_batch
-        backend = PositBackend(PositEnv(64, 12))
-        rng = np.random.default_rng(12)
-        sites = [[BigFloat.from_float(float(p))
-                  for p in rng.uniform(1e-6, 0.3, 15)] for _ in range(5)]
-        whole = pbd_pvalue_batch(sites, 2, backend)
-        grouped = pbd_pvalue_batch(sites, 2, backend,
-                                   plan=ExecPlan(batch_size=2))
-        assert whole == grouped
-
-    def test_forward_models_batch_grouped(self):
-        from repro.apps.hmm import forward_models_batch
-        from repro.data.dirichlet import sample_hcg_like_hmm
-        backend = LogSpaceBackend(sum_mode="sequential")
-        models = [sample_hcg_like_hmm(3, 8, seed=s, bits_per_step=30.0)
-                  for s in range(5)]
-        whole = forward_models_batch(models, backend)
-        grouped = forward_models_batch(models, backend,
-                                       plan=ExecPlan(batch_size=2))
-        assert whole == grouped
-
-
 class TestPlanJson:
     """ExecPlan.to_json/from_json: the versioned wire form plans use to
     travel inside repro.service requests."""
@@ -228,11 +190,27 @@ class TestPlanJson:
     def test_round_trip(self):
         import json
         from repro.engine import PLAN_SCHEMA_VERSION
-        plan = ExecPlan(batch=False, batch_size=8, n_workers=2,
-                        chunk_size=100, cache="refresh", measure=True)
+        plan = ExecPlan(batch=False, n_workers=2, cache="refresh",
+                        measure=True)
         wire = json.loads(json.dumps(plan.to_json()))
         assert wire["plan_version"] == PLAN_SCHEMA_VERSION
         assert ExecPlan.from_json(wire) == plan
+
+    def test_round_trip_constant_and_random_plans(self):
+        """encode -> decode is the identity over the constant plans and
+        over seeded random ones."""
+        import json
+        rng = random.Random(20)
+        plans = [ExecPlan(), ExecPlan.serial(), DEFAULT_PLAN]
+        for _ in range(50):
+            plans.append(ExecPlan(
+                batch=rng.random() < 0.5,
+                n_workers=rng.choice([None, 0, 1, 2, rng.randrange(64)]),
+                cache=rng.choice(["auto", "off", "refresh"]),
+                measure=rng.random() < 0.5))
+        for plan in plans:
+            wire = json.loads(json.dumps(plan.to_json()))
+            assert ExecPlan.from_json(wire) == plan
 
     def test_absent_fields_keep_defaults(self):
         assert ExecPlan.from_json({}) == ExecPlan()
@@ -246,7 +224,7 @@ class TestPlanJson:
         message = str(err.value)
         assert "'gpu'" in message
         assert f"v{PLAN_SCHEMA_VERSION}" in message
-        assert "batch_size" in message  # names the known fields
+        assert "n_workers" in message  # names the known fields
 
     def test_newer_schema_rejected(self):
         from repro.engine import PLAN_SCHEMA_VERSION
@@ -269,20 +247,22 @@ class TestPlanJson:
         with pytest.raises(ValueError, match="rejected"):
             ExecPlan.from_json({"cache": "maybe"})
         with pytest.raises(ValueError, match="rejected"):
-            ExecPlan.from_json({"batch_size": 0})
+            ExecPlan.from_json({"n_workers": -1})
 
-    def test_compiled_round_trips_at_v2(self):
-        """PR 8: ``compiled`` travels on the wire; the schema version
-        names the addition."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_dropped_fields_ignored_before_v3(self, version):
+        """v3 dropped ``batch_size``, ``chunk_size`` and ``compiled``; a
+        v1/v2 payload that carries them still parses, ignoring them."""
+        wire = {"plan_version": version, "batch": False, "batch_size": 8,
+                "chunk_size": 100, "compiled": True, "n_workers": 2}
+        assert ExecPlan.from_json(wire) == ExecPlan(batch=False,
+                                                    n_workers=2)
+
+    @pytest.mark.parametrize("name", ["batch_size", "chunk_size",
+                                      "compiled"])
+    def test_dropped_fields_rejected_at_v3(self, name):
         from repro.engine import PLAN_SCHEMA_VERSION
-        assert PLAN_SCHEMA_VERSION == 2
-        plan = ExecPlan(compiled=True)
-        wire = plan.to_json()
-        assert wire["compiled"] is True
-        assert ExecPlan.from_json(wire) == plan
-        # v1 payloads (no compiled field) keep parsing with the
-        # default, so pre-PR 8 senders are unaffected.
-        v1 = ExecPlan().to_json()
-        del v1["compiled"]
-        v1["plan_version"] = 1
-        assert ExecPlan.from_json(v1) == ExecPlan()
+        assert PLAN_SCHEMA_VERSION == 3
+        with pytest.raises(ValueError, match="schema v3") as err:
+            ExecPlan.from_json({"plan_version": 3, name: 1})
+        assert repr(name) in str(err.value)

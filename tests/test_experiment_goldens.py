@@ -1,0 +1,80 @@
+"""Golden reports for every registered experiment.
+
+The rendered text of each :data:`repro.experiments.runner.REGISTRY`
+experiment at ``scale="test"`` (default plan, no cache) is pinned in
+``tests/goldens/experiments.json`` as a list of lines per experiment,
+so a change that moves any figure's or table's numbers fails with the
+experiment and its first differing line named.  To accept an
+intentional change, regenerate::
+
+    PYTHONPATH=src python tests/test_experiment_goldens.py --regen
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.experiments.runner import REGISTRY, run_experiment
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "goldens", "experiments.json")
+
+
+def _lines(experiment_id: str) -> list:
+    return run_experiment(experiment_id, scale="test").split("\n")
+
+
+def load_goldens() -> dict:
+    with open(GOLDEN_PATH) as f:
+        return json.load(f)
+
+
+def first_difference(expected: list, actual: list) -> str:
+    """A one-line description of where two renderings first part."""
+    for i, (want, got) in enumerate(zip(expected, actual)):
+        if want != got:
+            return f"line {i + 1}: expected {want!r}, got {got!r}"
+    if len(expected) != len(actual):
+        i = min(len(expected), len(actual))
+        return (f"line {i + 1}: expected {len(expected)} lines, "
+                f"got {len(actual)}")
+    return "no difference"
+
+
+def test_goldens_cover_the_registry():
+    assert sorted(load_goldens()) == sorted(REGISTRY)
+
+
+@pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
+def test_report_matches_golden(experiment_id):
+    expected = load_goldens()[experiment_id]
+    actual = _lines(experiment_id)
+    assert actual == expected, (
+        f"{experiment_id} drifted from tests/goldens/experiments.json at "
+        f"{first_difference(expected, actual)}.  If intentional, "
+        f"regenerate with: "
+        f"PYTHONPATH=src python tests/test_experiment_goldens.py --regen")
+
+
+def test_first_difference_names_the_line():
+    assert first_difference(["a", "b"], ["a", "c"]) == (
+        "line 2: expected 'b', got 'c'")
+    assert first_difference(["a"], ["a", "b"]) == (
+        "line 2: expected 1 lines, got 2")
+
+
+def _regen():
+    goldens = {eid: _lines(eid) for eid in sorted(REGISTRY)}
+    with open(GOLDEN_PATH, "w") as f:
+        json.dump(goldens, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    import sys
+    if "--regen" in sys.argv:
+        _regen()
+    else:
+        print(__doc__)

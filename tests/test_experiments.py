@@ -272,7 +272,7 @@ class TestRunner:
     def test_cli_unknown(self):
         assert main(["fig99"]) == 2
 
-    @pytest.mark.parametrize("flags", [["--batch-size", "0"],
+    @pytest.mark.parametrize("flags", [["--serial", "--workers", "-2"],
                                        ["--workers", "-1"]])
     def test_cli_out_of_range_flag_is_a_usage_error(self, flags, capsys):
         """ExecPlan's own range check surfaces as an argparse usage

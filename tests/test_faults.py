@@ -10,11 +10,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro import faults, telemetry
+from repro import faults, nd, telemetry
+from repro.apps.hmm import _forward_nd
 from repro.arith import standard_backends
 from repro.core.accuracy import measure_pairs
 from repro.core.sweep import FIG3_BINS, plan_chunks
-from repro.engine import kernels
 from repro.engine.posit_batch import BatchPosit
 from repro.engine.runner import run_sweep_parallel
 from repro.faults import FaultPlan, FaultRule, InjectedFault
@@ -36,7 +36,8 @@ def _hmm_arrays(bp, h=4, m=5, b_sz=6, t_len=8, seed=0):
 
     def rows(shape):
         vals = rng.uniform(0.05, 1.0, size=shape)
-        return bp.from_floats(vals / vals.sum(axis=-1, keepdims=True))
+        return nd.wrap(
+            bp.from_floats(vals / vals.sum(axis=-1, keepdims=True)), bb=bp)
 
     return (rows((h, h)), rows((h, m)), rows((h,)),
             rng.integers(0, m, size=(b_sz, t_len)))
@@ -45,7 +46,7 @@ def _hmm_arrays(bp, h=4, m=5, b_sz=6, t_len=8, seed=0):
 class TestTriggers:
     def test_disabled_path_is_a_noop(self):
         assert faults.active() is None
-        assert faults.fire("kernel.forward_batch") is None
+        assert faults.fire("app.hmm.forward") is None
         assert faults._active_plans == 0
 
     def test_error_mode_raises_with_site(self):
@@ -87,11 +88,11 @@ class TestTriggers:
         assert modes == ["corrupt", "corrupt", None, None]
 
     def test_prefix_site_matching(self):
-        plan = FaultPlan([FaultRule("kernel.*", mode="corrupt")])
+        plan = FaultPlan([FaultRule("app.hmm.*", mode="corrupt")])
         with faults.inject(plan):
-            assert faults.fire("kernel.forward_batch") == "corrupt"
-            assert faults.fire("kernel.pbd_pvalue_batch") == "corrupt"
-            assert faults.fire("cache.read") is None
+            assert faults.fire("app.hmm.forward") == "corrupt"
+            assert faults.fire("app.hmm.backward") == "corrupt"
+            assert faults.fire("app.pbd") is None
 
     def test_probabilistic_schedule_is_seed_deterministic(self):
         def schedule(seed):
@@ -176,13 +177,15 @@ class TestKernelSites:
     def test_kernel_site_raises_inside_the_call(self):
         bp = BatchPosit(PositEnv(16, 1))
         a, b, pi, obs = _hmm_arrays(bp)
-        plan = FaultPlan([FaultRule("kernel.forward_batch")])
+        plan = FaultPlan([FaultRule("app.hmm.forward")])
         with faults.inject(plan), telemetry.collect() as col:
             with pytest.raises(InjectedFault):
-                kernels.forward_batch(bp, a, b, pi, obs)
-        assert col.events["faults.injected.kernel.forward_batch"] == 1
+                _forward_nd(a, b, pi, obs)
+        assert col.events["faults.injected.app.hmm.forward"] == 1
+        # The site fires inside the recurrence's span of the same name.
+        assert col.spans["app.hmm.forward"][0] == 1
         # Disarmed again: the same call succeeds.
-        kernels.forward_batch(bp, a, b, pi, obs)
+        _forward_nd(a, b, pi, obs)
 
 
 class TestDegradationLadder:

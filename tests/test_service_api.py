@@ -29,12 +29,12 @@ class TestRequestRoundTrip:
     def test_round_trip_preserves_everything(self):
         request = WorkloadRequest(
             kind="forward", payload={"models": [{"x": 1}]},
-            format="posit(64,12)", plan=ExecPlan(batch_size=8),
+            format="posit(64,12)", plan=ExecPlan(n_workers=8),
             priority=3, request_id="r-17")
         wire = json.loads(json.dumps(request.to_json()))
         back = WorkloadRequest.from_json(wire)
         assert back == request
-        assert back.plan == ExecPlan(batch_size=8)
+        assert back.plan == ExecPlan(n_workers=8)
 
     def test_defaults_round_trip(self):
         request = WorkloadRequest(kind="pbd")
@@ -78,7 +78,7 @@ class TestPlanTravel:
     """Satellite: ExecPlan JSON rides inside requests."""
 
     def test_plan_json_embedded(self):
-        plan = ExecPlan(batch=False, chunk_size=7, cache="refresh")
+        plan = ExecPlan(batch=False, n_workers=7, cache="refresh")
         wire = WorkloadRequest(kind="op", plan=plan).to_json()
         assert wire["plan"]["plan_version"] == PLAN_SCHEMA_VERSION
         assert WorkloadRequest.from_json(wire).plan == plan
@@ -173,7 +173,7 @@ class TestCacheIdentity:
         base = dict(kind="op", payload={"op": "add", "a": [1], "b": [2]},
                     format="binary64")
         a = WorkloadRequest(priority=5, request_id="x",
-                            plan=ExecPlan(batch_size=2), **base)
+                            plan=ExecPlan(batch=False, n_workers=2), **base)
         b = WorkloadRequest(**base)
         assert a.cache_identity() == b.cache_identity()
 
@@ -184,15 +184,3 @@ class TestCacheIdentity:
                             format="binary64")
         assert a.cache_identity() != b.cache_identity()
 
-    def test_compiled_included(self):
-        """``plan.compiled`` keys the cache (PR 8): compiled and
-        uncompiled results never share an entry, while the plan's
-        scheduling knobs stay excluded."""
-        base = dict(kind="op", payload={"op": "add", "a": [1], "b": [2]},
-                    format="posit64_12")
-        plain = WorkloadRequest(**base)
-        compiled = WorkloadRequest(plan=ExecPlan(compiled=True), **base)
-        uncompiled = WorkloadRequest(plan=ExecPlan(batch_size=4), **base)
-        assert compiled.cache_identity() != plain.cache_identity()
-        assert uncompiled.cache_identity() == plain.cache_identity()
-        assert plain.cache_identity()["compiled"] is False

@@ -595,6 +595,40 @@ class TestResilience:
             assert result.stats["batch_size"] == 1
             assert result.values[0] == _solo_forward_wire("binary64", i)
 
+    def test_recurrence_fault_poisons_the_batch_once(self):
+        """The ``app.hmm.forward_models`` site sits on the served
+        forward path: a fault inside the recurrence poisons the
+        coalesced batch once, and the solo reruns answer exactly what
+        ``execute()`` answers."""
+        n = 2
+        requests = [forward_request("posit(64,12)", 3, 3, 10, seed=i)
+                    for i in range(n)]
+        want = [execute(r).values for r in requests]
+        plan = faults.FaultPlan([faults.FaultRule(
+            "app.hmm.forward_models", at=(0,))])
+
+        async def run():
+            async with EvalServer(port=0, window_s=0.5, max_batch=n,
+                                  cache="off") as server:
+                return await _submit_concurrently(server, requests)
+
+        with faults.inject(plan, globally=True):
+            results = asyncio.run(run())
+        assert plan.fired == [("app.hmm.forward_models", 0, "error")]
+        for result, values in zip(results, want):
+            assert result.stats["batch_size"] == 1
+            assert result.values == values
+
+    def test_pbd_request_passes_the_pbd_site(self):
+        request = WorkloadRequest(
+            kind="pbd", format="posit(64,12)",
+            payload={"sites": [[0.1, 0.2, 0.3], [0.5, 0.25, 0.125]],
+                     "k": 2})
+        with faults.inject(faults.FaultPlan([faults.FaultRule("app.pbd")])):
+            with pytest.raises(faults.InjectedFault) as err:
+                execute(request)
+        assert err.value.site == "app.pbd"
+
     def test_queued_request_aged_past_deadline_is_shed(self):
         from repro.service.api import DeadlineExceeded
         plan = faults.FaultPlan([faults.FaultRule(
@@ -687,14 +721,21 @@ class TestResilience:
 
 
 class TestServeCLI:
-    @pytest.mark.parametrize("flags", [["--max-batch", "0"],
-                                       ["--max-queue", "0"],
-                                       ["--window-ms", "-1"]])
+    @pytest.mark.parametrize("flags", [
+        ["serve", "--max-batch", "0"],
+        ["serve", "--max-queue", "0"],
+        ["serve", "--window-ms", "-1"],
+        ["loadtest", "--max-batch", "0"],
+        ["loadtest", "--window-ms", "-1"],
+        ["loadtest", "--window-ms", "-1", "--chaos"],
+        ["loadtest", "--max-batch", "0", "--chaos"],
+    ])
     def test_out_of_range_flag_is_a_usage_error(self, flags, capsys):
         """The Microbatcher's own range check surfaces as an argparse
-        usage error (exit 2, its message), not a traceback."""
+        usage error (exit 2, its message), not a traceback — for
+        ``loadtest`` too, before any harness starts."""
         from repro.service.__main__ import main
         with pytest.raises(SystemExit) as exc:
-            main(["serve", *flags])
+            main(flags)
         assert exc.value.code == 2
         assert "must be >=" in capsys.readouterr().err

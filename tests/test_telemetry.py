@@ -146,11 +146,11 @@ class TestCollector:
         assert Collector().report() == "(nothing collected)"
         with telemetry.collect() as t:
             telemetry.count("nd.mul.log.batch", 42)
-            with telemetry.span("kernel.forward_batch"):
+            with telemetry.span("app.hmm.forward"):
                 pass
         text = t.report()
         assert "nd.mul.log.batch" in text and "42" in text
-        assert "kernel.forward_batch" in text
+        assert "app.hmm.forward" in text
 
 
 class TestTrace:

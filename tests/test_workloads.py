@@ -29,8 +29,6 @@ from repro.workloads import (
     KalmanParams,
     PairHMMParams,
     ViterbiPath,
-    WORKLOADS,
-    get_workload,
     kalman_batch,
     pairhmm_batch,
     sample_tracks,
@@ -44,18 +42,6 @@ FORMATS = ("binary64", "log", "posit(64,9)", "lns(12,50)")
 def _backend(fmt):
     from repro.nd.context import _resolve_format
     return _resolve_format(fmt)
-
-
-class TestRegistry:
-    def test_workloads_registered(self):
-        assert set(WORKLOADS) == {"viterbi", "pairhmm", "kalman"}
-        assert WORKLOADS["viterbi"].semiring.name == "max-product"
-        assert WORKLOADS["pairhmm"].semiring.name == "pairhmm-max"
-        assert WORKLOADS["kalman"].semiring.name == "sum-product"
-        assert WORKLOADS["viterbi"].certification == "max-exact"
-        assert get_workload("kalman").runner is kalman_batch
-        with pytest.raises(ValueError, match="unknown workload"):
-            get_workload("sorting")
 
 
 class TestViterbi:
