@@ -10,7 +10,6 @@ Demonstrates:
 Run:  python examples/phylogenetics_vicar.py
 """
 
-from repro.apps import forward
 from repro.apps.vicar import VicarConfig, run_vicar
 from repro.arith import Binary64Backend, LogSpaceBackend, PositBackend
 from repro.formats import PositEnv

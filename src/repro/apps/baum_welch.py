@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..arith.backend import Backend
-from ..bigfloat import BigFloat
 from ..data.dirichlet import HMMData
 from .hmm import forward
 from .hmm_extra import backward_matrix, forward_matrix

@@ -139,10 +139,12 @@ def _forward_models_nd(a, b, pi, obs: np.ndarray,
         raise ValueError("need per-model params: a (B,H,H), b (B,H,M), "
                          "pi (B,H)")
 
+    rows = np.arange(obs.shape[0])
+
     def emission(t):
-        # b[s, :, obs[s, t]] for every model s, shape (B, H).
-        return nd.take_along_axis(
-            b, obs[:, t][:, None, None], axis=2)[..., 0]
+        # b[s, :, obs[s, t]] for every model s, shape (B, H): one
+        # C-level gather per plane, sized B·H.
+        return b[rows, :, obs[:, t]]
 
     with _tele.span("app.hmm.forward_models"):
         _faults.fire("app.hmm.forward_models")

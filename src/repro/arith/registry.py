@@ -41,7 +41,6 @@ resolve lazily.
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -107,6 +106,14 @@ class FormatSpec:
         return f"<FormatSpec {self.name}{star} {self.caps!r}>"
 
 
+class _Mirrors(dict):
+    """A backend's batch mirrors by pairing.  It pickles empty: a
+    backend shipped to a worker rebuilds its mirrors there on demand."""
+
+    def __reduce__(self):
+        return (_Mirrors, ())
+
+
 @dataclass(frozen=True)
 class BatchPairing:
     """How to mirror one scalar-backend class onto its batch backend."""
@@ -126,11 +133,6 @@ class FormatRegistry:
     def __init__(self):
         self._specs: Dict[str, FormatSpec] = {}
         self._pairings: List[BatchPairing] = []
-        # One batch mirror per scalar backend instance: mirrors carry
-        # useful state (BatchLNS memoizes its exact Gaussian-log table
-        # per distinct gap), so repeated pairing calls must not start
-        # it cold.  Weak keys let backends be garbage collected.
-        self._mirrors = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # Registration
@@ -242,14 +244,18 @@ class FormatRegistry:
             if isinstance(backend, pairing.scalar_cls):
                 if reductions and not pairing.reductions_certified(backend):
                     return None
+                # One mirror per backend instance (mirrors carry state,
+                # e.g. BatchLNS's Gaussian-log memo), kept on the backend:
+                # a mirror holds its backend, so a memo keyed on the
+                # backend, even weakly, would keep both alive forever.
                 try:
-                    mirror = self._mirrors.get(backend)
-                except TypeError:  # unhashable/unweakrefable backend
+                    mirrors = vars(backend).setdefault("_batch_mirrors",
+                                                       _Mirrors())
+                except TypeError:  # a backend without a __dict__
                     return pairing.factory(backend)
-                if mirror is None:
-                    mirror = pairing.factory(backend)
-                    self._mirrors[backend] = mirror
-                return mirror
+                if pairing not in mirrors:
+                    mirrors[pairing] = pairing.factory(backend)
+                return mirrors[pairing]
         return None
 
     # ------------------------------------------------------------------

@@ -18,11 +18,17 @@ only fixed-width integer array operations:
 * the one rounding (:meth:`BatchPosit._round_mag`) works on the top 64
   bits of the encoding string (regime + exponent + fraction): the kept
   and guard bits always fit one limb, and every lower bit only matters
-  as a boolean sticky.
+  as a boolean sticky.  It returns the rounded pattern *and its
+  planes*, read off the pattern at the unrounded regime's field
+  offsets, so no fresh pattern is parsed again;
+* operand constants are read-only 0-d arrays, which a ufunc takes
+  without the per-call conversion a NumPy scalar costs — at the 16–128
+  lanes of the workloads an op costs its NumPy calls, not its lanes.
 
 Every operation runs through the **decoded plane** (:class:`Unpacked`:
 zero/NaR/sign flags, the left-aligned significand and scale, and the
-rounded magnitude pattern).  ``decode_once`` enters it, the plane ops
+rounded magnitude pattern).  ``decode_once`` enters it (the only
+place a pattern is parsed), the plane ops
 (``mul_unpacked``/``add_unpacked``/``sum_unpacked``/``dot_unpacked``)
 round each result once — exactly where the scalar chain rounds it — and
 ``encode_once`` leaves it with a sign/zero/NaR fix-up of the magnitude
@@ -35,7 +41,8 @@ the same plane ops wrapped in one decode and one fix-up.
 Element-for-element equality with ``PositEnv`` is enforced by
 ``tests/test_engine_posit_batch.py`` (exhaustively at 8 bits for
 es = 0, 1, 2, for all four operations, the plane round-trip and the
-resident :mod:`repro.nd` chains).
+resident :mod:`repro.nd` chains) and, scale by scale at 64 bits, by
+``tests/test_posit_rounding_structured.py``.
 """
 
 from __future__ import annotations
@@ -53,18 +60,30 @@ from .batch import BatchBackend
 
 _U64 = np.uint64
 _I64 = np.int64
-_FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_TOP64 = np.uint64(1) << np.uint64(63)
-_BELOW_TOP = _TOP64 - _U64(1)
-_M32 = np.uint64(0xFFFFFFFF)
-_ONE = np.uint64(1)
-_U0 = np.uint64(0)
-_U64C = np.uint64(64)
-_SIXTY_THREE = np.uint64(63)
-_I0 = np.int64(0)
-_I1 = np.int64(1)
-_I63 = np.int64(63)
-_I64C = np.int64(64)
+
+
+def _const(value, dtype=np.uint64) -> np.ndarray:
+    """A read-only 0-d array operand: a ufunc takes it without the
+    per-call conversion of a NumPy scalar (a 16-lane add: 0.46 against
+    0.69 us, on a 2-vCPU Xeon)."""
+    c = np.array(value, dtype=dtype)
+    c.flags.writeable = False
+    return c
+
+
+_FULL64 = _const(0xFFFFFFFFFFFFFFFF)
+_TOP64 = _const(1 << 63)
+_BELOW_TOP = _const((1 << 63) - 1)
+_M32 = _const(0xFFFFFFFF)
+_ONE = _const(1)
+_U0 = _const(0)
+_U32 = _const(32)
+_U64C = _const(64)
+_SIXTY_THREE = _const(63)
+_I0 = _const(0, _I64)
+_I1 = _const(1, _I64)
+_I63 = _const(63, _I64)
+_I64C = _const(64, _I64)
 
 
 def _u64(x) -> np.ndarray:
@@ -83,7 +102,7 @@ def _bit_length64(x: np.ndarray) -> np.ndarray:
     passes instead of a shift cascade, on any NumPy version.
     """
     x = _u64(x)
-    hi = x >> _U64(32)
+    hi = x >> _U32
     big = hi != 0
     _, e = np.frexp(np.where(big, hi, x).astype(np.float64))
     return np.where(big, e + 32, e).astype(np.int64)
@@ -105,20 +124,19 @@ def _shl64(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     ``where`` discards) are clamped so the shift itself stays defined.
     """
     n = _i64(n)
-    return np.where(n >= 64, _U64(0), _u64(x) << _clamp63(n))
+    return np.where(n >= _I64C, _U0, _u64(x) << _clamp63(n))
 
 
 def _shr64(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     """``x >> n`` with per-element ``n``; 0 once ``n >= 64``."""
     n = _i64(n)
-    return np.where(n >= 64, _U64(0), _u64(x) >> _clamp63(n))
+    return np.where(n >= _I64C, _U0, _u64(x) >> _clamp63(n))
 
 
 def _low_mask(n: np.ndarray) -> np.ndarray:
     """``(1 << n) - 1`` per element; all-ones once ``n >= 64``."""
     n = _i64(n)
-    return np.where(n >= 64, _FULL64,
-                    (_U64(1) << _clamp63(n)) - _U64(1))
+    return np.where(n >= _I64C, _FULL64, (_ONE << _clamp63(n)) - _ONE)
 
 
 def _shr128_sticky(hi, lo, n):
@@ -144,7 +162,7 @@ def _shl128(hi, lo, n):
     small = n < 64
     hi2 = np.where(small, _shl64(hi, n) | _shr64(lo, 64 - n),
                    _shl64(lo, n - 64))
-    lo2 = np.where(small, _shl64(lo, n), _U64(0))
+    lo2 = np.where(small, _shl64(lo, n), _U0)
     return hi2, lo2
 
 
@@ -163,18 +181,18 @@ def _sub128(ahi, alo, bhi, blo, extra):
 def _umul64(a, b):
     """Full 64x64 -> 128-bit product as ``(hi, lo)``."""
     a, b = _u64(a), _u64(b)
-    a0, a1 = a & _M32, a >> _U64(32)
-    b0, b1 = b & _M32, b >> _U64(32)
+    a0, a1 = a & _M32, a >> _U32
+    b0, b1 = b & _M32, b >> _U32
     t = a0 * b0
     w0 = t & _M32
-    k = t >> _U64(32)
+    k = t >> _U32
     t = a1 * b0 + k
     w1 = t & _M32
-    w2 = t >> _U64(32)
+    w2 = t >> _U32
     t = a0 * b1 + w1
-    k = t >> _U64(32)
+    k = t >> _U32
     hi = a1 * b1 + w2 + k
-    lo = (t << _U64(32)) | w0
+    lo = (t << _U32) | w0
     return hi, lo
 
 
@@ -210,13 +228,6 @@ class Unpacked(NamedTuple):
         arrays' matching planes as extra arguments."""
         return Unpacked(*[fn(*ps) for ps in zip(self, *others)])
 
-    def moveaxis(self, src, dst) -> "Unpacked":
-        return Unpacked(*[np.moveaxis(p, src, dst) for p in self])
-
-    def take(self, index) -> "Unpacked":
-        """The planes at ``[..., index]`` (for fold kernels)."""
-        return Unpacked(*[p[..., index] for p in self])
-
 
 class BatchPosit(BatchBackend):
     """Batched posit arithmetic, element-exact against ``PositEnv``.
@@ -238,33 +249,35 @@ class BatchPosit(BatchBackend):
         self.env = env
         self.name = env.name
         self._scalar = scalar if scalar is not None else PositBackend(env)
-        self._mask = _U64(env.mask)
-        self._sign_bit = _U64(env.sign_bit)
-        self._body_mask = _U64(env.sign_bit - 1)
-        self._nar = _U64(env.nar)
-        self._maxpos = _U64(env.maxpos)
-        self._minpos = _U64(env.minpos)
+        self._mask = _const(env.mask)
+        self._sign_bit = _const(env.sign_bit)
+        self._body_mask = _const(env.sign_bit - 1)
+        self._nar = _const(env.nar)
+        self._maxpos = _const(env.maxpos)
+        self._minpos = _const(env.minpos)
         self._body_len = env.nbits - 1
-        self._one = _U64(env.from_float(1.0))
+        self._one = _const(env.from_float(1.0))
         self._flush = env.underflow == FLUSH
         # Hoisted per-environment constants (regime/exponent masks and
         # shift counts are fixed by the configuration, so no kernel
         # recomputes them per element).
-        self._top_shift = _U64(self._body_len - 1)
-        self._e_mask = _U64((1 << env.es) - 1)
-        self._kept_shift = _U64(64 - self._body_len)
-        self._guard_shift = _U64(63 - self._body_len)
-        self._below_mask = _U64((1 << (63 - self._body_len)) - 1)
+        self._top_shift = _const(self._body_len - 1)
+        self._e_mask = _const((1 << env.es) - 1)
+        self._kept_shift = _const(64 - self._body_len)
+        self._guard_bit = _const(1 << (63 - self._body_len))
+        self._below_mask = _const((1 << (63 - self._body_len)) - 1)
         self._has_below = self._body_len < 63
-        self._max_scale = np.int64(env.max_scale)
-        self._useed_log2 = np.int64(env.useed_log2)
-        self._es_u = _U64(env.es)
-        self._es_i = np.int64(env.es)
-        self._body_len_u = _U64(self._body_len)
+        self._tail_shift = _const(64 - self._body_len, _I64)
+        self._max_scale = _const(env.max_scale, _I64)
+        self._min_scale = _const(-env.max_scale, _I64)
+        self._useed_log2 = _const(env.useed_log2, _I64)
+        self._es_u = _const(env.es)
+        self._es_i = _const(env.es, _I64)
+        self._body_len_u = _const(self._body_len)
         if env.es >= 2:
-            self._e_top_shift = _U64(64 - env.es)
-            self._f_hi_shift = _U64(env.es - 1)
-            self._f_lo_shift = _U64(65 - env.es)
+            self._e_top_shift = _const(64 - env.es)
+            self._f_hi_shift = _const(env.es - 1)
+            self._f_lo_shift = _const(65 - env.es)
 
     @property
     def scalar(self) -> Backend:
@@ -325,7 +338,7 @@ class BatchPosit(BatchBackend):
         run_u = body_len_u - _u64(bl)
         rem_u = body_len_u - np.minimum(run_u + _ONE, body_len_u)
         run_i = run_u.astype(np.int64)
-        k = np.where(r1, run_i - _I64(1), -run_i)
+        k = np.where(r1, run_i - _I1, -run_i)
         if es:
             e_bits = np.minimum(self._es_u, rem_u)
             f_bits = rem_u - e_bits
@@ -346,7 +359,7 @@ class BatchPosit(BatchBackend):
             if self._mask != _FULL64:
                 bits = bits & self._mask
             sign = bits >= self._sign_bit
-            mag = np.where(sign, _U64(0) - bits, bits) & self._body_mask
+            mag = np.where(sign, _U0 - bits, bits) & self._body_mask
             frac64, scale = self._parse_body(mag)
             return Unpacked(bits == 0, bits == self._nar, sign, frac64,
                             scale, mag)
@@ -356,9 +369,8 @@ class BatchPosit(BatchBackend):
         rounded magnitude, zero and NaR lanes fixed up (no rounding —
         that happened when the planes were produced)."""
         with np.errstate(over="ignore"):
-            pattern = np.where(u.sign, (_U64(0) - u.mag) & self._mask,
-                               u.mag)
-            pattern = np.where(u.zero, _U64(0), pattern)
+            pattern = np.where(u.sign, (_U0 - u.mag) & self._mask, u.mag)
+            pattern = np.where(u.zero, _U0, pattern)
             return np.where(u.nar, self._nar, pattern)
 
     def zeros_unpacked(self, shape) -> Unpacked:
@@ -366,35 +378,46 @@ class BatchPosit(BatchBackend):
         return self.decode_once(self.zeros(shape))
 
     # ------------------------------------------------------------------
-    # The one rounding: (scale, frac64, sticky) -> magnitude pattern
+    # The one rounding: (scale, frac64, sticky) -> pattern and planes
     # ------------------------------------------------------------------
     def _round_mag(self, scale, frac64, sticky, live=None):
         """Round an exact ``(scale, frac64, sticky)`` magnitude to the
-        nearest-even posit; returns the *magnitude* pattern (sign not
-        yet applied).
+        nearest-even posit; returns the rounded *magnitude* pattern
+        (sign not yet applied) with its planes, ``(mag, frac64,
+        scale)``.
 
         Mirrors ``PositEnv.encode_real``/``_round_pattern``: the
         encoding string is regime + exponent + fraction.  Its kept and
         guard bits always fit the top 64 bits, and every lower string
         bit only matters as a boolean, so the string is built in one
-        limb with clamped shifts plus any-bits-below masks.
+        limb with any-bits-below masks.  Shift counts of 64 or more
+        give 0 (NumPy defines oversized shifts), which is what a regime
+        or tail past the end of the limb needs.
+
+        The planes are read off the pattern at the *unrounded* regime's
+        field offsets: its kept exponent and fraction bits, top-aligned.
+        A round-up that carried through every kept bit leaves them all
+        0 and moves the regime one step; saturated and sub-minpos lanes
+        clip the scale to ``±max_scale``.  So no rounded pattern is
+        parsed again.
 
         ``live``, when given, masks the finite-nonzero result lanes and
         enables the ``posit.saturate``/``posit.flush`` event tallies
         (callers only build it while a telemetry collector is active).
         """
         with _tele.span("posit.encode"):
-            k = scale >> self._es_i  # arithmetic shift = floor division
+            es_i = self._es_i
+            k = scale >> es_i  # arithmetic shift = floor division
             pos = k >= _I0
             run = np.where(pos, k + _I1, -k)  # regime length, >= 1
-            big = run >= _I64C  # regime fills the top limb
-            rs = np.minimum(run, _I63).view(_U64)
+            run_u = run.view(_U64)
             # Regime in the top limb: `run` ones (k >= 0) or the
-            # terminator one at position `run` (k < 0).  Non-saturating
-            # positive regimes always fit (run <= nbits - 1 <= 63);
-            # oversized positive runs are saturation lanes whose value
-            # the final clamp overrides.
-            reg = np.where(pos, _FULL64 << (_U64C - rs), _TOP64 >> rs)
+            # terminator one at position `run` (k < 0), which drops out
+            # of the limb once run >= 64.  Non-saturating positive
+            # regimes always fit (run <= nbits - 1 <= 63); oversized
+            # positive runs are saturation lanes whose value the final
+            # clamp overrides.
+            reg = np.where(pos, _FULL64 << (_U64C - run_u), _TOP64 >> run_u)
             # Exponent + fraction tail: es + 63 bits, top-aligned
             # (constant shifts — es is fixed per environment).
             fraction = frac64 & _BELOW_TOP
@@ -403,35 +426,27 @@ class BatchPosit(BatchBackend):
             if es == 0:
                 t_hi = fraction << _ONE
             elif es == 1:
-                e = (scale - (k << self._es_i)).view(_U64)
+                e = (scale - (k << es_i)).view(_U64)
                 t_hi = (e << _SIXTY_THREE) | fraction
             else:
-                e = (scale - (k << self._es_i)).view(_U64)
+                e = (scale - (k << es_i)).view(_U64)
                 t_hi = ((e << self._e_top_shift)
                         | (fraction >> self._f_hi_shift))
                 t_lo = fraction << self._f_lo_shift
             # Drop the tail below the regime: bits landing in the top
             # limb join the window, everything lower is a sticky.
             r1 = run + _I1
-            r1_small = r1 < _I64C
-            r1c = np.minimum(r1, _I63).view(_U64)
-            below = sticky | ((t_hi & np.where(
-                r1_small, (_ONE << r1c) - _ONE, _FULL64)) != 0)
+            r1_u = r1.view(_U64)
+            below = sticky | ((t_hi & ((_ONE << r1_u) - _ONE)) != _U0)
             if t_lo is not None:
-                below = below | (t_lo != 0)
-            if bool(big.any()):
-                # A terminator (k < 0) beyond the limb is a dropped
-                # 1-bit; oversized positive regimes are saturation
-                # lanes (value overridden below).
-                reg = np.where(big, _U0, reg)
-                below = below | (big & ~pos)
-            e_hi = reg | np.where(r1_small, t_hi >> r1c, _U0)
+                below = below | (t_lo != _U0)
+            e_hi = reg | (t_hi >> r1_u)
 
             kept = e_hi >> self._kept_shift
-            guard = (e_hi >> self._guard_shift) & _ONE
             if self._has_below:
-                below = below | ((e_hi & self._below_mask) != 0)
-            round_up = (guard != 0) & (below | ((kept & _ONE) != 0))
+                below = below | ((e_hi & self._below_mask) != _U0)
+            round_up = (((e_hi & self._guard_bit) != _U0)
+                        & (below | ((kept & _ONE) != _U0)))
             pattern = np.minimum(kept + round_up, self._maxpos)
             sat = scale > self._max_scale
             if live is not None:
@@ -440,8 +455,25 @@ class BatchPosit(BatchBackend):
             if not self._flush:
                 # Saturate mode: a nonzero real never rounds to zero.  In
                 # flush mode a rounded-to-zero pattern simply stays zero.
-                pattern = np.where(pattern == 0, self._minpos, pattern)
-            return np.where(sat, self._maxpos, pattern)
+                pattern = np.where(pattern == _U0, self._minpos, pattern)
+            pattern = np.where(sat, self._maxpos, pattern)
+
+            # The planes: the kept exponent + fraction bits, top-aligned
+            # (0 once the regime fills the body).
+            tail = pattern << (r1 + self._tail_shift).view(_U64)
+            k = k + (round_up & (tail == _U0))
+            if es == 0:
+                r_frac, r_scale = tail >> _ONE, k
+            elif es == 1:
+                r_frac = tail & _BELOW_TOP
+                r_scale = (k << es_i) + (tail >> _SIXTY_THREE).view(_I64)
+            else:
+                r_frac = (tail << self._es_u) >> _ONE
+                r_scale = ((k << es_i)
+                           + (tail >> self._e_top_shift).view(_I64))
+            r_scale = np.minimum(np.maximum(r_scale, self._min_scale),
+                                 self._max_scale)
+            return pattern, r_frac | _TOP64, r_scale
 
     def _tally_rounding(self, live, sat, scale, frac64, sticky, pattern):
         """Tally ``posit.saturate``/``posit.flush`` on live result lanes.
@@ -479,11 +511,11 @@ class BatchPosit(BatchBackend):
 
     def _encode(self, sign, scale, frac64, sticky, live=None):
         """Round and sign an exact result straight to bit patterns (the
-        callers that never need its planes: conversions, quotients,
-        quire read-out)."""
+        callers that need only codes — conversions, quotients, the
+        quire read-out — drop the planes)."""
         pattern = self._round_mag(_i64(scale), _u64(frac64),
-                                  np.asarray(sticky, dtype=bool), live)
-        return np.where(sign, (_U64(0) - pattern) & self._mask, pattern)
+                                  np.asarray(sticky, dtype=bool), live)[0]
+        return np.where(sign, (_U0 - pattern) & self._mask, pattern)
 
     # ------------------------------------------------------------------
     # Arithmetic cores (decoded-plane in, exact pre-rounding result out)
@@ -500,9 +532,9 @@ class BatchPosit(BatchBackend):
             return ua.sign ^ ub.sign, scale, frac, low != 0
 
     def _add_core(self, ua: Unpacked, ub: Unpacked):
-        """Exact sum: ``(sign, scale, frac64, sticky, cancelled,
-        same)`` — ``cancelled`` flags exact zero results of
-        opposite-sign adds, ``same`` whether the signs agreed."""
+        """Exact sum: ``(sign, scale, frac64, sticky, cancelled)`` —
+        ``cancelled`` flags the exact zero results of opposite-sign
+        adds."""
         with _tele.span("posit.core.add"):
             sa, fa, ea = ua.sign, ua.frac64, ua.scale
             sb, fb, eb = ub.sign, ub.frac64, ub.scale
@@ -514,22 +546,19 @@ class BatchPosit(BatchBackend):
             s2 = np.where(a_small, sa, sb)
             f2 = np.where(a_small, fa, fb)
             gap = e1 - np.where(a_small, ea, eb)
-            # Align the small operand into a 128-bit window: the
-            # clamped-shift identity (f2 << (63-gap)) << 1 equals
-            # f2 << (64-gap) for gap in [1, 63] and 0 at gap == 0.
+            # Align the small operand into a 128-bit window.  Shifts of
+            # 64 or more give 0, so these two shifts place it for any
+            # gap in [0, 64] (at gap > 64 the low count wraps past 63).
+            gap_u = gap.view(_U64)
+            b_hi = f2 >> gap_u
+            b_lo = f2 << (_U64C - gap_u)
             gbig = gap >= _I64C
-            gc = np.minimum(gap, _I63).view(_U64)
-            b_hi = f2 >> gc
-            b_lo = (f2 << (_SIXTY_THREE - gc)) << _ONE
-            if bool(gbig.any()):
-                g2 = gap - _I64C
-                g2big = g2 >= _I64C
-                g2c = np.minimum(g2, _I63).view(_U64)
-                b_hi = np.where(gbig, _U0, b_hi)
-                b_lo = np.where(gbig,
-                                np.where(g2big, _U0, f2 >> g2c), b_lo)
-                st_b = gbig & ((f2 & np.where(
-                    g2big, _FULL64, (_ONE << g2c) - _ONE)) != 0)
+            if np.count_nonzero(gbig):
+                # Past the high limb: the low limb holds f2 >> (gap-64)
+                # and the bits shifted out below it are the sticky.
+                g2 = gap_u - _U64C
+                b_lo = np.where(gbig, f2 >> g2, b_lo)
+                st_b = gbig & ((f2 & ((_ONE << g2) - _ONE)) != _U0)
             else:
                 st_b = gbig  # all-False, correctly shaped
             same = s1 == s2
@@ -539,8 +568,9 @@ class BatchPosit(BatchBackend):
             # either way (the merge selects per lane); the exhaustive
             # suites cover mixed batches.  The same-sign path also
             # serves the empty-array case.
-            any_diff = not bool(same.all())
-            any_same = bool(same.any()) or not any_diff
+            n_same = np.count_nonzero(same)
+            any_diff = n_same != np.size(same)
+            any_same = n_same != 0 or not any_diff
 
             if any_same:
                 # Same sign: (f1, 0) + aligned B, renormalizing one
@@ -568,6 +598,7 @@ class BatchPosit(BatchBackend):
                 shift_up = np.where(cancelled, 0, 127 - msb)
                 hi_d, lo_d = _shl128(hi_d, lo_d, shift_up)
                 scale_d = e1 - shift_up
+                cancelled = cancelled & ~same
             else:
                 cancelled = np.zeros_like(same)
 
@@ -580,8 +611,8 @@ class BatchPosit(BatchBackend):
                 low = np.where(same, lo_s, lo_d)
                 sticky = np.where(same, st_s, st_b)
                 scale = np.where(same, scale_s, scale_d)
-            sticky = sticky | (low != 0)
-            return s1, scale, frac, sticky, cancelled, same
+            sticky = sticky | (low != _U0)
+            return s1, scale, frac, sticky, cancelled
 
     def _divide_frac(self, fa: np.ndarray, fb: np.ndarray):
         """Normalized exact quotient of two left-aligned significands:
@@ -619,9 +650,10 @@ class BatchPosit(BatchBackend):
     def _rounded(self, sign, scale, frac, sticky, zero, nar, live):
         """Planes of a rounded exact result (``zero`` flags lanes known
         to be exact zeros; a flush-to-zero rounding adds its own)."""
-        pm = self._round_mag(scale, frac, sticky, live)
-        f2, s2 = self._parse_body(pm)
-        return Unpacked(zero | (pm == 0), nar, sign, f2, s2, pm)
+        pm, f2, s2 = self._round_mag(scale, frac, sticky, live)
+        if self._flush:  # saturate mode never rounds to zero
+            zero = zero | (pm == _U0)
+        return Unpacked(zero, nar, sign, f2, s2, pm)
 
     def mul_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
         """Rounded product in the decoded plane (element-exact)."""
@@ -641,15 +673,13 @@ class BatchPosit(BatchBackend):
         zero."""
         with np.errstate(over="ignore"):
             za, zb = ua.zero, ub.zero
-            s1, scale, frac, sticky, cancelled, same = \
-                self._add_core(ua, ub)
-            mixed = ~same & cancelled
+            s1, scale, frac, sticky, mixed = self._add_core(ua, ub)
             nar = ua.nar | ub.nar
             live = None
             if _tele.current() is not None:
                 live = self._tally_nar(nar, za | zb | mixed)
             out = self._rounded(s1, scale, frac, sticky, mixed, nar, live)
-            if not (bool(za.any()) or bool(zb.any())):
+            if not (np.count_nonzero(za) or np.count_nonzero(zb)):
                 return out
             # add(0, x) and add(x, 0) pass x through exactly.
             merged = ub.map(
@@ -668,13 +698,16 @@ class BatchPosit(BatchBackend):
         ``acc = add(acc, v)`` fold.  It starts at the first slice:
         ``add(0, x)`` is an exact passthrough, so skipping the zero
         start changes no bit.  An empty axis sums to zero."""
-        u = u.moveaxis(axis, -1)
-        n = u.shape[-1]
+        shape = u.shape
+        n = shape[axis]
+        lead = (slice(None),) * (axis % len(shape))
         if n == 0:
-            return self.zeros_unpacked(u.shape[:-1])
-        acc = u.take(0)
+            return self.zeros_unpacked(shape[:len(lead)]
+                                       + shape[len(lead) + 1:])
+        acc = Unpacked(*[p[lead + (0,)] for p in u])
         for i in range(1, n):
-            acc = self.add_unpacked(acc, u.take(i))
+            acc = self.add_unpacked(
+                acc, Unpacked(*[p[lead + (i,)] for p in u]))
         return acc
 
     def dot_unpacked(self, ua: Unpacked, ub: Unpacked,
@@ -700,7 +733,7 @@ class BatchPosit(BatchBackend):
     def neg(self, a) -> np.ndarray:
         """Pattern negation (exact; zero and NaR are fixed points)."""
         with np.errstate(over="ignore"):
-            return (_U64(0) - _u64(a)) & self._mask
+            return (_U0 - _u64(a)) & self._mask
 
     def sub(self, a, b) -> np.ndarray:
         """``a - b`` — exactly the scalar environment's
@@ -721,7 +754,7 @@ class BatchPosit(BatchBackend):
                 live = self._tally_nar(nar, np.asarray(ua.zero))
             pattern = self._encode(ua.sign ^ ub.sign, scale, frac, sticky,
                                    live)
-            pattern = np.where(ua.zero, _U64(0), pattern)
+            pattern = np.where(ua.zero, _U0, pattern)
             return np.where(nar, self._nar, pattern)
 
     def dot(self, a, b, axis: int = -1) -> np.ndarray:
@@ -758,7 +791,7 @@ class BatchPosit(BatchBackend):
             scale = e.astype(np.int64) - 54 + bl
             pattern = self._encode(np.signbit(x), scale, frac64,
                                    np.zeros(x.shape, dtype=bool))
-            pattern = np.where(x == 0.0, _U64(0), pattern)
+            pattern = np.where(x == 0.0, _U0, pattern)
             return np.where(~finite, self._nar, pattern)
 
     def to_floats(self, arr) -> np.ndarray:

@@ -42,7 +42,7 @@ from .. import faults as _faults
 from .. import telemetry
 from ..arith.backend import Backend
 from ..core.accuracy import measure_pairs
-from ..core.sweep import FIG3_BINS, SweepChunk, binary64_skipped, plan_chunks
+from ..core.sweep import FIG3_BINS, binary64_skipped, plan_chunks
 
 #: Formats measured per chunk return (errors, underflow, overflow).
 ChunkTally = Dict[str, Tuple[List[float], int, int]]

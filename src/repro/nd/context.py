@@ -89,7 +89,7 @@ def _default_backend(name: str) -> Backend:
     """One shared default-constructed backend per format name.
 
     Repeated ``nd.asarray(values, "lns(12,50)")`` calls must reuse one
-    backend instance so the registry's weak-keyed mirror memoization
+    backend instance so the registry's per-backend mirror memoization
     holds (BatchLNS's exact Gaussian-log table in particular survives
     across calls instead of restarting cold).  Kwarg-customized
     backends are deliberately not cached — their numerics differ.

@@ -25,7 +25,6 @@ from typing import Any, List, Optional
 
 import numpy as np
 
-from .. import nd
 from .. import telemetry as _tele
 from ..engine.plan import ExecPlan, resolve_plan
 

@@ -261,6 +261,11 @@ class TestResidency:
         # product.
         assert (counts[24]["posit.encode"] - counts[8]["posit.encode"]
                 == (24 - 8) * (h + 1))
+        # The service's forward batch shape (2 models, H = M = 8,
+        # T = 24) pins the roundings per batch: the first emission
+        # product, 23 steps of H + 1, and the H - 1 adds of the final
+        # fold over states.
+        assert counts[24]["posit.encode"] == 1 + 23 * (h + 1) + (h - 1) == 215
 
     def test_pbd_decodes_independent_of_trials(self):
         backend = standard_backends()["posit(64,12)"]

@@ -4,8 +4,11 @@ The rendered text of each :data:`repro.experiments.runner.REGISTRY`
 experiment at ``scale="test"`` (default plan, no cache) is pinned in
 ``tests/goldens/experiments.json`` as a list of lines per experiment,
 so a change that moves any figure's or table's numbers fails with the
-experiment and its first differing line named.  To accept an
-intentional change, regenerate::
+experiment and its first differing line named.  Every experiment must
+render the same text under the scalar reference plan
+(``ExecPlan.serial()``) and with two worker processes as well: batch =
+scalar and serial = parallel, checked against the one golden.  To
+accept an intentional change, regenerate::
 
     PYTHONPATH=src python tests/test_experiment_goldens.py --regen
 """
@@ -15,14 +18,22 @@ import os
 
 import pytest
 
+from repro.engine import ExecPlan
 from repro.experiments.runner import REGISTRY, run_experiment
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "goldens", "experiments.json")
 
 
-def _lines(experiment_id: str) -> list:
-    return run_experiment(experiment_id, scale="test").split("\n")
+#: The plans every experiment must render its golden under; the
+#: default plan's ids stay the bare experiment id.
+PLANS = {"": ExecPlan(), "serial": ExecPlan.serial(),
+         "workers2": ExecPlan(n_workers=2)}
+
+
+def _lines(experiment_id: str, plan=None) -> list:
+    return run_experiment(experiment_id, scale="test",
+                          plan=plan).split("\n")
 
 
 def load_goldens() -> dict:
@@ -46,12 +57,15 @@ def test_goldens_cover_the_registry():
     assert sorted(load_goldens()) == sorted(REGISTRY)
 
 
-@pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
-def test_report_matches_golden(experiment_id):
+@pytest.mark.parametrize("plan_name,experiment_id", [
+    pytest.param(name, eid, id=f"{name}-{eid}" if name else eid)
+    for name in PLANS for eid in sorted(REGISTRY)])
+def test_report_matches_golden(plan_name, experiment_id):
     expected = load_goldens()[experiment_id]
-    actual = _lines(experiment_id)
+    actual = _lines(experiment_id, PLANS[plan_name])
     assert actual == expected, (
-        f"{experiment_id} drifted from tests/goldens/experiments.json at "
+        f"{experiment_id} under {PLANS[plan_name]!r} drifted from "
+        f"tests/goldens/experiments.json at "
         f"{first_difference(expected, actual)}.  If intentional, "
         f"regenerate with: "
         f"PYTHONPATH=src python tests/test_experiment_goldens.py --regen")

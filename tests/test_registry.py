@@ -5,6 +5,10 @@ registered format (bit-for-bit for binary64/log, element-exact for
 posit/LNS).
 """
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -271,3 +275,24 @@ class TestRegistryApi:
         seq = REGISTRY.create("log", sum_mode="sequential")
         assert REGISTRY.batch_for(seq) is \
             REGISTRY.batch_for(seq, reductions=True)
+
+    @pytest.mark.parametrize("name", ["posit(64,12)", "lns(12,50)",
+                                      "binary64"])
+    def test_mirror_is_freed_with_its_backend(self, name):
+        """A mirror holds its backend, so the memo must not outlive the
+        backend: a process that builds backends per call (every
+        experiment run) would otherwise keep every mirror forever."""
+        backend = REGISTRY.create(name)
+        mirror = weakref.ref(REGISTRY.batch_for(backend))
+        del backend
+        gc.collect()
+        assert mirror() is None
+
+    def test_paired_backend_pickles_without_its_mirror(self):
+        """Worker pools pickle backends: the memo travels empty and the
+        worker's copy builds its own mirror."""
+        backend = REGISTRY.create("lns(12,50)")
+        mirror = REGISTRY.batch_for(backend)
+        copy = pickle.loads(pickle.dumps(backend))
+        assert REGISTRY.batch_for(copy) is not mirror
+        assert REGISTRY.batch_for(copy).scalar is copy

@@ -4,7 +4,6 @@ table), HMM probability validation, and the workload-subsystem kinds
 ``viterbi``, ``pairhmm`` and ``kalman`` — validation, coalescing, and
 scatter correctness against the underlying kernels."""
 
-import numpy as np
 import pytest
 
 from repro.nd.context import _resolve_format

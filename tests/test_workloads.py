@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from repro.arith import Binary64Backend, LogSpaceBackend
-from repro.arith.backends import BigFloatBackend, LNSBackend, PositBackend
+from repro.arith.backends import BigFloatBackend, PositBackend
 from repro.apps.hmm import forward, forward_batch
 from repro.data.dirichlet import sample_hmm
 from repro.engine.plan import ExecPlan
-from repro.formats.lns import LNSEnv
 from repro.formats.posit import PositEnv
 from repro.workloads import (
     KalmanParams,

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro import nd
-from repro.arith import Binary64Backend, LogSpaceBackend
 from repro.arith.backends import LNSBackend, PositBackend
 from repro.bigfloat import BigFloat
 from repro.engine.lns_batch import ZERO_CODE, BatchLNS
