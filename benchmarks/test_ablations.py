@@ -173,9 +173,9 @@ def test_viterbi_needs_no_lse_ablation(benchmark, report):
     immune to the LSE cost penalty, unlike the forward algorithm.  This
     bounds the paper's argument: log-space hurts *sum-product* kernels,
     not max-product ones."""
-    from repro.apps import viterbi
     from repro.arith import LogSpaceBackend
     from repro.data import sample_hmm as _sample
+    from repro.workloads import viterbi
 
     hmm = _sample(6, 8, 40, seed=13)
     backend = LogSpaceBackend()
@@ -183,7 +183,8 @@ def test_viterbi_needs_no_lse_ablation(benchmark, report):
     def run():
         return viterbi(hmm, backend)
 
-    path, prob = benchmark(run)
+    best = benchmark(run)
+    path, prob = best.states(), best.score
     lse_ops_forward = hmm.length * hmm.n_states  # one n-ary LSE per state/step
     report("Ablation: Viterbi vs forward op mix", render_table([
         {"kernel": "forward", "LSE ops": lse_ops_forward,

@@ -45,7 +45,6 @@ from .hmm_extra import (
     path_probability,
     posterior_decode,
     posterior_distributions,
-    viterbi,
 )
 from .pbd_dft import dft_tail_resolution_limit, pbd_pmf_dft, pbd_pvalue_dft
 from .baum_welch import TrainingTrace, baum_welch, improvement_decades
@@ -63,7 +62,6 @@ __all__ = [
     "ColumnScore", "LoFreqResult", "run_lofreq", "reference_pvalues",
     "column_pvalues",
     "backward", "backward_batch", "backward_matrix", "forward_matrix",
-    "viterbi",
     "posterior_decode", "posterior_distributions", "path_probability",
     "pbd_pmf_dft", "pbd_pvalue_dft", "dft_tail_resolution_limit",
     "baum_welch", "TrainingTrace", "improvement_decades",

@@ -22,10 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
+from .. import nd
 from ..arith.backend import Backend
 from ..data.dirichlet import HMMData
-from .hmm import forward
-from .hmm_extra import backward_matrix, forward_matrix
+from .hmm import _forward_trace_nd
+from .hmm_extra import _b1_args, _backward_nd
 
 
 @dataclass
@@ -47,13 +50,21 @@ class TrainingTrace:
         return all(b >= a - tol for a, b in pairs)
 
 
-def _to_hmm(backend: Backend, a, b, pi, observations) -> HMMData:
-    def grid(rows):
-        return tuple(tuple(backend.to_bigfloat(v) for v in row)
-                     for row in rows)
-    return HMMData(grid(a), grid(b),
-                   tuple(backend.to_bigfloat(v) for v in pi),
-                   tuple(observations))
+def _fold(x: "nd.FArray") -> "nd.FArray":
+    """``x`` added up over axis 0 one step at a time, in index order
+    from zero: the expected counts' accumulation order.  (``FArray.sum``
+    would not do: n-ary log-space folds it with the Equation-3 LSE.)"""
+    acc = nd.zeros_like(x, x.shape[1:])
+    for t in range(x.shape[0]):
+        acc = acc + x[t]
+    return acc
+
+
+def _grid(x: "nd.FArray") -> tuple:
+    """A 2-d FArray's exact values as rows (an HMMData parameter)."""
+    values, cols = x.to_bigfloats(), x.shape[1]
+    return tuple(tuple(values[i:i + cols])
+                 for i in range(0, len(values), cols))
 
 
 def baum_welch(hmm: HMMData, backend: Backend, iterations: int = 5) -> TrainingTrace:
@@ -63,52 +74,41 @@ def baum_welch(hmm: HMMData, backend: Backend, iterations: int = 5) -> TrainingT
     count normalizer underflows to the backend's zero, training is
     aborted and marked degenerate — the failure mode the paper's
     introduction describes for binary64.
+
+    Each step is nd expressions over the traced forward and backward
+    matrices in the reduction-certified tier, so the ambient plan never
+    changes a value.
     """
-    h, m = hmm.n_states, hmm.n_symbols
     current = hmm
     log2_likes: List[float] = []
     for _ in range(iterations):
-        like = forward(current, backend)
+        a, b, pi, rows = _b1_args(current, backend)
+        alphas = _forward_trace_nd(a, b, pi, rows)[0]
+        # The forward likelihood: the last alpha's fold over states.
+        like = alphas[-1].sum(axis=0).item()
         if backend.is_zero(like):
             return TrainingTrace(log2_likes, False, True, None)
         log2_likes.append(_log2_of(backend, like))
-        alphas = forward_matrix(current, backend)
-        betas = backward_matrix(current, backend)
-        a_vals = [[backend.from_bigfloat(x) for x in row]
-                  for row in current.transition]
-        b_vals = [[backend.from_bigfloat(x) for x in row]
-                  for row in current.emission]
-        obs = current.observations
-        t_len = len(obs)
-        # Expected counts (unnormalized gamma/xi sums).
-        gamma_sum = [backend.zero()] * h  # over t = 0..T-2 (for A)
-        gamma_total = [backend.zero()] * h  # over all t (for B)
-        xi_sum = [[backend.zero()] * h for _ in range(h)]
-        emit_sum = [[backend.zero()] * m for _ in range(h)]
-        pi_new = [backend.mul(alphas[0][i], betas[0][i]) for i in range(h)]
-        for t in range(t_len):
-            for i in range(h):
-                gamma = backend.mul(alphas[t][i], betas[t][i])
-                gamma_total[i] = backend.add(gamma_total[i], gamma)
-                emit_sum[i][obs[t]] = backend.add(emit_sum[i][obs[t]], gamma)
-                if t < t_len - 1:
-                    gamma_sum[i] = backend.add(gamma_sum[i], gamma)
-                    for j in range(h):
-                        xi = backend.mul(
-                            backend.mul(alphas[t][i], a_vals[i][j]),
-                            backend.mul(b_vals[j][obs[t + 1]],
-                                        betas[t + 1][j]))
-                        xi_sum[i][j] = backend.add(xi_sum[i][j], xi)
-        if (any(backend.is_zero(g) for g in gamma_sum)
-                or any(backend.is_zero(g) for g in gamma_total)):
+        betas = _backward_nd(a, b, pi, rows, trace=True)[0]
+        obs = rows[0]
+        # Expected counts, each folded over t in order: gamma_t(i) over
+        # t < T-1 (for A; one more step gives every t, for B) and
+        # xi_t(i, j) over t < T-1.
+        gamma = alphas * betas
+        xi = (alphas[:-1, :, None] * a) \
+            * (b[:, obs[1:]].T * betas[1:])[:, None, :]
+        gamma_sum = _fold(gamma[:-1])
+        gamma_total = gamma_sum + gamma[-1]
+        if gamma_sum.is_zero().any() or gamma_total.is_zero().any():
             return TrainingTrace(log2_likes, False, True, None)
-        a_new = [[backend.div(xi_sum[i][j], gamma_sum[i]) for j in range(h)]
-                 for i in range(h)]
-        b_new = [[backend.div(emit_sum[i][v], gamma_total[i])
-                  for v in range(m)] for i in range(h)]
-        pi_norm = backend.sum(pi_new)
-        pi_new = [backend.div(p, pi_norm) for p in pi_new]
-        current = _to_hmm(backend, a_new, b_new, pi_new, obs)
+        emit_sum = nd.stack([_fold(gamma[np.flatnonzero(obs == v)])
+                             for v in range(current.n_symbols)], axis=1)
+        a_new = _fold(xi) / gamma_sum[:, None]
+        b_new = emit_sum / gamma_total[:, None]
+        pi_new = gamma[0] / gamma[0].sum(axis=0)
+        current = HMMData(_grid(a_new), _grid(b_new),
+                          tuple(pi_new.to_bigfloats()),
+                          tuple(current.observations))
     converged = len(log2_likes) >= 2 and abs(
         log2_likes[-1] - log2_likes[-2]) < 1e-3 * max(1.0, abs(log2_likes[-1]))
     return TrainingTrace(log2_likes, converged, False, current)

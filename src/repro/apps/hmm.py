@@ -81,7 +81,7 @@ def _forward_recurrence(a, pi, emission, n_steps: int, semiring,
     ``(B, H)``; ``a`` is ``(H, H)`` (shared model) or ``(B, H, H)``
     (per-model), ``emission(t)`` yields ``(B, H)``.  Returns the
     ``total_op`` reduction over states, ``(B,)`` — or, with ``trace``,
-    the per-step totals stacked to ``(B, T)`` (Figure 1's data).
+    every step's alpha stacked to ``(B, T, H)`` (the forward matrix).
 
     Sum-product forward, Viterbi scoring, and the pair-HMM hybrid are
     this function under different semirings; the sum-product
@@ -89,15 +89,15 @@ def _forward_recurrence(a, pi, emission, n_steps: int, semiring,
     exhaustively in ``tests/test_workloads.py``).
     """
     alpha = semiring.times(pi, emission(0))
-    totals = [semiring.reduce(alpha, axis=1)] if trace else None
+    alphas = [alpha]
     for t in range(1, n_steps):
         # path[s, q] = ⊕_p(alpha[s, p] × A[..., p, q])
         path = semiring.contract(alpha[:, :, None], a, axis=1)
         alpha = semiring.times(path, emission(t))
         if trace:
-            totals.append(semiring.reduce(alpha, axis=1))
+            alphas.append(alpha)
     if trace:
-        return nd.stack(totals, axis=1)
+        return nd.stack(alphas, axis=1)
     return semiring.reduce(alpha, axis=1)
 
 
@@ -117,8 +117,8 @@ def _forward_nd(a, b, pi, obs: np.ndarray, semiring=None) -> "nd.FArray":
 
 def _forward_trace_nd(a, b, pi, obs: np.ndarray,
                       semiring=None) -> "nd.FArray":
-    """Per-iteration total alpha mass, shape ``(B, T)`` — the data
-    behind Figure 1."""
+    """Every step's alpha, shape ``(B, T, H)``: the forward matrix, and
+    (summed over states) the data behind Figure 1."""
     obs = np.asarray(obs)
     with _tele.span("app.hmm.forward_trace"):
         _faults.fire("app.hmm.forward_trace")
@@ -195,13 +195,13 @@ def forward(hmm: HMMData, backend: Optional[Backend] = None,
 
 def forward_alpha_trace(hmm: HMMData, backend: Optional[Backend] = None,
                         plan: Optional[ExecPlan] = None) -> list:
-    """Per-iteration alpha summaries (backend values): the data behind
+    """Per-iteration alpha mass (backend values): the data behind
     Figure 1.  A B=1 view over :func:`_forward_trace_nd` in the
-    reduction-certified tier."""
+    reduction-certified tier, each step's alpha summed over states."""
     plan = resolve_plan(plan, where="forward_alpha_trace")
     a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
     trace = _forward_trace_nd(a, b, pi, _obs_rows([hmm.observations]))
-    return [trace.item((0, t)) for t in range(trace.shape[1])]
+    return trace[0].sum(axis=-1).tolist()
 
 
 def alpha_scale_series(hmm: HMMData, prec: int = 96) -> List[int]:

@@ -94,16 +94,13 @@ def column_pvalues(columns: Sequence[Column], backend: Backend,
                    plan: Optional[ExecPlan] = None) -> List:
     """Each column's p-value as a backend value, in column order.
 
-    The canonical path groups columns by ``(depth, k)`` — the shape a
-    batched recurrence shares — and runs each group through
-    :func:`repro.apps.pbd.pbd_pvalue_batch` vectorized;
-    ``plan=ExecPlan.serial()`` forces the scalar per-column loop.
+    Columns are grouped by ``(depth, k)`` — the shape a batched
+    recurrence shares — and each group runs through
+    :func:`repro.apps.pbd.pbd_pvalue_batch`: vectorized under a batch
+    plan, on the scalar representation under ``ExecPlan.serial()``.
     Results are identical either way.
     """
     plan = resolve_plan(plan, where="column_pvalues")
-    if not plan.batch:
-        return [pbd_pvalue(c.success_probs, c.k, backend, plan=plan)
-                for c in columns]
     groups: Dict[tuple, List[int]] = {}
     for i, column in enumerate(columns):
         groups.setdefault((column.depth, column.k), []).append(i)

@@ -10,15 +10,17 @@ K-th success arrives at trial n:
 
     ``pvalue += pr_prev[K-1] * p_n``   (for n > K ... N)
 
-which is exactly Listing 2.  The generic implementation is parameterized
-by an arithmetic backend; ``1 - p_n`` is computed exactly on the input
-side (LoFreq precomputes ``ln(1 - p_n)`` the same way) so log-space never
-needs a subtraction.
+which is exactly Listing 2.  The PMF and the p-value are one recurrence
+(:func:`_pmf_nd`): the p-value is an extra PMF entry K whose "no
+success" factor is the exact 1, so it absorbs the mass that reaches it.
+The generic implementation is parameterized by an arithmetic backend;
+``1 - p_n`` is computed exactly on the input side (LoFreq precomputes
+``ln(1 - p_n)`` the same way) so log-space never needs a subtraction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,17 +44,45 @@ def complement(p: BigFloat, prec: int = 256) -> BigFloat:
     return BigFloat.from_int(1).sub(p, prec)
 
 
-def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k: int) -> "nd.FArray":
-    """Listing 2 over a batch of sites, written once as an nd
-    expression: ``pn``/``qn`` are ``(S, N)`` success probabilities and
-    their exact complements; returns the ``(S,)`` p-values.
+def _pmf_nd(pn: "nd.FArray", q, width: int) -> "nd.FArray":
+    """The PMF recurrence over a batch of sites, written once as an nd
+    expression: per trial ``n``,
 
-    The per-``j`` recurrence is vectorized over sites *and* PMF
-    entries, which is value-preserving because ``add(x, 0)`` and
-    ``mul(0, p)`` are exact in every backend.  Built from ``add`` and
-    ``mul`` alone (no reductions), so the elementwise certification
-    tier suffices — log-space qualifies in *both* sum modes
-    (``np.logaddexp`` is bit-identical to ``lse2``).
+        ``pr[j] = pr[j-1] * p_n + pr[j] * q(n)[j]``  (``pr[-1] = 0``)
+
+    from ``pr = [1, 0, ..., 0]`` of ``width`` entries.  ``pn`` is the
+    ``(S, N)`` success probabilities; ``q(n)`` yields trial ``n``'s
+    factors, broadcastable to ``(S, width)``: the exact complement
+    ``1 - p_n`` in a PMF column, or the exact 1 in an *absorbing*
+    column, which then keeps every bit of mass that ever reached it.
+    Returns the ``(S, width)`` entries after the last trial.
+
+    Vectorizing over sites *and* entries is value-preserving because
+    ``add(x, 0)``, ``mul(0, p)`` and ``mul(x, 1)`` are exact in every
+    backend.  Built from ``add`` and ``mul`` alone (no reductions), so
+    the elementwise certification tier suffices — log-space qualifies
+    in *both* sum modes (``np.logaddexp`` is bit-identical to ``lse2``).
+    """
+    n_sites, n_trials = pn.shape
+    pr = nd.concatenate([nd.ones_like(pn, (n_sites, 1)),
+                         nd.zeros_like(pn, (n_sites, width - 1))], axis=1)
+    zero_col = nd.zeros_like(pn, (n_sites, 1))
+    for n in range(n_trials):
+        shifted = nd.concatenate([zero_col, pr[:, :-1]], axis=1)
+        pr = nd.multiply_add(shifted, pn[:, n:n + 1], pr * q(n))
+    return pr
+
+
+def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k: int) -> "nd.FArray":
+    """Listing 2 over a batch of sites: ``pn``/``qn`` are ``(S, N)``
+    success probabilities and their exact complements; returns the
+    ``(S,)`` p-values ``P(X >= k)``.
+
+    The p-value is entry ``k`` of a ``k+1``-wide :func:`_pmf_nd` whose
+    column ``k`` is absorbing (factor exactly 1): its update
+    ``pr[k-1] * p_n + pr[k] * 1`` is Listing 2's
+    ``pvalue += pr[k-1] * p_n`` op for op, since ``pr[k-1]`` is an exact
+    0 before trial ``k-1`` and ``mul(x, 1)`` is exact.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (a variant needs a success)")
@@ -61,19 +91,12 @@ def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k: int) -> "nd.FArray":
         raise ValueError("need at least k trials")
     with _tele.span("app.pbd"):
         _faults.fire("app.pbd")
-        # pr[s, j] = P(j successes in the first n trials), tracked for
-        # j < k.
-        pr = nd.concatenate([nd.ones_like(pn, (n_sites, 1)),
-                             nd.zeros_like(pn, (n_sites, k - 1))], axis=1)
-        pvalue = nd.zeros_like(pn, (n_sites,))
-        zero_col = nd.zeros_like(pn, (n_sites, 1))
-        for n in range(n_trials):
-            if n >= k - 1:
-                pvalue = nd.multiply_add(pr[:, k - 1], pn[:, n], pvalue)
-            shifted = nd.concatenate([zero_col, pr[:, :-1]], axis=1)
-            pr = nd.multiply_add(shifted, pn[:, n:n + 1],
-                                 pr * qn[:, n:n + 1])
-        return pvalue
+        # Column n of q is trial n's complement and column N the exact 1,
+        # so a trial's factors are one gather: k complements, then the 1.
+        q = nd.concatenate([qn, nd.ones_like(qn, (n_sites, 1))], axis=1)
+        absorbing = np.arange(k + 1) == k
+        return _pmf_nd(pn, lambda n: q[:, np.where(absorbing, n_trials, n)],
+                       k + 1)[:, k]
 
 
 def _site_arrays(sites: Sequence[Sequence[BigFloat]], backend, plan):
@@ -93,35 +116,22 @@ def pbd_pvalue(success_probs: Sequence[BigFloat], k: int,
                plan: Optional[ExecPlan] = None):
     """P(X >= k) over the given trials, as a backend value.
 
-    Follows Listing 2: the PMF array ``pr`` only needs entries 0..k-1
-    because trials beyond the k-th success contribute through the
-    accumulation term.  A one-site view over :func:`_pbd_nd`;
+    Follows Listing 2: the PMF array ``pr`` only needs entries 0..k-1,
+    plus the absorbing entry k that accumulates ``P(X >= k)``.  A
+    one-site view over :func:`_pbd_nd`;
     ``plan=ExecPlan.serial()`` forces the scalar representation.
     Results are identical either way.
     """
     plan = resolve_plan(plan, where="pbd_pvalue")
-    if k < 1:
-        raise ValueError("k must be >= 1 (a variant needs a success)")
-    if len(success_probs) < k:
-        raise ValueError("need at least k trials")
     pn, qn = _site_arrays([list(success_probs)], backend, plan)
     return _pbd_nd(pn, qn, k).item(0)
 
 
 def pbd_pmf(success_probs: Sequence[BigFloat], max_k: int, backend: Backend) -> list:
-    """The full PMF row P(X = j) for j = 0..max_k after all trials."""
-    pn_vals = [backend.from_bigfloat(p) for p in success_probs]
-    qn_vals = [backend.from_bigfloat(complement(p)) for p in success_probs]
-    zero = backend.zero()
-    pr_prev: List = [backend.one()] + [zero] * max_k
-    for n in range(len(success_probs)):
-        pn, qn = pn_vals[n], qn_vals[n]
-        pr = [backend.mul(pr_prev[0], qn)]
-        for j in range(1, max_k + 1):
-            pr.append(backend.add(backend.mul(pr_prev[j], qn),
-                                  backend.mul(pr_prev[j - 1], pn)))
-        pr_prev = pr
-    return pr_prev
+    """The full PMF row P(X = j) for j = 0..max_k after all trials: a
+    one-site view over :func:`_pmf_nd` (every column a PMF column)."""
+    pn, qn = _site_arrays([list(success_probs)], backend, None)
+    return _pmf_nd(pn, lambda n: qn[:, n:n + 1], max_k + 1)[0].tolist()
 
 
 def reference_pvalue(success_probs: Sequence[BigFloat], k: int,

@@ -82,7 +82,6 @@ _U64C = _const(64)
 _SIXTY_THREE = _const(63)
 _I0 = _const(0, _I64)
 _I1 = _const(1, _I64)
-_I63 = _const(63, _I64)
 _I64C = _const(64, _I64)
 
 
@@ -108,62 +107,26 @@ def _bit_length64(x: np.ndarray) -> np.ndarray:
     return np.where(big, e + 32, e).astype(np.int64)
 
 
-def _clamp63(n: np.ndarray) -> np.ndarray:
-    """``n`` clamped to [0, 63] as uint64 (shift-count domain).
+def _shr128(hi, lo, n):
+    """Right-shift the 128-bit pair ``(hi, lo)`` by any ``n >= 0``.
 
-    minimum/maximum instead of np.clip: the hot kernels call this on
-    small arrays where np.clip's dispatch overhead dominates.
-    """
-    return np.minimum(np.maximum(n, _I0), _I63).astype(np.uint64)
-
-
-def _shl64(x: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``x << n`` with per-element ``n``; 0 once ``n >= 64``.
-
-    Out-of-range counts (including negatives on dead lanes that a
-    ``where`` discards) are clamped so the shift itself stays defined.
-    """
-    n = _i64(n)
-    return np.where(n >= _I64C, _U0, _u64(x) << _clamp63(n))
-
-
-def _shr64(x: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``x >> n`` with per-element ``n``; 0 once ``n >= 64``."""
-    n = _i64(n)
-    return np.where(n >= _I64C, _U0, _u64(x) >> _clamp63(n))
-
-
-def _low_mask(n: np.ndarray) -> np.ndarray:
-    """``(1 << n) - 1`` per element; all-ones once ``n >= 64``."""
-    n = _i64(n)
-    return np.where(n >= _I64C, _FULL64, (_ONE << _clamp63(n)) - _ONE)
-
-
-def _shr128_sticky(hi, lo, n):
-    """Right-shift the 128-bit pair ``(hi, lo)`` by ``n >= 0``.
-
-    Returns ``(hi', lo', sticky)`` where ``sticky`` flags any 1-bits
-    shifted out below the window.  Any ``n`` (including >= 128) is
-    handled through the clamped shift helpers.
-    """
-    hi, lo, n = _u64(hi), _u64(lo), _i64(n)
-    small = n < 64
-    hi2 = _shr64(hi, n)
-    lo2 = np.where(small, _shr64(lo, n) | _shl64(hi, 64 - n),
-                   _shr64(hi, n - 64))
-    sticky = ((lo & _low_mask(n)) != 0) | ((hi & _low_mask(n - 64)) != 0)
-    return hi2, lo2, sticky
+    Plain shifts: NumPy gives 0 for counts of 64 or more, and a count
+    that wraps does so only on a lane the ``where`` discards."""
+    hi, lo, n = _u64(hi), _u64(lo), _u64(n)
+    lo2 = np.where(n < _U64C, (lo >> n) | (hi << (_U64C - n)),
+                   hi >> (n - _U64C))
+    return hi >> n, lo2
 
 
 def _shl128(hi, lo, n):
     """Left-shift the 128-bit pair by ``0 <= n < 128`` (no overflow
-    tracking; callers guarantee the top bits are clear)."""
-    hi, lo, n = _u64(hi), _u64(lo), _i64(n)
-    small = n < 64
-    hi2 = np.where(small, _shl64(hi, n) | _shr64(lo, 64 - n),
-                   _shl64(lo, n - 64))
-    lo2 = np.where(small, _shl64(lo, n), _U0)
-    return hi2, lo2
+    tracking; callers guarantee the top bits are clear).  Plain shifts,
+    as in :func:`_shr128`."""
+    hi, lo, n = _u64(hi), _u64(lo), _u64(n)
+    small = n < _U64C
+    hi2 = np.where(small, (hi << n) | (lo >> (_U64C - n)),
+                   lo << (n - _U64C))
+    return hi2, np.where(small, lo << n, _U0)
 
 
 def _sub128(ahi, alo, bhi, blo, extra):
@@ -787,7 +750,7 @@ class BatchPosit(BatchBackend):
             m, e = np.frexp(np.where(finite, x, 0.0))
             mant = np.abs(m * 9007199254740992.0).astype(np.uint64)  # 2**53
             bl = _bit_length64(mant)
-            frac64 = _shl64(mant, 64 - bl)
+            frac64 = mant << (_U64C - _u64(bl))
             scale = e.astype(np.int64) - 54 + bl
             pattern = self._encode(np.signbit(x), scale, frac64,
                                    np.zeros(x.shape, dtype=bool))

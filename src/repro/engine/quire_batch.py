@@ -37,10 +37,7 @@ from ..formats.posit import PositEnv
 from .posit_batch import (
     BatchPosit,
     _bit_length64,
-    _low_mask,
-    _shl64,
-    _shr64,
-    _shr128_sticky,
+    _shr128,
     _u64,
     _umul64,
 )
@@ -177,7 +174,7 @@ class BatchQuire:
             # bits), so the pre-shift is exact.
             bitpos = np.where(dead, 0, self.frac_bits + u.scale - 63)
             under = np.maximum(-bitpos, 0)
-            frac64 = _shr64(frac64, under)
+            frac64 = frac64 >> _u64(under)
             bitpos = np.maximum(bitpos, 0)
             addend = self._scatter_chunks(bitpos, [frac64])
             self._accumulate(addend, np.asarray(u.sign) ^ bool(negate))
@@ -206,7 +203,7 @@ class BatchQuire:
             bitpos = np.where(dead, 0,
                               self.frac_bits + ua.scale + ub.scale - 126)
             under = np.maximum(-bitpos, 0)
-            hi, lo, _lost = _shr128_sticky(hi, lo, under)
+            hi, lo = _shr128(hi, lo, under)
             bitpos = np.maximum(bitpos, 0)
             addend = self._scatter_chunks(bitpos, [lo, hi])
             self._accumulate(addend,
@@ -260,13 +257,13 @@ class BatchQuire:
         off = _u64(shift_r - limb * 64)
         low = self._take_mag(mag, limb)
         high = self._take_mag(mag, limb + 1)
-        frac64 = _shr64(low, off) | _shl64(high, _U64(64) - off)
+        frac64 = (low >> off) | (high << (_U64(64) - off))  # high << 64 is 0
         below = np.zeros(self.shape + (self.n_limbs,), dtype=bool)
         below[..., 1:] = np.logical_or.accumulate(nonzero, axis=-1)[..., :-1]
         below_limb = np.take_along_axis(
             below, np.clip(limb, 0, self.n_limbs - 1)[..., None],
             axis=-1)[..., 0] & (limb > 0)
-        sticky = below_limb | ((low & _low_mask(off)) != 0)
+        sticky = below_limb | ((low & ((_U64(1) << off) - _U64(1))) != 0)
         sticky = np.where(limb < 0, False, sticky)
         frac64 = np.where(is_zero, _U64(1) << _U64(63), frac64)
         pattern = self._batch._encode(sign, np.where(is_zero, 0, scale),

@@ -1,9 +1,10 @@
 """Unit tests for the BigFloat core (add/sub/mul/div/cmp/conversions)."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bigfloat import BigFloat, RTZ
@@ -217,15 +218,28 @@ def test_add_matches_native_double(a, b):
     assert got == res or (got == 0.0 and res == 0.0)
 
 
+def _assert_matches_native(op: str, a: float, b: float, res: float):
+    """BigFloat ``op`` agrees with the hardware result ``res``: at 53
+    bits when ``res`` is normal, and always at 108 = 2*53 + 2 bits
+    followed by ``to_float()``.  Below the normal range a 53-bit result
+    rounds twice (to 53 bits, then to the subnormal grid) where the
+    hardware rounds once; through at least 2p+2 bits that double
+    rounding is harmless for multiplication and division."""
+    x, y = BigFloat.from_float(a), BigFloat.from_float(b)
+    if abs(res) >= sys.float_info.min:
+        assert getattr(x, op)(y, prec=53).to_float() == res
+    assert getattr(x, op)(y, prec=108).to_float() == res
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64),
        st.floats(allow_nan=False, allow_infinity=False, width=64))
+@example(2.8231225801878517e-167, 2.5401948717184995e-142)
 def test_mul_matches_native_double(a, b):
     res = a * b
     if math.isinf(res):
         return
-    got = BigFloat.from_float(a).mul(BigFloat.from_float(b), prec=53).to_float()
-    assert got == res or (got == 0.0 and res == 0.0)
+    _assert_matches_native("mul", a, b, res)
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,12 +247,12 @@ def test_mul_matches_native_double(a, b):
                  min_value=1e-300, max_value=1e300),
        st.floats(allow_nan=False, allow_infinity=False, width=64,
                  min_value=1e-300, max_value=1e300))
+@example(6.564094358378234e-299, 19526536457.623497)
 def test_div_matches_native_double(a, b):
     res = a / b
     if math.isinf(res) or res == 0.0:
         return
-    got = BigFloat.from_float(a).div(BigFloat.from_float(b), prec=53).to_float()
-    assert got == res
+    _assert_matches_native("div", a, b, res)
 
 
 @settings(max_examples=100, deadline=None)

@@ -277,3 +277,12 @@ class TestResidency:
                 lambda: pbd_pvalue(probs, 2, backend))["posit.decode"]
 
         assert decodes(6) == decodes(12)
+
+    def test_pbd_rounding_passes_per_trial(self):
+        """A trial is one rounding pass for ``pr * q`` and two for the
+        fused ``shifted * p + ...``; the p-value rides along as the
+        PMF's absorbing entry, so it adds no pass of its own."""
+        backend = standard_backends()["posit(64,12)"]
+        probs = [BigFloat.from_float(0.01 * (i + 1)) for i in range(20)]
+        counts = self._span_counts(lambda: pbd_pvalue(probs, 5, backend))
+        assert counts["posit.encode"] == 20 * 3 == 60

@@ -18,11 +18,17 @@ from repro.apps import (
     path_probability,
     posterior_decode,
     posterior_distributions,
-    viterbi,
 )
 from repro.bigfloat import BigFloat, relative_error
 from repro.data import sample_hcg_like_hmm, sample_hmm
 from repro.formats import PositEnv
+from repro.workloads import viterbi as _viterbi
+
+
+def viterbi(hmm, backend):
+    """``(path, probability)`` of :func:`repro.workloads.viterbi`."""
+    best = _viterbi(hmm, backend)
+    return best.states(), best.score
 
 
 @pytest.fixture(scope="module")
