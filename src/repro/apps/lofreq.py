@@ -92,26 +92,14 @@ def reference_pvalues(columns: Sequence[Column], prec: int = 256) -> List[BigFlo
 
 def column_pvalues(columns: Sequence[Column], backend: Backend,
                    plan: Optional[ExecPlan] = None) -> List:
-    """Each column's p-value as a backend value, in column order.
-
-    Columns are grouped by ``(depth, k)`` — the shape a batched
-    recurrence shares — and each group runs through
-    :func:`repro.apps.pbd.pbd_pvalue_batch`: vectorized under a batch
-    plan, on the scalar representation under ``ExecPlan.serial()``.
-    Results are identical either way.
-    """
+    """Each column's p-value as a backend value, in column order: one
+    ragged :func:`repro.apps.pbd.pbd_pvalue_batch` call over columns of
+    diverse depths and alt counts — vectorized under a batch plan, on
+    the scalar representation under ``ExecPlan.serial()``; identical
+    results either way."""
     plan = resolve_plan(plan, where="column_pvalues")
-    groups: Dict[tuple, List[int]] = {}
-    for i, column in enumerate(columns):
-        groups.setdefault((column.depth, column.k), []).append(i)
-    values: List = [None] * len(columns)
-    for (_depth, k), indices in groups.items():
-        batch_values = pbd_pvalue_batch(
-            [columns[i].success_probs for i in indices], k, backend,
-            plan=plan)
-        for i, value in zip(indices, batch_values):
-            values[i] = value
-    return values
+    return pbd_pvalue_batch([c.success_probs for c in columns],
+                            [c.k for c in columns], backend, plan=plan)
 
 
 def run_lofreq(columns: Sequence[Column], backends: Dict[str, Backend],
@@ -120,9 +108,9 @@ def run_lofreq(columns: Sequence[Column], backends: Dict[str, Backend],
                plan: Optional[ExecPlan] = None) -> LoFreqResult:
     """Compute every column's p-value in every format and score it.
 
-    Execution (batched grouping, group width, scalar fallback) follows
-    the :class:`~repro.engine.plan.ExecPlan`; results are identical for
-    every plan (see :func:`column_pvalues`)."""
+    Each format's p-values are one ragged PBD call over every column
+    (:func:`column_pvalues`); the :class:`~repro.engine.plan.ExecPlan`
+    picks vectorized or scalar execution, with identical results."""
     plan = resolve_plan(plan, where="run_lofreq")
     if references is None:
         references = reference_pvalues(columns, prec)

@@ -44,18 +44,19 @@ def complement(p: BigFloat, prec: int = 256) -> BigFloat:
     return BigFloat.from_int(1).sub(p, prec)
 
 
-def _pmf_nd(pn: "nd.FArray", q, width: int) -> "nd.FArray":
+def _pmf_nd(pn: "nd.FArray", q, width: int, start=0) -> "nd.FArray":
     """The PMF recurrence over a batch of sites, written once as an nd
     expression: per trial ``n``,
 
         ``pr[j] = pr[j-1] * p_n + pr[j] * q(n)[j]``  (``pr[-1] = 0``)
 
-    from ``pr = [1, 0, ..., 0]`` of ``width`` entries.  ``pn`` is the
-    ``(S, N)`` success probabilities; ``q(n)`` yields trial ``n``'s
-    factors, broadcastable to ``(S, width)``: the exact complement
-    ``1 - p_n`` in a PMF column, or the exact 1 in an *absorbing*
-    column, which then keeps every bit of mass that ever reached it.
-    Returns the ``(S, width)`` entries after the last trial.
+    from ``pr`` of ``width`` entries, 0 but for a 1 at column ``start``
+    (one per site, or one for all).  ``pn`` is the ``(S, N)`` success
+    probabilities; ``q(n)`` yields trial ``n``'s factors, broadcastable
+    to ``(S, width)``: the exact complement ``1 - p_n`` in a PMF column,
+    or the exact 1 in an *absorbing* column, which then keeps every bit
+    of mass that ever reached it.  Returns the ``(S, width)`` entries
+    after the last trial.
 
     Vectorizing over sites *and* entries is value-preserving because
     ``add(x, 0)``, ``mul(0, p)`` and ``mul(x, 1)`` are exact in every
@@ -64,8 +65,10 @@ def _pmf_nd(pn: "nd.FArray", q, width: int) -> "nd.FArray":
     in *both* sum modes (``np.logaddexp`` is bit-identical to ``lse2``).
     """
     n_sites, n_trials = pn.shape
-    pr = nd.concatenate([nd.ones_like(pn, (n_sites, 1)),
-                         nd.zeros_like(pn, (n_sites, width - 1))], axis=1)
+    one_hot = np.equal.outer(np.broadcast_to(start, (n_sites,)),
+                             np.arange(width))
+    pr = nd.concatenate([nd.zeros_like(pn, (1,)),
+                         nd.ones_like(pn, (1,))])[one_hot.astype(np.intp)]
     zero_col = nd.zeros_like(pn, (n_sites, 1))
     for n in range(n_trials):
         shifted = nd.concatenate([zero_col, pr[:, :-1]], axis=1)
@@ -73,42 +76,54 @@ def _pmf_nd(pn: "nd.FArray", q, width: int) -> "nd.FArray":
     return pr
 
 
-def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k: int) -> "nd.FArray":
-    """Listing 2 over a batch of sites: ``pn``/``qn`` are ``(S, N)``
-    success probabilities and their exact complements; returns the
-    ``(S,)`` p-values ``P(X >= k)``.
+def _pbd_nd(pn: "nd.FArray", qn: "nd.FArray", k) -> "nd.FArray":
+    """Listing 2 over a batch of sites: ``pn``/``qn`` are the ``(S, D)``
+    right-aligned rows of :func:`_site_arrays`, ``k`` one success count
+    per site (or one for all); returns the ``(S,)`` ``P(X >= k_s)``.
 
-    The p-value is entry ``k`` of a ``k+1``-wide :func:`_pmf_nd` whose
-    column ``k`` is absorbing (factor exactly 1): its update
-    ``pr[k-1] * p_n + pr[k] * 1`` is Listing 2's
-    ``pvalue += pr[k-1] * p_n`` op for op, since ``pr[k-1]`` is an exact
-    0 before trial ``k-1`` and ``mul(x, 1)`` is exact.
+    The p-values are column K of a ``K+1``-wide :func:`_pmf_nd`, K the
+    largest ``k``, whose column K is absorbing (factor exactly 1): its
+    update ``pr[K-1] * p_n + pr[K] * 1`` is Listing 2's
+    ``pvalue += pr[k-1] * p_n`` op for op.  Lane ``s`` starts at column
+    ``K - k_s``, so its column ``K - k_s + j`` repeats the unpadded
+    column ``j`` op for op: columns left of the start stay exact zeros
+    and a pad trial leaves every entry exactly unchanged
+    (``x * 0 + y * 1 = y``); exact ops fire no event.  With the
+    absorbing column at ``k_s`` instead, live columns above it would
+    keep accumulating and fire spurious events.
     """
-    if k < 1:
+    k = np.asarray(k)
+    if (k < 1).any():
         raise ValueError("k must be >= 1 (a variant needs a success)")
     n_sites, n_trials = pn.shape
-    if n_trials < k:
-        raise ValueError("need at least k trials")
+    width = int(k.max()) + 1
     with _tele.span("app.pbd"):
         _faults.fire("app.pbd")
-        # Column n of q is trial n's complement and column N the exact 1,
-        # so a trial's factors are one gather: k complements, then the 1.
+        # Column n of q is trial n's complement and column D the exact 1,
+        # so a trial's factors are one gather: K complements, then the 1.
         q = nd.concatenate([qn, nd.ones_like(qn, (n_sites, 1))], axis=1)
-        absorbing = np.arange(k + 1) == k
+        absorbing = np.arange(width) == width - 1
         return _pmf_nd(pn, lambda n: q[:, np.where(absorbing, n_trials, n)],
-                       k + 1)[:, k]
+                       width, width - 1 - k)[:, width - 1]
 
 
 def _site_arrays(sites: Sequence[Sequence[BigFloat]], backend, plan):
-    """(pn, qn) FArrays for a group of equal-length sites; complements
-    are formed exactly on the input side (LoFreq precomputes
+    """Right-aligned ``(S, D)`` (pn, qn) for sites of any depths, D the
+    deepest: site ``s``'s ``N_s`` trials end its row, after ``D - N_s``
+    pad trials ``(p, q) = (0, 1)``.  Only real probabilities are
+    converted, then each array is one gather from ``[values | pad]``;
+    complements are formed exactly on the input side (LoFreq precomputes
     ``ln(1 - p_n)`` the same way) so log-space never subtracts."""
     flat = [p for row in sites for p in row]
-    flat_q = [complement(p) for row in sites for p in row]
-    shape = (len(sites), len(sites[0]))
-    pn = nd.asarray(flat, backend, plan=plan).reshape(shape)
-    qn = nd.asarray(flat_q, backend, plan=plan).reshape(shape)
-    return pn, qn
+    depths = np.array([len(row) for row in sites])
+    ends = np.cumsum(depths)[:, None]
+    # Site s's trial t is flat entry ends[s] - D + t; pads read entry -1.
+    index = ends - depths.max() + np.arange(depths.max())
+    index[index < ends - depths[:, None]] = -1
+    pn = nd.asarray(flat, backend, plan=plan)
+    qn = nd.asarray([complement(p) for p in flat], backend, plan=plan)
+    return (nd.concatenate([pn, nd.zeros_like(pn, (1,))])[index],
+            nd.concatenate([qn, nd.ones_like(qn, (1,))])[index])
 
 
 def pbd_pvalue(success_probs: Sequence[BigFloat], k: int,
@@ -118,13 +133,12 @@ def pbd_pvalue(success_probs: Sequence[BigFloat], k: int,
 
     Follows Listing 2: the PMF array ``pr`` only needs entries 0..k-1,
     plus the absorbing entry k that accumulates ``P(X >= k)``.  A
-    one-site view over :func:`_pbd_nd`;
+    one-site view over :func:`pbd_pvalue_batch`;
     ``plan=ExecPlan.serial()`` forces the scalar representation.
     Results are identical either way.
     """
     plan = resolve_plan(plan, where="pbd_pvalue")
-    pn, qn = _site_arrays([list(success_probs)], backend, plan)
-    return _pbd_nd(pn, qn, k).item(0)
+    return pbd_pvalue_batch([list(success_probs)], k, backend, plan=plan)[0]
 
 
 def pbd_pmf(success_probs: Sequence[BigFloat], max_k: int, backend: Backend) -> list:
@@ -142,15 +156,16 @@ def reference_pvalue(success_probs: Sequence[BigFloat], k: int,
     return pbd_pvalue(success_probs, k, BigFloatBackend(prec))
 
 
-def pbd_pvalue_batch(sites: Sequence[Sequence[BigFloat]], k: int,
+def pbd_pvalue_batch(sites: Sequence[Sequence[BigFloat]], k,
                      backend: Optional[Backend] = None,
                      plan: Optional[ExecPlan] = None) -> list:
-    """P(X >= k) for a batch of sites sharing trial count and ``k``.
+    """P(X >= k_s) for sites of any trial counts, in one padded call.
 
-    ``sites`` is a list of equal-length success-probability rows.
-    Returns one backend value per site, equal element-for-element to
-    calling :func:`pbd_pvalue` per site.  Formats with an array backend
-    in :mod:`repro.engine` run the recurrence vectorized in one pass;
+    ``sites`` is a list of success-probability rows; ``k`` one success
+    count per site, or one int for all.  Returns one backend value per
+    site, equal element-for-element (and in event tallies) to calling
+    :func:`pbd_pvalue` per site.  Formats with an array backend in
+    :mod:`repro.engine` run the recurrence vectorized in one pass;
     others (the BigFloat oracle) run the same expression through the
     scalar representation.
     """
@@ -158,10 +173,8 @@ def pbd_pvalue_batch(sites: Sequence[Sequence[BigFloat]], k: int,
     sites = list(sites)
     if not sites:
         return []
-    n_trials = len(sites[0])
-    if any(len(row) != n_trials for row in sites):
-        raise ValueError("batched sites must share a trial count; "
-                         "group by (depth, k) first")
+    if (np.array([len(row) for row in sites]) < k).any():
+        raise ValueError("need at least k trials")
     pn, qn = _site_arrays(sites, backend, plan)
     out = _pbd_nd(pn, qn, k)
     return [out.item(i) for i in range(len(sites))]

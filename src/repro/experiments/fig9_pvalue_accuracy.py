@@ -50,8 +50,8 @@ class Fig9Result:
 
 def run(scale: str = "bench", seed: int = 0,
         plan: Optional[ExecPlan] = None) -> Fig9Result:
-    """Column p-values flow through the batched engine (grouped by
-    depth and alt count; identical results for every plan)."""
+    """Column p-values flow through the batched engine (one ragged call
+    per format; identical results for every plan)."""
     plan = resolve_plan(plan, where="fig9_pvalue_accuracy.run")
     per_bin = SCALES[scale]
     columns = stratified_columns(per_bin=per_bin, seed=seed)

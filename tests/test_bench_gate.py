@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks"))
+import ab  # noqa: E402
 import check_bench_regression as gate  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -174,6 +175,46 @@ class TestMain:
         broken = tmp_path / "BENCH_x.json"
         broken.write_text("{not json")
         assert gate.main([str(broken)]) == 1
+
+
+class TestABCompare:
+    """``benchmarks/ab.py``'s statistics over synthetic paired runs."""
+
+    METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
+               {"name": "throughput", "unit": "1/s", "better": "higher"}]
+
+    @staticmethod
+    def _pairs(base, change):
+        return [{"base": {"wall_s": b, "throughput": 1 / b},
+                 "change": {"wall_s": c, "throughput": 1 / c}}
+                for b, c in zip(base, change)]
+
+    def test_medians_iqr_ratio_and_wins(self):
+        base = [1.40, 1.50, 1.45, 1.38, 1.52]
+        change = [1.10, 1.05, 1.60, 1.08, 1.12]
+        wall, thr = ab.compare(self._pairs(base, change), self.METRICS)
+        assert wall["base_median"] == 1.45
+        assert wall["change_median"] == 1.10
+        assert wall["ratio"] == 1.10 / 1.45
+        # statistics.quantiles' exclusive method: (1.39, 1.51) for base.
+        assert abs(wall["base_iqr"] - 0.12) < 1e-12
+        assert (wall["won"], wall["lost"], wall["pairs"]) == (4, 1, 5)
+        # A higher-is-better metric judges the same pairs the same way.
+        assert (thr["won"], thr["lost"]) == (4, 1)
+        assert thr["ratio"] > 1
+
+    def test_ties_count_for_neither_side(self):
+        row, = ab.compare(self._pairs([1.0, 2.0, 3.0], [1.0, 1.5, 3.5]),
+                          self.METRICS[:1])
+        assert (row["won"], row["lost"]) == (1, 1)
+        assert row["ratio"] == 1.5 / 2.0
+
+    def test_render_names_every_metric(self):
+        rows = ab.compare(self._pairs([1.0, 1.2], [0.9, 1.0]),
+                          self.METRICS)
+        text = ab.render(rows)
+        assert "`wall_s` (s)" in text and "`throughput` (1/s)" in text
+        assert "2 of 2 (lost 0)" in text
 
 
 class TestCommittedArtifacts:

@@ -27,12 +27,15 @@ import pytest
 from repro import nd, telemetry
 from repro.apps.hmm import (_forward_models_nd, _forward_nd,
                             _forward_trace_nd, forward_models_batch)
+from repro.apps.lofreq import column_pvalues
 from repro.apps.pbd import _pbd_nd, pbd_pvalue
 from repro.arith import standard_backends
 from repro.bigfloat import BigFloat
 from repro.data.dirichlet import sample_hmm
+from repro.data.genome import stratified_columns
 from repro.engine import ExecPlan
 from repro.engine.posit_batch import BatchPosit
+from repro.experiments import fig9_pvalue_accuracy as fig9
 from repro.formats.posit import FLUSH, SATURATE, PositEnv
 
 
@@ -286,3 +289,18 @@ class TestResidency:
         probs = [BigFloat.from_float(0.01 * (i + 1)) for i in range(20)]
         counts = self._span_counts(lambda: pbd_pvalue(probs, 5, backend))
         assert counts["posit.encode"] == 20 * 3 == 60
+
+    def test_lofreq_columns_are_one_ragged_pbd_call(self):
+        """fig9's test-scale columns at seed 0 — 8 columns in 7
+        ``(depth, k)`` groups, the deepest of 66 trials — run as one
+        ragged PBD call: three rounding passes per trial of the
+        deepest column, whatever the other columns' depths."""
+        columns = stratified_columns(per_bin=fig9.SCALES["test"], seed=0)
+        assert len(columns) == 8
+        assert len({(c.depth, c.k) for c in columns}) == 7
+        assert max(c.depth for c in columns) == 66
+        backend = standard_backends(underflow="flush")["posit(64,12)"]
+        counts = self._span_counts(
+            lambda: column_pvalues(columns, backend))
+        assert counts["app.pbd"] == 1
+        assert counts["posit.encode"] == 3 * 66 == 198

@@ -288,3 +288,20 @@ def test_zero_d_ops_are_warning_free():
         assert int(bp.sub(x, y)) == env.sub(int(x), int(y))
         assert int(bp.div(x, y)) == env.div(int(x), int(y))
         assert bp.add(x, y).shape == ()
+
+
+def test_numpy_uint64_shifts_past_the_width_give_zero():
+    """The platform assumption under ``_round_mag``, ``_shl128`` and the
+    quire read-out: a NumPy uint64 ``<<``/``>>`` by 64 or more (a count
+    of 2**64 - 1 being a wrapped negative int64) gives 0, on arrays and
+    on 0-d operands alike, where C leaves the result undefined.  A NumPy
+    that changes this fails here by name, not as a golden diff."""
+    values = np.array([1, 0x8000_0000_0000_0001, 2 ** 64 - 1],
+                      dtype=np.uint64)
+    for count in (64, 65, 127, 2 ** 64 - 1):
+        n = np.uint64(count)
+        for x, c in ((values, n), (values, np.full(3, n)),
+                     (np.asarray(values[2]), np.asarray(n))):
+            assert not np.any(x << c), (count, x)
+            assert not np.any(x >> c), (count, x)
+    assert np.array(-1, dtype=np.int64).astype(np.uint64) == 2 ** 64 - 1

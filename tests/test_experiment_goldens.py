@@ -7,8 +7,10 @@ so a change that moves any figure's or table's numbers fails with the
 experiment and its first differing line named.  Every experiment must
 render the same text under the scalar reference plan
 (``ExecPlan.serial()``) and with two worker processes as well: batch =
-scalar and serial = parallel, checked against the one golden.  To
-accept an intentional change, regenerate::
+scalar and serial = parallel, checked against the one golden.  The
+default-plan pass also collects telemetry and checks the work it did
+against ``tests/goldens/costs.json`` (see ``tests/cost_golden.py``).
+To accept an intentional change, regenerate::
 
     PYTHONPATH=src python tests/test_experiment_goldens.py --regen
 """
@@ -18,6 +20,8 @@ import os
 
 import pytest
 
+import cost_golden
+from repro import telemetry
 from repro.engine import ExecPlan
 from repro.experiments.runner import REGISTRY, run_experiment
 
@@ -62,13 +66,42 @@ def test_goldens_cover_the_registry():
     for name in PLANS for eid in sorted(REGISTRY)])
 def test_report_matches_golden(plan_name, experiment_id):
     expected = load_goldens()[experiment_id]
-    actual = _lines(experiment_id, PLANS[plan_name])
+    if plan_name:
+        actual = _lines(experiment_id, PLANS[plan_name])
+    else:
+        with telemetry.collect() as col:
+            actual = _lines(experiment_id, PLANS[plan_name])
     assert actual == expected, (
         f"{experiment_id} under {PLANS[plan_name]!r} drifted from "
         f"tests/goldens/experiments.json at "
         f"{first_difference(expected, actual)}.  If intentional, "
         f"regenerate with: "
         f"PYTHONPATH=src python tests/test_experiment_goldens.py --regen")
+    if not plan_name:
+        cost_golden.check("experiments", experiment_id, col)
+
+
+def test_cost_golden_covers_the_registry():
+    pinned = cost_golden.load()["experiments"]
+    assert sorted(pinned) == sorted(REGISTRY)
+    # Every allow-listed scalar dispatch still happens: a stale entry
+    # would let a new leak under that name pass unseen.
+    for entry_id, counter in cost_golden.SCALAR_ALLOWED:
+        assert pinned[entry_id]["counters"].get(counter, 0) > 0, counter
+
+
+def test_cost_differences_name_the_entry_and_counter():
+    want = {"counters": {"nd.mul.log.batch": 4}, "spans": {"posit.decode": 3}}
+    got = {"counters": {"nd.mul.log.batch": 4}, "spans": {"posit.decode": 4},
+           "events": {"posit.flush": 1}}
+    assert cost_golden.differences("fig9", want, got) == [
+        "fig9: spans posit.decode expected 3, got 4",
+        "fig9: events posit.flush expected None, got 1"]
+    assert cost_golden.scalar_leaks("fig9", {
+        "nd.add.bigfloat256.scalar": 1, "nd.mul.log.scalar": 2,
+        "nd.add.posit(64,12).batch": 3}) == ["nd.mul.log.scalar"]
+    assert cost_golden.scalar_leaks(
+        "scorecard", {"nd.mul.log.scalar": 2}) == []
 
 
 def test_first_difference_names_the_line():

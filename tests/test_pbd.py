@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from repro import telemetry
 from repro.arith import (
     BigFloatBackend,
     Binary64Backend,
+    LNSBackend,
     LogSpaceBackend,
     PositBackend,
 )
@@ -17,11 +21,13 @@ from repro.apps import (
     complement,
     pbd_pmf,
     pbd_pvalue,
+    pbd_pvalue_batch,
     pbd_pvalue_float,
     pbd_pvalue_log,
     reference_pvalue,
 )
 from repro.bigfloat import BigFloat, relative_error
+from repro.engine import ExecPlan
 from repro.formats import PositEnv
 
 
@@ -157,3 +163,83 @@ class TestDeepTails:
     def test_complement_boundaries(self):
         assert complement(BigFloat.zero()) == BigFloat.from_int(1)
         assert complement(BigFloat.from_int(1)).is_zero()
+
+
+#: Every batched format, in both posit underflow modes and both
+#: log-space sum modes.
+RAGGED_BACKENDS = [Binary64Backend(), LogSpaceBackend(),
+                   LogSpaceBackend(sum_mode="sequential"), LNSBackend()] + [
+    PositBackend(PositEnv(64, es, underflow))
+    for es in (9, 12, 18) for underflow in ("flush", "saturate")]
+
+
+@st.composite
+def _ragged_sites(draw):
+    """1-4 sites of depth 1-12 with one k each (1, the depth, or in
+    between), and probabilities down to 2**-6000, deep enough for the
+    p-values to flush posit(64,9) (minpos 2**-31744)."""
+    sites, ks = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        depth = draw(st.integers(1, 12))
+        sites.append([BigFloat.from_float(draw(st.floats(0.5, 1.0)))
+                      .mul(BigFloat.exp2(-draw(st.integers(0, 6000))))
+                      for _ in range(depth)])
+        ks.append(draw(st.sampled_from([1, depth, draw(
+            st.integers(1, depth))])))
+    return sites, ks
+
+
+def _ragged_matches_per_site(sites, ks, plan):
+    """One ragged call equals one call per site, in every batched
+    format: values (as exact BigFloats) and summed event tallies."""
+    for backend in RAGGED_BACKENDS:
+        with telemetry.collect() as one_call:
+            got = pbd_pvalue_batch(sites, ks, backend, plan=plan)
+        with telemetry.collect() as per_site:
+            want = [pbd_pvalue(row, k, backend, plan=plan)
+                    for row, k in zip(sites, ks)]
+        assert [backend.to_bigfloat(v) for v in got] == \
+            [backend.to_bigfloat(v) for v in want], backend.name
+        assert one_call.events == per_site.events, backend.name
+        assert one_call.spans["app.pbd"][0] == 1
+
+
+_P = BigFloat.from_float(0.25).mul(BigFloat.exp2(-2000))
+_Q = BigFloat.from_float(0.75)
+_DEEP = BigFloat.exp2(-3000)
+
+
+class TestRaggedBatch:
+    """``pbd_pvalue_batch`` over sites of mixed depths and ``k``s is one
+    padded call with the same bits and events as a call per site."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(_ragged_sites())
+    @example(([[_Q, _P, _Q]], [1]))                       # k = 1
+    @example(([[_P] * 5, [_Q, _P]], [5, 2]))              # k = depth
+    @example(([[_P], [_Q] * 4, [_P, _P]], [1, 3, 2]))     # depth = 1
+    @example(([[_P, _Q, _P]] * 2, [2, 2]))                # identical sites
+    def test_ragged_equals_per_site(self, case):
+        _ragged_matches_per_site(*case, ExecPlan())
+
+    def test_flush_events_match_per_site(self):
+        """A site below posit(64,9)'s minpos beside live ones: the one
+        call tallies exactly the per-site underflow events (``posit.
+        flush`` in both modes: saturate clamps the same rounding)."""
+        sites, ks = [[_DEEP] * 12, [_Q, _P], [_P] * 3], [12, 1, 2]
+        _ragged_matches_per_site(sites, ks, ExecPlan())
+        for underflow in ("flush", "saturate"):
+            with telemetry.collect() as col:
+                pbd_pvalue_batch(sites, ks, PositBackend(
+                    PositEnv(64, 9, underflow)))
+            assert col.events.get("posit.flush", 0) > 0, underflow
+
+    def test_ragged_equals_per_site_serial(self):
+        _ragged_matches_per_site([[_P] * 4, [_Q, _P], [_P, _Q, _Q]],
+                                 [3, 1, 2], ExecPlan.serial())
+
+    def test_each_site_needs_its_k_trials(self):
+        with pytest.raises(ValueError, match="at least k trials"):
+            pbd_pvalue_batch([[_P] * 4, [_Q]], [2, 2], Binary64Backend())
+        with pytest.raises(ValueError, match="k must be"):
+            pbd_pvalue_batch([[_P] * 4, [_Q]], [2, 0], Binary64Backend())

@@ -9,7 +9,10 @@ bigfloat128), plus one ``experiment`` request, is pinned in
 two-request coalesced ``run_batch`` (the canonical request batched with
 a request carrying only its first row), so any change to parsing,
 batching, scatter or encoding that moves one bit fails with the kind
-and format named.  To accept an intentional change, regenerate::
+and format named.  The solo pass also collects telemetry and checks the
+work each request did against ``tests/goldens/costs.json`` (see
+``tests/cost_golden.py``).  To accept an intentional change,
+regenerate::
 
     PYTHONPATH=src python tests/test_service_goldens.py --regen
 """
@@ -19,6 +22,8 @@ import os
 
 import pytest
 
+import cost_golden
+from repro import telemetry
 from repro.service.api import WORKLOAD_KINDS, WorkloadRequest
 from repro.service.workloads import execute, handler_for
 
@@ -101,15 +106,19 @@ def test_golden_covers_every_kind_and_format():
     assert [(e["kind"], e["format"], e["payload"]) for e in GOLDEN] \
         == _canonical()
     assert {e["kind"] for e in GOLDEN} == set(WORKLOAD_KINDS)
+    assert sorted(cost_golden.load()["service"]) == sorted(
+        _entry_id(e) for e in GOLDEN)
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=_entry_id)
 def test_execute_matches_golden(entry):
-    result = execute(_request(entry))
+    with telemetry.collect() as col:
+        result = execute(_request(entry))
     assert result.values == entry["values"], (
         f"{_entry_id(entry)} drifted from tests/goldens/service.json")
     assert result.stats == dict(entry["stats"], batch_size=1,
                                 coalesced=False)
+    cost_golden.check("service", _entry_id(entry), col)
 
 
 @pytest.mark.parametrize("entry", ROW_ENTRIES, ids=_entry_id)
