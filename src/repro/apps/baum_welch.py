@@ -76,8 +76,7 @@ def baum_welch(hmm: HMMData, backend: Backend, iterations: int = 5) -> TrainingT
     introduction describes for binary64.
 
     Each step is nd expressions over the traced forward and backward
-    matrices in the reduction-certified tier, so the ambient plan never
-    changes a value.
+    matrices; the ambient plan never changes a value.
     """
     current = hmm
     log2_likes: List[float] = []

@@ -4,13 +4,12 @@ The recurrence is written *once*, as a :mod:`repro.nd` expression over
 format-tagged arrays (:func:`_forward_nd` and friends): per step,
 ``alpha'[q] = sum_p(alpha[p] * A[p, q]) * B[q, o_t]`` with the format's
 ``sum`` fold over ``p`` in index order.  The :class:`FArray`
-representation decides how it runs — through the registry-certified
-batch mirror (binary64 bit-identical; posit/LNS element-exact;
-log-space in ``sequential`` sum mode) or through the scalar backend
-element by element (the BigFloat oracle, log-space's default n-ary
-mode, the tracing wrapper, and every ``ExecPlan.serial()`` baseline).
+representation decides how it runs — through the format's batch mirror
+(binary64 and log-space bit-identical; posit/LNS element-exact) or
+through the scalar backend element by element (the BigFloat oracle,
+the tracing wrapper, and every ``ExecPlan.serial()`` baseline).
 Results are identical either way — that is the registry's
-certification; with the log-space backend the same expression *is*
+exactness contract; with the log-space backend the same expression *is*
 Listing 3 (multiplications become float adds, the accumulation the
 n-ary LSE of Equation 3).  Plain-numpy float paths for binary64 and
 log-space (:func:`forward_float`, :func:`forward_log`) are kept as
@@ -37,8 +36,7 @@ from ..workloads.semiring import resolve_semiring
 
 
 def model_arrays(hmm: HMMData, backend: Optional[Backend] = None,
-                 plan: Optional[ExecPlan] = None, *,
-                 certified: bool = True):
+                 plan: Optional[ExecPlan] = None):
     """One HMM's parameters as :class:`~repro.nd.FArray`\\ s
     ``(transition (H, H), emission (H, M), initial (H,))``, converted
     exactly once.
@@ -46,16 +44,16 @@ def model_arrays(hmm: HMMData, backend: Optional[Backend] = None,
     Conversion is input-side methodology (the paper rounds exact MPFR
     operands into each format), so it is hoisted out of the per-sequence
     recurrences: repeated-sequence sweeps must not redo
-    ``from_bigfloat`` work per sequence.  The plan + ``certified`` tier
-    select the representation (vectorized codes or scalar values); both
-    hold the same rounded parameters, so downstream results do not
-    depend on the choice.
+    ``from_bigfloat`` work per sequence.  The plan selects the
+    representation (vectorized codes or scalar values); both hold the
+    same rounded parameters, so downstream results do not depend on the
+    choice.
     """
     backend = _resolve_format(backend)
     plan = resolve_plan(plan, where="model_arrays")
-    a = nd.asarray(hmm.transition, backend, plan=plan, certified=certified)
-    b = nd.asarray(hmm.emission, backend, plan=plan, certified=certified)
-    pi = nd.asarray(hmm.initial, backend, plan=plan, certified=certified)
+    a = nd.asarray(hmm.transition, backend, plan=plan)
+    b = nd.asarray(hmm.emission, backend, plan=plan)
+    pi = nd.asarray(hmm.initial, backend, plan=plan)
     return a, b, pi
 
 
@@ -176,9 +174,9 @@ def forward(hmm: HMMData, backend: Optional[Backend] = None,
 
     ``backend`` defaults to the ambient :func:`repro.nd.use_format`
     format; ``plan`` to the ambient :func:`repro.nd.use_plan` plan.  A
-    B=1 view over :func:`_forward_nd` with the *reduction-certified*
-    representation tier, so the result never depends on the plan;
-    ``plan=ExecPlan.serial()`` merely forces the scalar baseline.
+    B=1 view over :func:`forward_batch`; the result never depends on
+    the plan, and ``plan=ExecPlan.serial()`` merely forces the scalar
+    baseline.
 
     ``semiring`` (a :class:`~repro.workloads.semiring.Semiring` or
     registered name; default sum-product) swaps the recurrence algebra:
@@ -186,20 +184,17 @@ def forward(hmm: HMMData, backend: Optional[Backend] = None,
     path's probability (see :func:`repro.workloads.viterbi` for path
     recovery).
     """
-    plan = resolve_plan(plan, where="forward")
-    obs = hmm.observations if observations is None else observations
-    a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
-    return _forward_nd(a, b, pi, _obs_rows([obs]),
-                       semiring=semiring).item(0)
+    return forward_batch(hmm, backend, None if observations is None
+                         else [observations], plan, semiring)[0]
 
 
 def forward_alpha_trace(hmm: HMMData, backend: Optional[Backend] = None,
                         plan: Optional[ExecPlan] = None) -> list:
     """Per-iteration alpha mass (backend values): the data behind
-    Figure 1.  A B=1 view over :func:`_forward_trace_nd` in the
-    reduction-certified tier, each step's alpha summed over states."""
+    Figure 1.  A B=1 view over :func:`_forward_trace_nd`, each step's
+    alpha summed over states."""
     plan = resolve_plan(plan, where="forward_alpha_trace")
-    a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
+    a, b, pi = model_arrays(hmm, backend, plan=plan)
     trace = _forward_trace_nd(a, b, pi, _obs_rows([hmm.observations]))
     return trace[0].sum(axis=-1).tolist()
 
@@ -222,20 +217,16 @@ def forward_batch(hmm: HMMData, backend: Optional[Backend] = None,
 
     ``observations`` is a ``(B, T)`` integer array (default: a batch of
     one, the HMM's own sequence).  Returns a list of B likelihoods as
-    backend values, equal element-for-element to calling
-    :func:`forward` per sequence — exactly so for binary64, posit, LNS,
-    and log-space with ``sum_mode="sequential"``; for log-space's
-    default n-ary mode the batched LSE matches to within an ulp (NumPy's
-    SIMD ``exp`` is not libm's; see :mod:`repro.engine.batch`).  The
-    batch runs as one vectorized pass; formats without an array backend
-    (the BigFloat oracle) run the same expression through the scalar
-    representation, with the model conversion hoisted out of the
-    per-sequence loop.
+    backend values, equal element-for-element to the scalar recurrence
+    per sequence under any plan.  The batch runs as one vectorized
+    pass; formats without an array backend (the BigFloat oracle) run
+    the same expression through the scalar representation, with the
+    model conversion hoisted out of the per-sequence loop.
     """
     plan = resolve_plan(plan, where="forward_batch")
     if observations is None:
         observations = [hmm.observations]
-    a, b, pi = model_arrays(hmm, backend, plan=plan, certified=False)
+    a, b, pi = model_arrays(hmm, backend, plan=plan)
     seqs = _seq_rows(observations)
     if len({len(s) for s in seqs}) > 1:
         # Ragged batch: per-sequence B=1 passes over the hoisted model.
@@ -249,21 +240,14 @@ def forward_batch(hmm: HMMData, backend: Optional[Backend] = None,
 
 def forward_models_batch(models, backend: Optional[Backend] = None,
                          plan: Optional[ExecPlan] = None, *,
-                         certified: bool = False,
                          semiring=None) -> list:
     """Forward likelihoods for many *models* (each with its own
     parameters and observation sequence) — the ViCAR/MCMC shape.
 
     Models are grouped by ``(H, M, T)`` and each group runs through
     :func:`_forward_models_nd` in one pass; the returned list matches
-    the input order and equals calling :func:`forward` per model
-    (exactly for binary64, posit, LNS, and log-space with
-    ``sum_mode="sequential"``; within an ulp for log-space's default
-    n-ary mode).  ``certified=True`` restricts the vectorized
-    representation to reduction-certified mirrors, so results are
-    guaranteed identical to the scalar loop (what MH acceptance
-    decisions need); n-ary log-space and the oracle then run the same
-    expression through the scalar representation.
+    the input order and equals calling :func:`forward` per model under
+    any plan, bit for bit (what MH acceptance decisions need).
     """
     backend = _resolve_format(backend)
     plan = resolve_plan(plan, where="forward_models_batch")
@@ -275,11 +259,11 @@ def forward_models_batch(models, backend: Optional[Backend] = None,
     out: list = [None] * len(models)
     for group in groups.values():
         a = nd.asarray([models[i].transition for i in group],
-                       backend, plan=plan, certified=certified)
+                       backend, plan=plan)
         b = nd.asarray([models[i].emission for i in group],
-                       backend, plan=plan, certified=certified)
+                       backend, plan=plan)
         pi = nd.asarray([models[i].initial for i in group],
-                        backend, plan=plan, certified=certified)
+                        backend, plan=plan)
         obs = np.array([models[i].observations for i in group],
                        dtype=np.intp)
         likes = _forward_models_nd(a, b, pi, obs, semiring=semiring)

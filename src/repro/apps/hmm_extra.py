@@ -65,13 +65,10 @@ def backward(hmm: HMMData, backend: Optional[Backend] = None,
     """The backward algorithm: returns the likelihood P(O | lambda)
     computed right-to-left (must agree with :func:`repro.apps.forward`).
 
-    A B=1 view over :func:`_backward_nd` in the *reduction-certified*
-    representation tier (so this scalar entry point never changes
-    results); ``plan=ExecPlan.serial()`` forces the scalar baseline.
+    A B=1 view over :func:`backward_batch` (so the plan never changes
+    the result); ``plan=ExecPlan.serial()`` forces the scalar baseline.
     """
-    plan = resolve_plan(plan, where="backward")
-    a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
-    return _backward_nd(a, b, pi, _obs_rows([hmm.observations])).item(0)
+    return backward_batch(hmm, backend, plan=plan)[0]
 
 
 def backward_batch(hmm: HMMData, backend: Optional[Backend] = None,
@@ -81,15 +78,14 @@ def backward_batch(hmm: HMMData, backend: Optional[Backend] = None,
     sequences (``(B, T)`` ints; default: a batch of one, the HMM's own
     sequence).  Same contract as :func:`repro.apps.hmm.forward_batch`:
     one vectorized pass where the format has an array mirror, equal to
-    the scalar recurrence per sequence (exactly, except log-space's
-    default n-ary mode, which matches within an ulp); other formats run
+    the scalar recurrence per sequence bit for bit; other formats run
     the same expression through the scalar representation with the
     model conversion hoisted out of the per-sequence recurrence.
     """
     plan = resolve_plan(plan, where="backward_batch")
     if observations is None:
         observations = [hmm.observations]
-    a, b, pi = model_arrays(hmm, backend, plan=plan, certified=False)
+    a, b, pi = model_arrays(hmm, backend, plan=plan)
     seqs = _seq_rows(observations)
     if len({len(s) for s in seqs}) > 1:
         # Ragged batch: per-sequence B=1 passes over the hoisted model.
@@ -101,11 +97,9 @@ def backward_batch(hmm: HMMData, backend: Optional[Backend] = None,
 
 
 def _b1_args(hmm: HMMData, backend: Backend) -> tuple:
-    """``(a, b, pi, obs)`` of one HMM for the traced recurrences, in
-    the reduction-certified tier: the ambient plan never changes a
-    value."""
-    return (*model_arrays(hmm, backend, certified=True),
-            _obs_rows([hmm.observations]))
+    """``(a, b, pi, obs)`` of one HMM for the traced recurrences under
+    the ambient plan (which never changes a value)."""
+    return (*model_arrays(hmm, backend), _obs_rows([hmm.observations]))
 
 
 def forward_matrix(hmm: HMMData, backend: Backend) -> List[list]:

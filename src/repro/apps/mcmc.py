@@ -110,14 +110,14 @@ def run_chains(backend: Backend, n_chains: int,
     likelihoods through the vectorized multi-model forward kernel.
 
     There is one chain recurrence: the per-step likelihood evaluation
-    flows through :func:`repro.apps.hmm.forward_models_batch` with
-    ``certified=True`` — vectorized for reduction-certified formats,
-    the scalar reference recurrence for the rest (the BigFloat oracle,
-    n-ary log-space) — so chain ``c`` is decision-for-decision
-    identical for *every* plan (the proposal and acceptance RNG streams
-    depend only on ``seeds[c]``, and likelihoods never differ between
-    paths).  ``plan=ExecPlan.serial()`` forces the scalar loop, which
-    is the throughput baseline, not a different algorithm.
+    flows through :func:`repro.apps.hmm.forward_models_batch` —
+    vectorized where the format has a batch mirror, the scalar
+    reference recurrence for the BigFloat oracle — so chain ``c`` is
+    decision-for-decision identical for *every* plan (the proposal and
+    acceptance RNG streams depend only on ``seeds[c]``, and likelihoods
+    never differ between paths).  ``plan=ExecPlan.serial()`` forces the
+    scalar loop, which is the throughput baseline, not a different
+    algorithm.
     """
     plan = resolve_plan(plan, where="run_chains")
     if seeds is None:
@@ -132,15 +132,13 @@ def run_chains(backend: Backend, n_chains: int,
         raise ValueError("need one base model per chain")
     rngs = [random.Random(s) for s in seeds]
     current_models = list(bases)
-    current_likes = forward_models_batch(current_models, backend, plan=plan,
-                                         certified=True)
+    current_likes = forward_models_batch(current_models, backend, plan=plan)
     results = [ChainResult(0, 0, 0) for _ in range(n_chains)]
     for step in range(steps):
         proposals = [_perturbed_model(current_models[c], scale_jitter,
                                       seed=seeds[c] * 1000 + step)
                      for c in range(n_chains)]
-        proposed_likes = forward_models_batch(proposals, backend, plan=plan,
-                                              certified=True)
+        proposed_likes = forward_models_batch(proposals, backend, plan=plan)
         for c in range(n_chains):
             result = results[c]
             ratio = _likelihood_ratio(backend, proposed_likes[c],

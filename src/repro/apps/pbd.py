@@ -61,8 +61,8 @@ def _pmf_nd(pn: "nd.FArray", q, width: int, start=0) -> "nd.FArray":
     Vectorizing over sites *and* entries is value-preserving because
     ``add(x, 0)``, ``mul(0, p)`` and ``mul(x, 1)`` are exact in every
     backend.  Built from ``add`` and ``mul`` alone (no reductions), so
-    the elementwise certification tier suffices — log-space qualifies
-    in *both* sum modes (``np.logaddexp`` is bit-identical to ``lse2``).
+    log-space's ``sum_mode`` plays no part (``np.logaddexp`` is
+    bit-identical to ``lse2``).
     """
     n_sites, n_trials = pn.shape
     one_hot = np.equal.outer(np.broadcast_to(start, (n_sites,)),

@@ -138,10 +138,8 @@ def run_vicar(config: VicarConfig, backends: Dict[str, Backend],
     against the oracle.
 
     Each format's likelihoods run through the vectorized multi-model
-    forward kernel (grouped by H; equal to the per-model scalar loop —
-    exactly for binary64/posit/LNS/sequential log-space, within an ulp
-    for n-ary log-space; see
-    :func:`repro.apps.hmm.forward_models_batch`);
+    forward kernel (grouped by H; equal to the per-model scalar loop
+    bit for bit, see :func:`repro.apps.hmm.forward_models_batch`);
     ``plan=ExecPlan.serial()`` forces the per-model scalar loop.
     ``plan.n_workers`` fans the oracle reference pass across processes;
     the scores are order-preserving and identical for any worker count.

@@ -64,8 +64,8 @@ class LogSpaceBackend(Backend):
     ``sum_mode`` selects the accumulation dataflow: ``"nary"`` (default)
     is Equation (3) — one max, one sum of exps, one log, the hardware
     LSE unit's shape — while ``"sequential"`` folds the binary LSE of
-    Equation (2) left-to-right, the software-accumulation shape that the
-    batched engine (:mod:`repro.engine`) reproduces bit-for-bit.
+    Equation (2) left-to-right, the software-accumulation shape.  The
+    batched engine (:mod:`repro.engine`) reproduces either bit for bit.
     """
 
     name = "log"

@@ -13,10 +13,7 @@ inside the apps).  The registry owns all three concerns:
   ``"posit(64,9)"``, ``"lns(12,50)"``, ``"bigfloat256"``; posit/LNS
   names parse generically, so ``"posit(32,6)"`` works too);
 * **pairing** — :meth:`FormatRegistry.batch_for` maps a scalar backend
-  *instance* to the batch backend mirroring it (or ``None``), with an
-  explicit ``reductions=True`` tier for callers whose kernel performs
-  reductions (the forward algorithm's ``sum``) and therefore needs the
-  stronger certification;
+  *instance* to the batch backend mirroring it (or ``None``);
 * **capabilities** — :meth:`FormatRegistry.capabilities` reports each
   format's exactness class, fused ops, and maximum datapath width, so
   callers can branch on *declared* guarantees instead of
@@ -26,8 +23,8 @@ Exactness classes (the scalar<->batch agreement contract, enforced by
 the equivalence suites):
 
 * ``bit-identical`` — the batch mirror reproduces the scalar backend
-  bit for bit (binary64; log-space elementwise ops always, reductions
-  only in ``sequential`` sum mode);
+  bit for bit, reductions included (binary64; log-space in either sum
+  mode);
 * ``element-exact`` — batch values decode to exactly the scalar values
   (posit, LNS, and the quire accumulators);
 * ``oracle`` — arbitrary-precision reference; no array implementation,
@@ -68,12 +65,6 @@ class FormatCapabilities:
     exactness: str
     #: Whether a vectorized array backend exists at all.
     batch: bool
-    #: Whether the *default-constructed* backend's batch reductions
-    #: reproduce the scalar ``sum`` fold exactly.  Log-space is the one
-    #: format where this is mode-dependent (``sequential`` yes,
-    #: ``nary`` no); instance-level certification lives in
-    #: :meth:`FormatRegistry.batch_for`.
-    reductions_certified: bool
     #: Fused operations beyond add/mul the format's stack offers.
     fused_ops: Tuple[str, ...] = ()
     #: Widest datapath in bits (None for the unbounded oracle).
@@ -82,8 +73,6 @@ class FormatCapabilities:
     def __repr__(self):
         parts = [self.exactness,
                  "batched" if self.batch else "scalar-only"]
-        if self.reductions_certified:
-            parts.append("reductions-certified")
         if self.fused_ops:
             parts.append(f"fused={','.join(self.fused_ops)}")
         if self.max_width is not None:
@@ -121,10 +110,6 @@ class BatchPairing:
     scalar_cls: type
     #: ``factory(backend) -> BatchBackend`` (called lazily, NumPy-side).
     factory: Callable[[Backend], Any]
-    #: Per-instance certification that batch *reductions* reproduce the
-    #: scalar fold exactly (elementwise ops are exact for every
-    #: registered pairing).
-    reductions_certified: Callable[[Backend], bool] = lambda backend: True
 
 
 class FormatRegistry:
@@ -168,8 +153,8 @@ class FormatRegistry:
 
     def describe(self) -> str:
         """The registry as an aligned text table (one row per
-        registered format): exactness class, batch mirror, reduction
-        certification, fused ops, datapath width.  This is what
+        registered format): exactness class, batch mirror, fused ops,
+        datapath width.  This is what
         ``python -m repro.experiments --formats`` prints."""
         from ..report.tables import render_table
         rows = []
@@ -180,8 +165,6 @@ class FormatRegistry:
                 "format": name,
                 "exactness": caps.exactness,
                 "batch": "yes" if caps.batch else "-",
-                "reductions": "certified" if caps.reductions_certified
-                              else ("mode-dependent" if caps.batch else "-"),
                 "fused ops": ", ".join(caps.fused_ops) or "-",
                 "width": caps.max_width if caps.max_width is not None
                          else "unbounded",
@@ -227,23 +210,14 @@ class FormatRegistry:
     # ------------------------------------------------------------------
     # Pairing
     # ------------------------------------------------------------------
-    def batch_for(self, backend: Backend, *, reductions: bool = False):
+    def batch_for(self, backend: Backend):
         """The batch backend mirroring a scalar backend instance, or
-        ``None`` when no (sufficiently exact) mirror exists.
-
-        With ``reductions=False`` the mirror only has to be elementwise
-        exact — enough for kernels built from ``add``/``mul`` alone
-        (the PBD recurrence, the Figure 3 op sweep).  ``reductions=True``
-        additionally requires the batch ``sum`` fold to be certified
-        against the scalar one — what the forward-algorithm kernels
-        need.  Log-space in the default ``nary`` sum mode passes the
-        first tier but not the second (NumPy's SIMD ``exp`` is not
-        libm's); the oracle passes neither.
+        ``None`` when the format has no array implementation (the
+        oracle).  Every mirror reproduces its backend's elementwise ops
+        and ``sum`` fold exactly (the module's exactness classes).
         """
         for pairing in self._pairings:
             if isinstance(backend, pairing.scalar_cls):
-                if reductions and not pairing.reductions_certified(backend):
-                    return None
                 # One mirror per backend instance (mirrors carry state,
                 # e.g. BatchLNS's Gaussian-log memo), kept on the backend:
                 # a mirror holds its backend, so a memo keyed on the
@@ -289,7 +263,7 @@ def _posit_spec(nbits: int, es: int, standard: bool = False) -> FormatSpec:
         name=f"posit({nbits},{es})",
         factory=factory,
         caps=FormatCapabilities(
-            exactness=ELEMENT_EXACT, batch=True, reductions_certified=True,
+            exactness=ELEMENT_EXACT, batch=True,
             fused_ops=("quire_fused_sum", "quire_fused_dot"),
             max_width=nbits),
         standard=standard)
@@ -305,7 +279,7 @@ def _lns_spec(int_bits: int, frac_bits: int) -> FormatSpec:
         name=f"lns({int_bits},{frac_bits})",
         factory=factory,
         caps=FormatCapabilities(
-            exactness=ELEMENT_EXACT, batch=True, reductions_certified=True,
+            exactness=ELEMENT_EXACT, batch=True,
             fused_ops=("exact_mul",),
             # sign + zero flag + integer + fraction bits of the code.
             max_width=2 + int_bits + frac_bits),
@@ -321,8 +295,7 @@ def _bigfloat_spec(prec: int) -> FormatSpec:
         name=f"bigfloat{prec}",
         factory=factory,
         caps=FormatCapabilities(
-            exactness=ORACLE, batch=False, reductions_certified=False,
-            fused_ops=(), max_width=None),
+            exactness=ORACLE, batch=False, fused_ops=(), max_width=None),
         standard=False)
 
 
@@ -335,8 +308,8 @@ def _binary64_spec() -> FormatSpec:
         name="binary64",
         factory=factory,
         caps=FormatCapabilities(
-            exactness=BIT_IDENTICAL, batch=True, reductions_certified=True,
-            fused_ops=(), max_width=64),
+            exactness=BIT_IDENTICAL, batch=True, fused_ops=(),
+            max_width=64),
         standard=True)
 
 
@@ -350,10 +323,6 @@ def _log_spec() -> FormatSpec:
         factory=factory,
         caps=FormatCapabilities(
             exactness=BIT_IDENTICAL, batch=True,
-            # The default backend sums in "nary" mode, whose batch
-            # reduction is ulp-close, not bit-exact; sequential-mode
-            # instances are certified per-instance in batch_for().
-            reductions_certified=False,
             fused_ops=("lse_nary",), max_width=64),
         standard=True)
 
@@ -391,9 +360,7 @@ def _default_registry() -> FormatRegistry:
         return BatchLNS(scalar=backend)
 
     registry.register_pairing(BatchPairing(Binary64Backend, _batch_binary64))
-    registry.register_pairing(BatchPairing(
-        LogSpaceBackend, _batch_log,
-        reductions_certified=lambda b: b.sum_mode == "sequential"))
+    registry.register_pairing(BatchPairing(LogSpaceBackend, _batch_log))
     registry.register_pairing(BatchPairing(PositBackend, _batch_posit))
     registry.register_pairing(BatchPairing(LNSBackend, _batch_lns))
     return registry

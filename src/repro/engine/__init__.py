@@ -4,13 +4,13 @@ The scalar backends in :mod:`repro.arith` define the reference
 semantics; this package's array backends are what the application
 recurrences — written once, as :mod:`repro.nd` expressions in
 :mod:`repro.apps` and :mod:`repro.workloads` — run on wherever the
-format registry certifies the batch mirror exact (the scalar app entry
-points are B=1 views over the same expressions — see
+format registry pairs the format with a batch mirror (the scalar app
+entry points are B=1 views over the same expressions — see
 :mod:`repro.arith.registry` and :mod:`repro.engine.plan`):
 
 * :class:`BatchBinary64`, :class:`BatchLogSpace` — array backends over
   float64 values/logs, bit-identical to the scalar backends (log-space
-  in matching ``sum_mode``);
+  in either ``sum_mode``);
 * :class:`BatchPosit` — posit(N<=64, ES) on uint64 bit-pattern arrays,
   element-exact against :class:`~repro.formats.posit.PositEnv`, with one
   rounding path over a decoded plane that :mod:`repro.nd` keeps
@@ -62,20 +62,17 @@ from ..core.accuracy import measure_pairs
 from .runner import run_sweep_parallel
 
 
-def batch_backend_for(backend, *,
-                      reductions: bool = False) -> Optional["BatchBackend"]:
+def batch_backend_for(backend) -> Optional["BatchBackend"]:
     """The batch backend mirroring a scalar backend, or None.
 
     Thin view over the format registry
     (:meth:`repro.arith.registry.FormatRegistry.batch_for`), which owns
     the pairing table.  Formats without an array implementation (the
     BigFloat oracle) return None; callers keep the scalar loop for
-    those.  ``reductions=True`` additionally requires the mirror's
-    ``sum`` fold to be certified exact against the scalar backend —
-    what kernels with reductions (the forward algorithm) need.
+    those.
     """
     from ..arith.registry import REGISTRY
-    return REGISTRY.batch_for(backend, reductions=reductions)
+    return REGISTRY.batch_for(backend)
 
 
 def standard_batch_backends(underflow: str = "saturate") -> dict:
@@ -84,25 +81,19 @@ def standard_batch_backends(underflow: str = "saturate") -> dict:
     return REGISTRY.standard_batch(underflow)
 
 
-def plan_batch_backend(backend, plan: "ExecPlan", *,
-                       certified: bool = True
+def plan_batch_backend(backend, plan: "ExecPlan"
                        ) -> Optional["BatchBackend"]:
     """The batch mirror an :class:`ExecPlan` selects for a kernel, or
-    None for the scalar path (the plan says so, or no acceptable mirror
-    exists).
+    None for the scalar path (the plan says so, or the format has no
+    mirror).
 
-    This is the one place the apps decide scalar-vs-vectorized.  With
-    ``certified=True`` (the B=1 scalar views: ``forward``, ``backward``,
-    ``pbd_pvalue``) the mirror must be reduction-certified, so the
-    scalar entry points never change results.  Explicitly-batched APIs
-    (``forward_batch``, ``forward_models_batch``, ``backward_batch``)
-    pass ``certified=False``: their documented contract tolerates
-    n-ary log-space's ulp-close batched LSE, and elementwise-only
-    kernels (the PBD recurrence) are exact under every pairing anyway.
+    This is the one place the apps decide scalar-vs-vectorized.  Every
+    mirror is exact against its scalar backend, reductions included,
+    so the choice changes only the speed of a result, never its bits.
     """
     if not plan.batch:
         return None
-    return batch_backend_for(backend, reductions=certified)
+    return batch_backend_for(backend)
 
 
 __all__ = [

@@ -14,9 +14,9 @@ of backend values, preserving the scalar backends' numerics:
   bit-identical to :func:`repro.formats.logspace.lse2` (verified by the
   equivalence tests).  N-ary accumulation offers two modes, defaulting
   to ``"nary"`` like the scalar backend: ``"nary"`` is the Equation-3
-  max/exp/log dataflow, which matches :func:`lse_n` to within an ulp but
-  not bit-for-bit because NumPy's SIMD ``exp`` is not the libm ``exp``;
-  ``"sequential"`` is the binary-LSE fold, bit-identical to the scalar
+  max/exp/log dataflow, bit-identical to :func:`lse_n` (both run NumPy's
+  float64 ``exp``/``log`` kernels in the same order); ``"sequential"``
+  is the binary-LSE fold.  Either way the mirror equals the scalar
   backend constructed with the same mode.
 * ``BatchPosit`` (see :mod:`repro.engine.posit_batch`) is element-exact
   against :class:`repro.formats.posit.PositEnv`.
@@ -276,9 +276,9 @@ class BatchLogSpace(BatchBackend):
     (both evaluate ``m + log1p(exp(min - m))`` through the C library).
     ``mul`` is float addition with the ``-inf`` short-circuit of
     :func:`log_mul`.  ``sum_mode`` selects the reduction dataflow and
-    defaults to ``"nary"``, mirroring the scalar backend's default
-    (same Equation-3 dataflow, ulp-close); choose ``"sequential"`` on
-    *both* sides for bit-for-bit equivalence (see module docstring).
+    defaults to ``"nary"``, mirroring the scalar backend's default; both
+    modes reproduce the scalar fold of the same mode bit for bit (see
+    module docstring).
     """
 
     name = "log"
@@ -389,13 +389,13 @@ class BatchLogSpace(BatchBackend):
             # An empty sum is probability 0, as in the scalar fold.
             return self.zeros(moved.shape[:-1])
         # N-ary LSE (Equation 3): one max, a sequential sum of exps in
-        # index order, one log.  Within an ulp of lse_n, not bit-exact
-        # (NumPy's SIMD exp differs from libm in the last ulp).
+        # index order, one log -- lse_n's kernels in lse_n's order.
         m = np.max(moved, axis=-1)
-        safe_m = np.where(np.isneginf(m), 0.0, m)
+        # Lanes whose max is infinite return it, as lse_n does.
+        safe_m = np.where(np.isinf(m), 0.0, m)
         total = np.zeros(moved.shape[:-1], dtype=self.dtype)
         for i in range(moved.shape[-1]):
             total = total + np.exp(moved[..., i] - safe_m)
         with np.errstate(divide="ignore"):
             out = safe_m + np.log(total)
-        return np.where(np.isneginf(m), -np.inf, out)
+        return np.where(np.isinf(m), m, out)

@@ -21,7 +21,7 @@ The *semantics* of the plan live with the callees:
 
 * ``batch`` — run the :mod:`repro.nd` recurrences of :mod:`repro.apps`
   and :mod:`repro.workloads` on the format's array mirror wherever it
-  is certified exact (see :mod:`repro.arith.registry`); ``False``
+  has one (see :mod:`repro.arith.registry`); ``False``
   forces the legacy scalar loops (the baseline the throughput
   benchmarks measure against).  Batch is the *default*: the scalar
   path is the special case now.

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..bigfloat import BigFloat, DEFAULT_PRECISION
 from ..bigfloat import exp as bf_exp
 from ..bigfloat import log as bf_log
@@ -53,7 +55,13 @@ def lse2_naive(lx: float, ly: float) -> float:
 
 def lse_n(values) -> float:
     """N-ary Log-Sum-Exp (paper Equation 3): one max, one sum of exps,
-    one log — the dataflow the log-based PE implements in hardware."""
+    one log — the dataflow the log-based PE implements in hardware.
+
+    The exps and the log are NumPy's float64 kernels, not libm's (the
+    two differ in the last bit), and the exps are summed in index
+    order: exactly the n-ary fold of
+    :meth:`BatchLogSpace.sum <repro.engine.batch.BatchLogSpace.sum>`,
+    so the scalar and batch planes agree bit for bit."""
     vals = list(values)
     if not vals:
         return -math.inf
@@ -63,9 +71,9 @@ def lse_n(values) -> float:
     if m == math.inf:
         return math.inf
     total = 0.0
-    for v in vals:
-        total += math.exp(v - m)
-    return m + math.log(total)
+    for e in np.exp(np.array(vals, dtype=np.float64) - m).tolist():
+        total += e
+    return m + float(np.log(total))
 
 
 def lse_sequential(values) -> float:

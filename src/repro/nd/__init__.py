@@ -17,7 +17,7 @@ new kernel::
 
 Dispatch per op: ``FArray op -> registry capability lookup -> batch
 kernel (canonical) or scalar fallback`` — see :mod:`repro.nd.farray`
-for the representation rules and certification tiers, and
+for the representation rules, and
 :mod:`repro.nd.context` for the ambient ``use_format``/``use_plan``
 state that replaces positional ``(backend, plan)`` threading.
 """

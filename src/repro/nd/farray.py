@@ -13,10 +13,9 @@ the plan and the format registry allow:
   ``+``/``*``/reductions run through the mirror's certified array
   kernels — the canonical path.  Posit arrays also carry the mirror's
   decoded planes between operations (see :class:`FArray`);
-* **scalar fallback** — otherwise (the BigFloat oracle, a serial plan,
-  a reduction-certified requirement the mirror cannot meet), ``_data``
-  is an object array of scalar backend values and every op loops
-  through the scalar backend — the reference path.
+* **scalar fallback** — otherwise (the BigFloat oracle, a serial
+  plan), ``_data`` is an object array of scalar backend values and
+  every op loops through the scalar backend — the reference path.
 
 The two representations hold *the same values* (that is the registry's
 certification), so an expression's result never depends on which one
@@ -24,18 +23,7 @@ ran — only its speed does.  Every registry mirror implements the full
 elementwise op set natively (``+ - * /`` plus the fused
 :func:`multiply_add`), so a vectorized array never drops into a
 per-element decode loop; the scalar loop survives only for the
-object-array representation (the oracle, serial plans, uncertified
-reductions).
-
-Certification tiers (``certified=`` on the constructors) mirror
-:meth:`repro.arith.registry.FormatRegistry.batch_for`: the default
-``certified=False`` asks only for elementwise exactness, so log-space's
-default ``nary`` sum mode stays vectorized (its batched n-ary LSE is
-ulp-close to the scalar fold — the documented array-API contract since
-PR 1).  ``certified=True`` demands bit/element-identical *reductions*
-too; formats that cannot certify that (n-ary log-space) then take the
-scalar representation, which is how the B=1 scalar app views guarantee
-their results never change.
+object-array representation (the oracle and serial plans).
 
 Values are immutable by convention: no ``__setitem__``; build new
 arrays with expressions, ``concatenate``, or ``where`` you write
@@ -94,14 +82,14 @@ def _tally_nd(op: str, fmt: str, plane: str, n: int) -> None:
 _PLANE_OPS = frozenset({"add", "mul", "sum", "dot", "axpy"})
 
 
-def _mirror(backend: Backend, plan: ExecPlan, certified: bool):
-    """The batch mirror the plan + certification tier select (or None
-    for the scalar representation).  Thin view over
+def _mirror(backend: Backend, plan: ExecPlan):
+    """The batch mirror the plan selects (or None for the scalar
+    representation).  Thin view over
     :func:`repro.engine.plan_batch_backend` — the one place the
     scalar-vs-vectorized decision lives (imported lazily: the engine
     package's kernels import this module at call time)."""
     from ..engine import plan_batch_backend
-    return plan_batch_backend(backend, plan, certified=certified)
+    return plan_batch_backend(backend, plan)
 
 
 def _same_numerics(a: Backend, b: Backend) -> bool:
@@ -449,7 +437,7 @@ class FArray:
     def sum(self, axis: Optional[int] = None) -> "FArray":
         """Reduce along ``axis`` (or everything) in index order with the
         format's ``sum`` fold — vectorized through the batch mirror,
-        scalar backend fold otherwise (n-ary LSE for n-ary log-space).
+        scalar backend fold otherwise (the same bits either way).
         """
         if axis is None:
             return self.ravel().sum(axis=0)
@@ -483,9 +471,8 @@ class FArray:
         """Largest probability along ``axis`` (or of everything).
 
         The max fold is associative and exact in every format (no
-        rounding — one of the inputs *is* the result), so unlike
-        ``sum`` there is no certification tier: batch and scalar
-        representations always agree (ties resolve to the first
+        rounding — one of the inputs *is* the result), so batch and
+        scalar representations always agree (ties resolve to the first
         index, as :meth:`argmax` reports).
         """
         if axis is None:
@@ -533,7 +520,7 @@ class FArray:
     # Conversion
     # ------------------------------------------------------------------
     def astype(self, format, *, plan: Optional[ExecPlan] = None,
-               certified: bool = False, **format_kwargs) -> "FArray":
+               **format_kwargs) -> "FArray":
         """This array's values rounded into another registry format.
 
         Conversion is exact on the way out (``to_bigfloat``) and
@@ -544,14 +531,14 @@ class FArray:
         """
         target = _resolve_format(format, **format_kwargs)
         plan = resolve_plan(plan, where="FArray.astype")
-        bb = _mirror(target, plan, certified)
+        bb = _mirror(target, plan)
         if _same_numerics(target, self._backend):
             if (self._bb is None) == (bb is None):
                 return self
             return self._as_mode(bb)
         if _tele.current() is not None:
-            _tele.count(f"nd.astype.{self.format}->{target.name}",
-                        self.size)
+            _tally_nd("astype", f"{self.format}->{target.name}",
+                      "scalar" if bb is None else "batch", self.size)
         return _from_bigfloats(self.to_bigfloats(), self.shape, target, bb)
 
 
@@ -586,27 +573,26 @@ def _convert(values, backend: Backend, bb) -> FArray:
 
 
 def asarray(values, format=None, *, plan: Optional[ExecPlan] = None,
-            certified: bool = False, **format_kwargs) -> FArray:
+            **format_kwargs) -> FArray:
     """``values`` (numbers, BigFloats, nested lists, NumPy arrays, or
     an FArray) as an :class:`FArray` in the given format.
 
     ``format`` is a registry name or scalar backend; omitted, the
     ambient :func:`~repro.nd.use_format` format applies.  ``plan``
-    (default: the ambient :func:`~repro.nd.use_plan` plan) and
-    ``certified`` select the representation — see the module docstring
-    for the certification tiers.  Conversion is input-side and exact:
-    every element becomes an exact BigFloat first, then rounds once
-    into the format.
+    (default: the ambient :func:`~repro.nd.use_plan` plan) selects the
+    representation — see the module docstring.  Conversion is
+    input-side and exact: every element becomes an exact BigFloat
+    first, then rounds once into the format.
     """
     backend = _resolve_format(format, **format_kwargs)
     plan = resolve_plan(plan, where="nd.asarray")
-    bb = _mirror(backend, plan, certified)
+    bb = _mirror(backend, plan)
     if isinstance(values, FArray):
         if _same_numerics(values._backend, backend):
             if (values._bb is None) == (bb is None):
                 return values
             return values._as_mode(bb)
-        return values.astype(backend, plan=plan, certified=certified)
+        return values.astype(backend, plan=plan)
     return _convert(values, backend, bb)
 
 
@@ -635,30 +621,28 @@ def _fill(shape, method: str, backend: Backend, bb) -> FArray:
     return FArray(out, backend, None)
 
 
-def _filled(shape, method: str, format, plan, certified,
-            format_kwargs) -> FArray:
+def _filled(shape, method: str, format, plan, format_kwargs) -> FArray:
     backend = _resolve_format(format, **format_kwargs)
     plan = resolve_plan(plan, where=f"nd.{method}")
-    return _fill(shape, method, backend, _mirror(backend, plan, certified))
+    return _fill(shape, method, backend, _mirror(backend, plan))
 
 
 def zeros(shape, format=None, *, plan: Optional[ExecPlan] = None,
-          certified: bool = False, **format_kwargs) -> FArray:
+          **format_kwargs) -> FArray:
     """An array of the additive identity (probability 0)."""
-    return _filled(shape, "zeros", format, plan, certified, format_kwargs)
+    return _filled(shape, "zeros", format, plan, format_kwargs)
 
 
 def ones(shape, format=None, *, plan: Optional[ExecPlan] = None,
-         certified: bool = False, **format_kwargs) -> FArray:
+         **format_kwargs) -> FArray:
     """An array of the multiplicative identity (probability 1)."""
-    return _filled(shape, "ones", format, plan, certified, format_kwargs)
+    return _filled(shape, "ones", format, plan, format_kwargs)
 
 
 def full(shape, value, format=None, *, plan: Optional[ExecPlan] = None,
-         certified: bool = False, **format_kwargs) -> FArray:
+         **format_kwargs) -> FArray:
     """An array with every element the given probability value."""
-    scalar = asarray([value], format, plan=plan, certified=certified,
-                     **format_kwargs)
+    scalar = asarray([value], format, plan=plan, **format_kwargs)
     data = np.broadcast_to(scalar._data.reshape(()), shape)
     return FArray(data, scalar._backend, scalar._bb)
 

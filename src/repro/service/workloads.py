@@ -9,9 +9,9 @@ scattering per-request results back in order.
 Seven kinds are row batches — rows along one batch axis plus fields
 every row shares — served by one :class:`RowBatchHandler` per
 :class:`RowKind` row of :data:`ROW_KINDS`; ``experiment`` is bespoke.
-The scatter is bit-identical to solo execution by certifications the
+The scatter is bit-identical to solo execution by guarantees the
 execution plane already proves: ``forward`` runs
-:func:`repro.apps.hmm.forward_models_batch` with ``certified=True``,
+:func:`repro.apps.hmm.forward_models_batch`, exact per model,
 ``pbd``/``op``/``astype``/``kalman`` are elementwise across rows,
 ``viterbi``'s max/argmax decisions are exact in every format, and the
 ``pairhmm`` recurrence never mixes batch lanes.
@@ -270,7 +270,7 @@ def _parse_forward(payload):
 
 def _forward_kernel(_shared, models, backend, plan):
     from ..apps.hmm import forward_models_batch
-    return forward_models_batch(models, backend, plan, certified=True)
+    return forward_models_batch(models, backend, plan)
 
 
 def _parse_pbd(payload):

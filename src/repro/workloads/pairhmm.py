@@ -22,9 +22,9 @@ and sums only over where the read ends.
 The kernel is one nd expression, row-vectorized over a batch of reads
 (every elementwise op is ``(B, L)``-shaped; only the in-row ``D`` scan
 is inherently serial in ``j``), so batch and serial plans run the same
-ops in the same order — bit-identical or registry-certified per
-format.  Match priors are precomputed input-side as exact float64 and
-rounded into the format once, the paper's operand methodology.
+ops in the same order — bit-identical or element-exact per format.
+Match priors are precomputed input-side as exact float64 and rounded
+into the format once, the paper's operand methodology.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ def _pairhmm_nd(priors, semiring, trans: dict, length: int):
         d_init = np.concatenate(
             [np.zeros((n_batch, 1)),
              np.full((n_batch, n_hap), 1.0 / length)], axis=1)
-        d_row = nd.asarray(d_init, priors.backend,
-                           plan=None, certified=False)._as_mode(priors._bb)
+        d_row = nd.asarray(d_init, priors.backend)._as_mode(priors._bb)
         zero_col = nd.zeros_like(priors, (n_batch, 1))
         for i in range(n_reads):
             rec = semiring.plus(

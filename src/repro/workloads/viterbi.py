@@ -80,16 +80,9 @@ def viterbi(hmm, backend=None, observations=None,
             plan: Optional[ExecPlan] = None) -> ViterbiPath:
     """Decode one sequence: the most probable state path and its
     probability.  ``backend``/``plan`` default to the ambient
-    :mod:`repro.nd` context; a B=1 view over :func:`_viterbi_nd` in
-    the reduction-certified tier (max needs no certification — it is
-    exact everywhere — but the model conversion should match
-    :func:`repro.apps.hmm.forward`'s)."""
-    from ..apps.hmm import _obs_rows, model_arrays
-    plan = resolve_plan(plan, where="viterbi")
-    obs = hmm.observations if observations is None else observations
-    a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
-    score, path = _viterbi_nd(a, b, pi, _obs_rows([obs]))
-    return ViterbiPath(score.item(0), path[0])
+    :mod:`repro.nd` context; a B=1 view over :func:`viterbi_batch`."""
+    return viterbi_batch(hmm, backend, None if observations is None
+                         else [observations], plan)[0]
 
 
 def viterbi_batch(hmm, backend=None, observations=None,
@@ -100,16 +93,15 @@ def viterbi_batch(hmm, backend=None, observations=None,
     of one, the HMM's own sequence).  Returns one :class:`ViterbiPath`
     per sequence, equal decision-for-decision to calling
     :func:`viterbi` per sequence under any plan — max and argmax are
-    exact in every format, so there is no certified/uncertified split.
-    The batch runs as one vectorized pass; formats without an array
-    backend run through the scalar representation with the model
-    conversion hoisted.
+    exact in every format.  The batch runs as one vectorized pass;
+    formats without an array backend run through the scalar
+    representation with the model conversion hoisted.
     """
     from ..apps.hmm import _obs_rows, model_arrays
     plan = resolve_plan(plan, where="viterbi_batch")
     if observations is None:
         observations = [hmm.observations]
-    a, b, pi = model_arrays(hmm, backend, plan=plan, certified=False)
+    a, b, pi = model_arrays(hmm, backend, plan=plan)
     score, path = _viterbi_nd(a, b, pi, _obs_rows(observations))
     return [ViterbiPath(score.item(i), path[i])
             for i in range(path.shape[0])]

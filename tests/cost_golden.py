@@ -17,8 +17,9 @@ during the passes that ``tests/test_experiment_goldens.py`` (default
 plan) and ``tests/test_service_goldens.py`` (solo ``execute``) already
 run.  Beside the pins, :func:`check` asserts that no batched format
 (binary64, log, posit, LNS) dispatches ``nd.*.scalar`` — a silent
-per-element loop — outside :data:`SCALAR_ALLOWED`.  To accept an
-intended change in the work, regenerate::
+per-element loop; an ``nd.astype.<from>-><to>`` counter counts against
+its target format.  To accept an intended change in the work,
+regenerate::
 
     PYTHONPATH=src python tests/cost_golden.py --regen
 """
@@ -33,13 +34,6 @@ GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 PINNED_SPANS = ("posit.encode", "posit.decode")
 PINNED_SPAN_PREFIXES = ("app.", "workload.")
 
-#: ``(entry, counter)`` pairs allowed to dispatch a batched format on
-#: the scalar plane: scorecard's reduction-certified n-ary log-space
-#: calls, whose batched n-ary fold is not bit-identical to the scalar
-#: one (the certification tier working as designed).
-SCALAR_ALLOWED = frozenset({("scorecard", "nd.mul.log.scalar"),
-                            ("scorecard", "nd.sum.log.scalar")})
-
 
 def costs(collector) -> dict:
     """The pinned counts of one collector."""
@@ -53,16 +47,15 @@ def costs(collector) -> dict:
     }
 
 
-def scalar_leaks(entry_id: str, counters: dict) -> list:
+def scalar_leaks(counters: dict) -> list:
     """The ``nd.*.scalar`` counters of batched formats (every format
-    but the BigFloat oracle) that ``entry_id`` may not have."""
+    but the BigFloat oracle); an astype counts in its target format."""
     leaks = []
     for name in counters:
         if not name.endswith(".scalar"):
             continue
-        fmt = name[:-len(".scalar")].split(".", 2)[2]
-        if not fmt.startswith("bigfloat") \
-                and (entry_id, name) not in SCALAR_ALLOWED:
+        fmt = name[:-len(".scalar")].split(".", 2)[2].split("->")[-1]
+        if not fmt.startswith("bigfloat"):
             leaks.append(name)
     return leaks
 
@@ -88,7 +81,7 @@ def check(section: str, entry_id: str, collector) -> None:
     """Assert one entry's counts equal its pin and leak no scalar
     dispatch of a batched format."""
     actual = costs(collector)
-    leaks = scalar_leaks(entry_id, actual["counters"])
+    leaks = scalar_leaks(actual["counters"])
     assert not leaks, (f"{entry_id}: batched formats dispatched on the "
                        f"scalar plane: {leaks}")
     expected = load()[section].get(entry_id)

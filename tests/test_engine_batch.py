@@ -2,8 +2,11 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arith import (
     BigFloatBackend,
@@ -118,14 +121,28 @@ class TestBatchLogSpace:
         for i in range(5):
             assert got[i] == lse_sequential(list(rows[i]))
 
-    def test_nary_sum_close_to_lse_n(self):
-        bb = BatchLogSpace(sum_mode="nary")
-        rng = np.random.default_rng(2)
-        rows = rng.uniform(-2000, 0, size=(5, 17))
-        got = bb.sum(rows, axis=1)
-        for i in range(5):
-            want = lse_n(list(rows[i]))
-            assert got[i] == pytest.approx(want, rel=1e-14)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nary_sum_close_to_lse_n(self, data):
+        """The batched n-ary fold equals the scalar lse_n lane for lane,
+        over any shape and axis: ``-inf`` lanes, all-``-inf`` rows, an
+        empty axis and single terms included.  Values are random bits
+        from a drawn seed: exps of round numbers rarely show a
+        last-bit difference between two exp kernels, so a mismatch
+        in the kernels or their order would hide from them."""
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3,
+                                           min_side=0, max_side=9))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        spread = data.draw(st.sampled_from([3.0, 40.0, 2000.0]))
+        arr = rng.uniform(-spread, 0.0, shape)
+        zero_share = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        arr[rng.random(shape) < zero_share] = -np.inf
+        axis = data.draw(st.integers(0, arr.ndim - 1))
+        got = BatchLogSpace(sum_mode="nary").sum(arr, axis=axis)
+        moved = np.moveaxis(arr, axis, -1)
+        assert got.shape == moved.shape[:-1]
+        for idx in np.ndindex(*got.shape):
+            assert got[idx] == lse_n(moved[idx].tolist()), idx
 
     def test_sum_all_zero_probability(self):
         bb = BatchLogSpace()
@@ -133,6 +150,11 @@ class TestBatchLogSpace:
         assert np.isneginf(bb.sum(rows, axis=1)).all()
         bb2 = BatchLogSpace(sum_mode="nary")
         assert np.isneginf(bb2.sum(rows, axis=1)).all()
+
+    def test_nary_sum_with_infinite_log_is_lse_n(self):
+        row = [-3.0, np.inf, -np.inf]
+        got = BatchLogSpace(sum_mode="nary").sum(np.array([row]), axis=1)
+        assert got[0] == lse_n(row) == np.inf
 
     def test_bad_sum_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -285,3 +307,32 @@ class TestBatchProtocolDefaults:
         lns = batch_backend_for(LNSBackend())
         assert type(lns).sub is not BatchBackend.sub
         assert type(lns).div is not BatchBackend.div
+
+
+def test_numpy_float64_exp_log_bits_do_not_depend_on_position():
+    """The platform assumption under both n-ary LSE paths: NumPy's
+    float64 ``exp`` and ``log`` give an element the same bits whether
+    it sits in a 0-d array, a length-1 array, a contiguous array or a
+    strided one.  :func:`lse_n` exps a contiguous vector and logs a 0-d
+    total; ``BatchLogSpace.sum`` exps strided columns and logs a
+    contiguous row of totals.  (NumPy's SIMD kernels need not match
+    libm's — they differ in the last bit on some CPUs — so this is the
+    property that keeps the two planes equal.)  A NumPy or CPU that
+    breaks it fails here by name, not as a golden diff."""
+    rng = np.random.default_rng(0)
+    cases = ((np.exp, np.concatenate([rng.uniform(-745.0, 0.0, 1021),
+                                      [-np.inf, 0.0, -1e-300]])),
+             (np.log, np.concatenate([2.0 ** rng.uniform(-1000, 1000, 1021),
+                                      [1.0, 2.0, 5e-324]])))
+    for fn, values in cases:
+        want = fn(values).view(np.uint64)
+        padded = np.zeros(2 * values.size)
+        padded[::2] = values
+        column = np.zeros((values.size, 3))
+        column[:, 1] = values
+        for strided in (padded[::2], column[:, 1]):
+            assert (fn(strided).view(np.uint64) == want).all(), fn
+        for i, v in enumerate(values):
+            assert fn(np.asarray(v)).view(np.uint64) == want[i], (fn, v)
+            assert fn(values[i:i + 1]).view(np.uint64)[0] == want[i], \
+                (fn, v)

@@ -255,7 +255,7 @@ class TestResidency:
         for t_len in (8, 24):
             models = [sample_hmm(h, h, t_len, seed=s) for s in range(2)]
             counts[t_len] = self._span_counts(lambda: forward_models_batch(
-                models, backend, certified=True))
+                models, backend))
         # A, B and pi decode once each; alpha never leaves the plane.
         assert counts[8]["posit.decode"] == 3
         assert counts[24]["posit.decode"] == 3

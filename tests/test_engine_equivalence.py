@@ -2,10 +2,9 @@
 
 One parameterized fixture supplies (scalar backend, batch backend)
 pairs; every test asserts bit-for-bit (binary64, log) or element-exact
-(posit) agreement, per the engine's contract.  Log-space pairs use the
-``sequential`` accumulation mode on both sides — the mode the engine
-guarantees bit-identical (NumPy's SIMD ``exp`` prevents a bit-exact
-n-ary LSE; see repro.engine.batch).
+(posit) agreement, per the engine's contract.  Log-space runs in both
+accumulation modes: ``sequential`` (the binary-LSE fold) and the
+default n-ary Equation-3 LSE.
 """
 
 import numpy as np
@@ -18,10 +17,11 @@ from repro.arith import Binary64Backend, LogSpaceBackend, PositBackend
 from repro.bigfloat import BigFloat
 from repro.core.accuracy import measure_op, measure_ops_batch
 from repro.core.sweep import FIG3_BINS, generate_add_pairs, generate_mul_pairs
-from repro.engine import batch_backend_for
+from repro.engine import ExecPlan, batch_backend_for
 from repro.formats import PositEnv
 
-FORMATS = ["binary64", "log", "posit(64,9)", "posit(64,12)", "posit(64,18)"]
+FORMATS = ["binary64", "log", "log-nary", "posit(64,9)", "posit(64,12)",
+           "posit(64,18)"]
 
 
 def _scalar_backend(fmt):
@@ -29,6 +29,8 @@ def _scalar_backend(fmt):
         return Binary64Backend()
     if fmt == "log":
         return LogSpaceBackend(sum_mode="sequential")
+    if fmt == "log-nary":
+        return LogSpaceBackend()
     es = int(fmt.rstrip(")").split(",")[1])
     return PositBackend(PositEnv(64, es))
 
@@ -83,7 +85,8 @@ def test_forward_batch_equals_scalar(backend_pair):
     got = forward_batch(hmm, scalar, obs)
     for i in range(obs.shape[0]):
         want = forward(hmm, scalar,
-                       observations=tuple(int(o) for o in obs[i]))
+                       observations=tuple(int(o) for o in obs[i]),
+                       plan=ExecPlan.serial())
         assert got[i] == want
 
 
@@ -93,7 +96,8 @@ def test_pbd_batch_equals_scalar(backend_pair):
     sites = [[BigFloat.from_float(float(p))
               for p in rng.uniform(1e-6, 0.3, 30)] for _ in range(4)]
     got = pbd_pvalue_batch(sites, 3, scalar)
-    want = [pbd_pvalue(row, 3, scalar) for row in sites]
+    want = [pbd_pvalue(row, 3, scalar, plan=ExecPlan.serial())
+            for row in sites]
     assert got == want
 
 
@@ -104,22 +108,49 @@ def test_forward_batch_deep_underflow_regime():
     from repro.data.dirichlet import sample_hcg_like_hmm
     hmm = sample_hcg_like_hmm(4, 12, seed=21, bits_per_step=200.0)
     obs = np.array([hmm.observations, hmm.observations[::-1]])
-    for fmt in ("binary64", "log", "posit(64,9)"):
+    for fmt in ("binary64", "log", "log-nary", "posit(64,9)"):
         scalar = _scalar_backend(fmt)
         got = forward_batch(hmm, scalar, obs)
         for i in range(2):
             want = forward(hmm, scalar,
-                           observations=tuple(int(o) for o in obs[i]))
+                           observations=tuple(int(o) for o in obs[i]),
+                           plan=ExecPlan.serial())
             assert got[i] == want, fmt
 
 
-def test_default_log_backend_close_not_required_bitwise():
-    """With the default n-ary sum mode the batch forward stays within
-    float tolerance of the scalar Equation-3 dataflow."""
+def test_default_log_backend_batch_forward_equals_scalar_bitwise():
+    """With the default n-ary sum mode the batch forward equals the
+    scalar Equation-3 dataflow bit for bit."""
     from repro.data.dirichlet import sample_hmm
     scalar = LogSpaceBackend()  # nary
     hmm = sample_hmm(4, 5, 20, seed=3)
     obs = np.array([hmm.observations])
     got = forward_batch(hmm, scalar, obs)[0]
-    want = forward(hmm, scalar)
-    assert got == pytest.approx(want, rel=1e-12)
+    want = forward(hmm, scalar, plan=ExecPlan.serial())
+    assert got == want
+
+
+@pytest.mark.parametrize("sum_mode", ["nary", "sequential"])
+def test_log_entry_points_agree_across_plans(sum_mode):
+    """Every HMM entry point, B=1 view or explicit batch, gives one
+    value under the batch and the serial plan in either log-space sum
+    mode: the scalar views are the batch kernels at B=1, and both
+    planes run the same LSE."""
+    from repro.apps.hmm import forward_models_batch
+    from repro.apps.hmm_extra import backward, backward_batch
+    from repro.data.dirichlet import sample_hcg_like_hmm
+    from repro.workloads.viterbi import viterbi, viterbi_batch
+    scalar = LogSpaceBackend(sum_mode=sum_mode)
+    hmm = sample_hcg_like_hmm(6, 16, seed=4, bits_per_step=80.0)
+    obs = [hmm.observations]
+    likes, betas, paths = set(), set(), set()
+    for plan in (ExecPlan(), ExecPlan.serial()):
+        likes |= {forward(hmm, scalar, plan=plan),
+                  forward_batch(hmm, scalar, obs, plan=plan)[0],
+                  forward_models_batch([hmm], scalar, plan=plan)[0]}
+        betas |= {backward(hmm, scalar, plan=plan),
+                  backward_batch(hmm, scalar, obs, plan=plan)[0]}
+        for path in (viterbi(hmm, scalar, plan=plan),
+                     viterbi_batch(hmm, scalar, obs, plan=plan)[0]):
+            paths.add((path.score, tuple(path.states())))
+    assert len(likes) == 1 and len(betas) == 1 and len(paths) == 1

@@ -1,8 +1,8 @@
 """Batched ViCAR/MCMC/backward kernels vs the scalar apps.
 
 The contract mirrors the forward/PBD batch kernels: bit-for-bit
-equality with the scalar loops for binary64, posit, LNS and
-sequential-mode log-space, on the Figure 6/Figure 10 model shapes
+equality with the scalar loops for binary64, posit, LNS and log-space
+in both sum modes, on the Figure 6/Figure 10 model shapes
 (H in {13, 32}, magnitude-compressed to the deep-underflow regimes).
 """
 
@@ -23,7 +23,7 @@ from repro.data.dirichlet import HMMData, sample_hcg_like_hmm, sample_hmm
 from repro.engine import ExecPlan
 from repro.formats.posit import PositEnv
 
-EXACT_FORMATS = ["binary64", "log-seq", "posit(64,18)", "lns"]
+EXACT_FORMATS = ["binary64", "log-seq", "log", "posit(64,18)", "lns"]
 
 
 def _backend(fmt):
@@ -31,6 +31,8 @@ def _backend(fmt):
         return Binary64Backend()
     if fmt == "log-seq":
         return LogSpaceBackend(sum_mode="sequential")
+    if fmt == "log":
+        return LogSpaceBackend()
     if fmt == "lns":
         return LNSBackend()
     return PositBackend(PositEnv(64, 18))
@@ -146,15 +148,13 @@ def test_fig10_experiment_plans_identical():
     serial = fig10_vicar_cdf.run("test", seed=2, plan=ExecPlan.serial())
     batched = fig10_vicar_cdf.run("test", seed=2, plan=ExecPlan(n_workers=2))
     for panel in serial.panels:
-        # posit is element-exact through the engine; identical scores.
-        assert serial.panels[panel].scores["posit(64,18)"] == \
-            batched.panels[panel].scores["posit(64,18)"]
+        # posit is element-exact through the engine and log-space (in
+        # the default n-ary mode) bit-identical; identical scores.
+        for fmt in ("posit(64,18)", "log"):
+            assert serial.panels[panel].scores[fmt] == \
+                batched.panels[panel].scores[fmt], fmt
         assert serial.panels[panel].reference_scales == \
             batched.panels[panel].reference_scales
-        # log runs in the default n-ary mode: ulp-close, not bitwise.
-        s_med = serial.cdfs(panel)["log"].median
-        b_med = batched.cdfs(panel)["log"].median
-        assert b_med == pytest.approx(s_med, abs=1e-6)
 
 
 def test_fig6_software_baseline_rows():

@@ -84,10 +84,6 @@ def test_report_matches_golden(plan_name, experiment_id):
 def test_cost_golden_covers_the_registry():
     pinned = cost_golden.load()["experiments"]
     assert sorted(pinned) == sorted(REGISTRY)
-    # Every allow-listed scalar dispatch still happens: a stale entry
-    # would let a new leak under that name pass unseen.
-    for entry_id, counter in cost_golden.SCALAR_ALLOWED:
-        assert pinned[entry_id]["counters"].get(counter, 0) > 0, counter
 
 
 def test_cost_differences_name_the_entry_and_counter():
@@ -97,11 +93,15 @@ def test_cost_differences_name_the_entry_and_counter():
     assert cost_golden.differences("fig9", want, got) == [
         "fig9: spans posit.decode expected 3, got 4",
         "fig9: events posit.flush expected None, got 1"]
-    assert cost_golden.scalar_leaks("fig9", {
+    assert cost_golden.scalar_leaks({
         "nd.add.bigfloat256.scalar": 1, "nd.mul.log.scalar": 2,
         "nd.add.posit(64,12).batch": 3}) == ["nd.mul.log.scalar"]
-    assert cost_golden.scalar_leaks(
-        "scorecard", {"nd.mul.log.scalar": 2}) == []
+    # An astype counts against the format it converts into.
+    assert cost_golden.scalar_leaks({
+        "nd.astype.log->bigfloat256.scalar": 3,
+        "nd.astype.bigfloat256->posit(16,1).scalar": 3,
+        "nd.astype.bigfloat256->log.batch": 3}) == [
+        "nd.astype.bigfloat256->posit(16,1).scalar"]
 
 
 def test_first_difference_names_the_line():

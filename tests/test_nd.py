@@ -107,14 +107,6 @@ class TestRepresentationDispatch:
         x = nd.asarray(VALUES, "binary64", plan=ExecPlan.serial())
         assert not x.batch
 
-    def test_certified_tier_demotes_nary_log(self):
-        # n-ary log-space is elementwise-exact but not
-        # reduction-certified; sequential mode is both.
-        assert nd.asarray(VALUES, "log").batch
-        assert not nd.asarray(VALUES, "log", certified=True).batch
-        seq = LogSpaceBackend(sum_mode="sequential")
-        assert nd.asarray(VALUES, seq, certified=True).batch
-
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_representations_hold_identical_values(self, fmt):
         canonical = nd.asarray(VALUES, fmt)
@@ -429,7 +421,7 @@ class TestAppEquivalence:
         from repro.apps.hmm import forward, model_arrays
         backend = make_backend()
         hmm = self._hmm()
-        a, b, pi = model_arrays(hmm, backend, certified=True)
+        a, b, pi = model_arrays(hmm, backend)
         obs = list(hmm.observations)
         alpha = pi * b[:, obs[0]]
         for ot in obs[1:]:

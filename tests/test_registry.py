@@ -28,12 +28,13 @@ from repro.engine import ExecPlan, batch_backend_for, standard_batch_backends
 ALL_FORMATS = sorted(REGISTRY.names())
 
 
-def _equivalence_backend(name):
-    """The instance whose batch mirror is fully certified (log-space
-    needs the sequential sum mode for reduction certification)."""
+def _equivalence_backends(name):
+    """The instances an equivalence test runs: the default one, plus
+    the sequential sum mode for log-space."""
     if name == "log":
-        return REGISTRY.create(name, sum_mode="sequential")
-    return REGISTRY.create(name)
+        return [REGISTRY.create(name),
+                REGISTRY.create(name, sum_mode="sequential")]
+    return [REGISTRY.create(name)]
 
 
 @pytest.mark.parametrize("name", ALL_FORMATS)
@@ -54,14 +55,6 @@ class TestRoundTrip:
         # Oracle <=> no array implementation.
         assert (caps.exactness == ORACLE) == (not caps.batch)
 
-    def test_reduction_certification(self, name):
-        """reductions=True pairing follows the capability flag for the
-        default-constructed backend."""
-        caps = REGISTRY.capabilities(name)
-        backend = REGISTRY.create(name)
-        mirror = REGISTRY.batch_for(backend, reductions=True)
-        assert (mirror is not None) == caps.reductions_certified
-
     def test_values_round_trip_through_the_pair(self, name):
         """from_bigfloat on the scalar side == from_bigfloats + item on
         the batch side, for probability-magnitude inputs."""
@@ -76,42 +69,42 @@ class TestRoundTrip:
     def test_batch_of_one_equals_legacy_scalar_forward(self, name):
         """The inversion acceptance property: the canonical plan (batch
         kernels, B=1) reproduces the legacy scalar recurrence exactly —
-        bit-for-bit (binary64, sequential log), element-exact (posit,
-        LNS) — on a deep-underflow forward workload."""
+        bit-for-bit (binary64, log in both sum modes), element-exact
+        (posit, LNS) — on a deep-underflow forward workload."""
         from repro.apps.hmm import forward
         from repro.data.dirichlet import sample_hcg_like_hmm
-        backend = _equivalence_backend(name)
         hmm = sample_hcg_like_hmm(4, 12, seed=3, bits_per_step=150.0)
-        canonical = forward(hmm, backend)
-        legacy = forward(hmm, backend, plan=ExecPlan.serial())
-        assert canonical == legacy
+        for backend in _equivalence_backends(name):
+            canonical = forward(hmm, backend)
+            legacy = forward(hmm, backend, plan=ExecPlan.serial())
+            assert canonical == legacy
 
     def test_batch_of_one_equals_legacy_scalar_pbd(self, name):
         from repro.apps.pbd import pbd_pvalue
-        backend = _equivalence_backend(name)
         rng = np.random.default_rng(11)
         probs = [BigFloat.from_float(float(p))
                  for p in rng.uniform(1e-8, 0.2, 25)]
-        canonical = pbd_pvalue(probs, 3, backend)
-        legacy = pbd_pvalue(probs, 3, backend, plan=ExecPlan.serial())
-        assert canonical == legacy
+        for backend in _equivalence_backends(name):
+            canonical = pbd_pvalue(probs, 3, backend)
+            legacy = pbd_pvalue(probs, 3, backend, plan=ExecPlan.serial())
+            assert canonical == legacy
 
     def test_batch_of_one_equals_legacy_scalar_backward(self, name):
         from repro.apps.hmm_extra import backward
         from repro.data.dirichlet import sample_hcg_like_hmm
-        backend = _equivalence_backend(name)
         hmm = sample_hcg_like_hmm(3, 10, seed=5, bits_per_step=120.0)
-        canonical = backward(hmm, backend)
-        legacy = backward(hmm, backend, plan=ExecPlan.serial())
-        assert canonical == legacy
+        for backend in _equivalence_backends(name):
+            canonical = backward(hmm, backend)
+            legacy = backward(hmm, backend, plan=ExecPlan.serial())
+            assert canonical == legacy
 
 
 @pytest.mark.parametrize("name", ALL_FORMATS)
 class TestNdFrontEndEquivalence:
     """The api-redesign acceptance property: hand-written ``repro.nd``
     expressions reproduce the app entry points bit-identically
-    (binary64, sequential log) / element-exactly (posit, LNS) — under
-    the canonical plan *and* the serial baseline."""
+    (binary64, log in both sum modes) / element-exactly (posit, LNS) —
+    under the canonical plan *and* the serial baseline."""
 
     def _workload(self):
         from repro.data.dirichlet import sample_hcg_like_hmm
@@ -120,7 +113,7 @@ class TestNdFrontEndEquivalence:
     def _forward_expression(self, hmm, backend, plan):
         import repro.nd as nd
         from repro.apps.hmm import model_arrays
-        a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
+        a, b, pi = model_arrays(hmm, backend, plan=plan)
         obs = list(hmm.observations)
         alpha = pi * b[:, obs[0]]
         for ot in obs[1:]:
@@ -129,51 +122,53 @@ class TestNdFrontEndEquivalence:
 
     def test_nd_forward_matches_app_both_plans(self, name):
         from repro.apps.hmm import forward
-        backend = _equivalence_backend(name)
         hmm = self._workload()
-        reference = forward(hmm, backend)
-        for plan in (ExecPlan(), ExecPlan.serial()):
-            assert self._forward_expression(hmm, backend, plan) == reference
+        for backend in _equivalence_backends(name):
+            reference = forward(hmm, backend)
+            for plan in (ExecPlan(), ExecPlan.serial()):
+                assert self._forward_expression(hmm, backend, plan) \
+                    == reference
 
     def test_nd_backward_matches_app_both_plans(self, name):
         import repro.nd as nd
         from repro.apps.hmm import model_arrays
         from repro.apps.hmm_extra import backward
-        backend = _equivalence_backend(name)
         hmm = self._workload()
-        reference = backward(hmm, backend)
         obs = list(hmm.observations)
-        for plan in (ExecPlan(), ExecPlan.serial()):
-            a, b, pi = model_arrays(hmm, backend, plan=plan, certified=True)
-            beta = nd.ones_like(a, (len(pi),))
-            for t in range(len(obs) - 1, 0, -1):
-                beta = nd.sum(a * (b[:, obs[t]] * beta)[None, :], axis=1)
-            got = nd.sum(pi * (b[:, obs[0]] * beta)).item()
-            assert got == reference
+        for backend in _equivalence_backends(name):
+            reference = backward(hmm, backend)
+            for plan in (ExecPlan(), ExecPlan.serial()):
+                a, b, pi = model_arrays(hmm, backend, plan=plan)
+                beta = nd.ones_like(a, (len(pi),))
+                for t in range(len(obs) - 1, 0, -1):
+                    beta = nd.sum(a * (b[:, obs[t]] * beta)[None, :],
+                                  axis=1)
+                got = nd.sum(pi * (b[:, obs[0]] * beta)).item()
+                assert got == reference
 
     def test_nd_pbd_matches_app_both_plans(self, name):
         import repro.nd as nd
         from repro.apps.pbd import complement, pbd_pvalue
-        backend = _equivalence_backend(name)
         rng = np.random.default_rng(11)
         probs = [BigFloat.from_float(float(p))
                  for p in rng.uniform(1e-8, 0.2, 25)]
         k = 3
-        reference = pbd_pvalue(probs, k, backend)
-        for plan in (ExecPlan(), ExecPlan.serial()):
-            pn = nd.asarray(probs, backend, plan=plan)
-            qn = nd.asarray([complement(p) for p in probs], backend,
-                            plan=plan)
-            pr = nd.concatenate([nd.ones_like(pn, (1,)),
-                                 nd.zeros_like(pn, (k - 1,))])
-            pvalue = nd.zeros_like(pn, ())
-            for n in range(len(probs)):
-                if n >= k - 1:
-                    pvalue = pvalue + pr[k - 1] * pn[n]
-                shifted = nd.concatenate([nd.zeros_like(pn, (1,)),
-                                          pr[:-1]])
-                pr = pr * qn[n] + shifted * pn[n]
-            assert pvalue.item() == reference
+        for backend in _equivalence_backends(name):
+            reference = pbd_pvalue(probs, k, backend)
+            for plan in (ExecPlan(), ExecPlan.serial()):
+                pn = nd.asarray(probs, backend, plan=plan)
+                qn = nd.asarray([complement(p) for p in probs], backend,
+                                plan=plan)
+                pr = nd.concatenate([nd.ones_like(pn, (1,)),
+                                     nd.zeros_like(pn, (k - 1,))])
+                pvalue = nd.zeros_like(pn, ())
+                for n in range(len(probs)):
+                    if n >= k - 1:
+                        pvalue = pvalue + pr[k - 1] * pn[n]
+                    shifted = nd.concatenate([nd.zeros_like(pn, (1,)),
+                                              pr[:-1]])
+                    pr = pr * qn[n] + shifted * pn[n]
+                assert pvalue.item() == reference
 
 
 class TestRegistryDescribe:
@@ -201,11 +196,10 @@ class TestCapabilityTable:
         caps = REGISTRY.capabilities("log")
         assert caps.exactness == BIT_IDENTICAL
         assert caps.fused_ops == ("lse_nary",)
-        # Default (n-ary) log-space is not reductions-certified ...
-        assert not caps.reductions_certified
-        # ... but a sequential-mode instance is, per-instance.
-        seq = REGISTRY.create("log", sum_mode="sequential")
-        assert REGISTRY.batch_for(seq, reductions=True) is not None
+        # Both sum modes pair with a mirror of the same mode.
+        for mode in ("nary", "sequential"):
+            backend = REGISTRY.create("log", sum_mode=mode)
+            assert REGISTRY.batch_for(backend).sum_mode == mode
 
     def test_oracle_flags(self):
         caps = REGISTRY.capabilities("bigfloat256")
@@ -271,10 +265,6 @@ class TestRegistryApi:
         other = REGISTRY.create("lns(12,50)")
         assert REGISTRY.batch_for(one) is REGISTRY.batch_for(one)
         assert REGISTRY.batch_for(one) is not REGISTRY.batch_for(other)
-        # The reductions tier hands back the same cached mirror.
-        seq = REGISTRY.create("log", sum_mode="sequential")
-        assert REGISTRY.batch_for(seq) is \
-            REGISTRY.batch_for(seq, reductions=True)
 
     @pytest.mark.parametrize("name", ["posit(64,12)", "lns(12,50)",
                                       "binary64"])

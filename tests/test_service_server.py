@@ -47,9 +47,8 @@ def _solo_forward_wire(format_name, seed, h=3, m=3, t=10):
     return encode_value(backend, forward(hmm, backend))
 
 
-# Every registered format family: the bit-identical tier (binary64,
-# posit, LNS), the certified-fallback tier (n-ary log runs the scalar
-# representation under certified=True), and the oracle.
+# Every registered format family: the batched formats (binary64,
+# log-space, posit, LNS) and the oracle.
 FORMATS = ("binary64", "log", "posit(64,12)", "posit(16,1)",
            "lns(12,50)", "bigfloat128")
 

@@ -365,7 +365,7 @@ class TestNdCounters:
         a = nd.asarray([0.1, 0.2, 0.3], format="log")
         with telemetry.collect() as t:
             a.astype("binary64")
-        assert t.counters["nd.astype.log->binary64"] == 3
+        assert t.counters["nd.astype.log->binary64.batch"] == 3
 
 
 # ----------------------------------------------------------------------

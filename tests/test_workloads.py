@@ -102,7 +102,7 @@ class TestViterbi:
         with pytest.raises(ValueError, match="batch"):
             from repro.workloads.viterbi import _viterbi_nd
             from repro.apps.hmm import model_arrays
-            a, b, pi = model_arrays(hmm, backend, certified=False)
+            a, b, pi = model_arrays(hmm, backend)
             _viterbi_nd(a, b, pi, np.zeros(5, dtype=int))
 
 
