@@ -96,16 +96,17 @@ def measure_pairs(backend: Backend, op: str, pairs: Sequence,
     cell.
 
     ``batch=True`` routes the measured op through the format's array
-    backend from :mod:`repro.engine` when one exists (identical
-    results); the serial path never touches the engine layer.  A batch
-    tier that raises at runtime — or is already quarantined by the
-    degradation ladder — falls back to the scalar loop
+    backend from :mod:`repro.engine` when one exists; otherwise it runs
+    on the scalar plane (:class:`~repro.engine.batch.ScalarPlane`,
+    the scalar backend per pair — identical results).  A batch tier
+    that raises at runtime — or is already quarantined by the
+    degradation ladder — falls back to the scalar plane
     (:mod:`repro.faults.degrade`; the tallies are identical either
     way, only the speed changes).
     """
+    from ..engine import ScalarPlane, batch_backend_for
     bb = None
     if batch and not _faults.quarantined("batch"):
-        from ..engine import batch_backend_for
         bb = batch_backend_for(backend)
     if bb is not None:
         if _tele.current() is not None:
@@ -119,8 +120,7 @@ def measure_pairs(backend: Backend, op: str, pairs: Sequence,
     if bb is None:
         if _tele.current() is not None:
             _tele.count(f"sweep.{op}.{backend.name}.scalar", len(pairs))
-        results = [measure_op(backend, op, p.x, p.y, exact=p.exact)
-                   for p in pairs]
+        results = measure_ops_batch(ScalarPlane(backend), op, pairs)
     errors, n_uf, n_of = [], 0, 0
     for res in results:
         if res.status == OK:

@@ -20,14 +20,19 @@ entry points are B=1 views over the same expressions — see
   :class:`~repro.formats.lns.LNSEnv` (exact memoized Gaussian log);
 * :class:`BatchQuire` — exact posit accumulators as uint64 limb
   arrays, element-exact against :class:`~repro.formats.quire.Quire`;
+* :class:`~repro.engine.batch.ScalarPlane` — the scalar reference
+  plane: the same interface over object arrays of scalar-backend
+  values, looping the scalar backend per element;
 * :mod:`~repro.engine.runner` — the chunked multi-process sweep runner;
 * :mod:`~repro.engine.plan` — :class:`ExecPlan`, the one object
   carrying batch toggle, worker fan-out, cache policy and the
   measurement switch through apps and experiments.
 
 NumPy is a hard install requirement (setup.py).  Formats without an
-array implementation (the BigFloat oracle) take the callers'
-per-format scalar loops.
+array implementation (the BigFloat oracle) and every
+``ExecPlan.serial()`` run take the scalar plane (see
+:func:`plan_batch_backend`), so every :mod:`repro.nd` array carries a
+plane and dispatches one way.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .batch import (
     BatchBackend,
     BatchBinary64,
     BatchLogSpace,
+    ScalarPlane,
 )
 from .posit_batch import BatchPosit
 from .lns_batch import BatchLNS
@@ -68,8 +74,8 @@ def batch_backend_for(backend) -> Optional["BatchBackend"]:
     Thin view over the format registry
     (:meth:`repro.arith.registry.FormatRegistry.batch_for`), which owns
     the pairing table.  Formats without an array implementation (the
-    BigFloat oracle) return None; callers keep the scalar loop for
-    those.
+    BigFloat oracle) return None; they run on the scalar plane (see
+    :func:`plan_batch_backend`).
     """
     from ..arith.registry import REGISTRY
     return REGISTRY.batch_for(backend)
@@ -81,19 +87,18 @@ def standard_batch_backends(underflow: str = "saturate") -> dict:
     return REGISTRY.standard_batch(underflow)
 
 
-def plan_batch_backend(backend, plan: "ExecPlan"
-                       ) -> Optional["BatchBackend"]:
-    """The batch mirror an :class:`ExecPlan` selects for a kernel, or
-    None for the scalar path (the plan says so, or the format has no
-    mirror).
+def plan_batch_backend(backend, plan: "ExecPlan") -> "BatchBackend":
+    """The plane an :class:`ExecPlan` selects for a kernel: the
+    format's batch mirror, or a :class:`~repro.engine.batch.ScalarPlane`
+    over the scalar backend when the plan is serial or the format has
+    no mirror.
 
     This is the one place the apps decide scalar-vs-vectorized.  Every
     mirror is exact against its scalar backend, reductions included,
     so the choice changes only the speed of a result, never its bits.
     """
-    if not plan.batch:
-        return None
-    return batch_backend_for(backend)
+    bb = batch_backend_for(backend) if plan.batch else None
+    return ScalarPlane(backend) if bb is None else bb
 
 
 __all__ = [

@@ -20,6 +20,9 @@ of backend values, preserving the scalar backends' numerics:
   backend constructed with the same mode.
 * ``BatchPosit`` (see :mod:`repro.engine.posit_batch`) is element-exact
   against :class:`repro.formats.posit.PositEnv`.
+* ``ScalarPlane`` is the scalar backend itself behind the same
+  interface, on object arrays: the plane of serial plans and of
+  formats without a mirror (the BigFloat oracle).
 
 Values enter through :meth:`BatchBackend.from_bigfloats`, which performs
 the conversion with the *scalar* backend element by element — conversions
@@ -30,6 +33,7 @@ floating point.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -57,6 +61,10 @@ class BatchBackend(abc.ABC):
     name: str = "abstract-batch"
     #: NumPy dtype of value arrays.
     dtype: np.dtype = np.dtype(np.float64)
+    #: The plane this backend runs on: ``"batch"`` for the array
+    #: mirrors, ``"scalar"`` for :class:`ScalarPlane`.  It names the
+    #: ``nd.<op>.<format>.<plane>`` telemetry counters.
+    plane = "batch"
     #: Whether :mod:`repro.nd` keeps this mirror's arrays in a decoded
     #: plane between operations.  A resident mirror provides
     #: ``decode_once``/``encode_once`` and ``<op>_unpacked`` plane ops
@@ -399,3 +407,88 @@ class BatchLogSpace(BatchBackend):
         with np.errstate(divide="ignore"):
             out = safe_m + np.log(total)
         return np.where(np.isinf(m), m, out)
+
+
+class ScalarPlane(BatchBackend):
+    """The scalar reference plane: a :class:`BatchBackend` over object
+    arrays of the scalar backend's own values.
+
+    Every op loops the scalar backend element by element: ``add``,
+    ``mul``, ``sub``, ``div``, ``maximum`` and ``is_zero`` through
+    ``np.frompyfunc``, and ``sum``/``amax``/``argmax`` fold each lane
+    with the backend's own ``sum``/``maximum``/``gt`` (``dot`` and
+    ``axpy`` keep the base ``sum(mul)`` and ``add(mul)``).  It is the
+    plane of ``ExecPlan.serial()`` runs and of formats without an array
+    mirror (the BigFloat oracle, wrappers unknown to the registry), and
+    the reference every mirror is certified against.
+    """
+
+    plane = "scalar"
+    dtype = np.dtype(object)
+
+    def __init__(self, scalar: Backend):
+        self._scalar = scalar
+        self.name = scalar.name
+
+    @property
+    def scalar(self) -> Backend:
+        return self._scalar
+
+    def _map(self, op: str, *arrays) -> np.ndarray:
+        fn = np.frompyfunc(getattr(self._scalar, op), len(arrays), 1)
+        return np.asarray(fn(*arrays), dtype=object)
+
+    @staticmethod
+    def _lanes(arr, axis: int, fold, dtype=object) -> np.ndarray:
+        """``fold`` over each lane along ``axis``."""
+        moved = np.moveaxis(arr, axis, -1)
+        out = np.empty(moved.shape[:-1], dtype=dtype)
+        for idx in np.ndindex(*out.shape):
+            out[idx] = fold(moved[idx])
+        return out
+
+    def to_bigfloats(self, arr: np.ndarray) -> List[BigFloat]:
+        return [self._scalar.to_bigfloat(v) for v in arr.ravel()]
+
+    def item(self, arr: np.ndarray, index=()):
+        return arr[index]
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.full(shape, self._scalar.zero(), dtype=object)
+
+    def ones(self, shape) -> np.ndarray:
+        return np.full(shape, self._scalar.one(), dtype=object)
+
+    def add(self, a, b) -> np.ndarray:
+        return self._map("add", a, b)
+
+    def mul(self, a, b) -> np.ndarray:
+        return self._map("mul", a, b)
+
+    def sub(self, a, b) -> np.ndarray:
+        return self._map("sub", a, b)
+
+    def div(self, a, b) -> np.ndarray:
+        return self._map("div", a, b)
+
+    def maximum(self, a, b) -> np.ndarray:
+        return self._map("maximum", a, b)
+
+    def is_zero(self, arr) -> np.ndarray:
+        return self._map("is_zero", arr).astype(bool)
+
+    def sum(self, arr, axis: int = -1) -> np.ndarray:
+        return self._lanes(arr, axis, lambda v: self._scalar.sum(list(v)))
+
+    def amax(self, arr, axis: int = -1) -> np.ndarray:
+        return self._lanes(arr, axis,
+                           lambda v: functools.reduce(self._scalar.maximum, v))
+
+    def argmax(self, arr, axis: int = -1) -> np.ndarray:
+        def first_max(v):
+            best = 0
+            for i in range(1, len(v)):
+                if self._scalar.gt(v[i], v[best]):
+                    best = i
+            return best
+        return self._lanes(arr, axis, first_max, dtype=np.intp)

@@ -21,10 +21,10 @@ The *semantics* of the plan live with the callees:
 
 * ``batch`` — run the :mod:`repro.nd` recurrences of :mod:`repro.apps`
   and :mod:`repro.workloads` on the format's array mirror wherever it
-  has one (see :mod:`repro.arith.registry`); ``False``
-  forces the legacy scalar loops (the baseline the throughput
-  benchmarks measure against).  Batch is the *default*: the scalar
-  path is the special case now.
+  has one (see :mod:`repro.arith.registry`); ``False`` runs them on
+  the scalar plane, the scalar backend per element (the baseline the
+  throughput benchmarks measure against).  Batch is the *default*:
+  the scalar path is the special case now.
 * ``n_workers`` — process fan-out for the embarrassingly parallel
   stages (the Figure 3 sweep chunks, the ViCAR oracle pass).  ``None``,
   ``0`` and ``1`` all stay in-process; only ``n_workers > 1`` spawns
@@ -78,7 +78,7 @@ class ExecPlan:
 
     @classmethod
     def serial(cls, **overrides) -> "ExecPlan":
-        """The legacy scalar path: no vectorized kernels, no fan-out."""
+        """The scalar reference plane: no vectorized kernels, no fan-out."""
         overrides.setdefault("batch", False)
         return cls(**overrides)
 

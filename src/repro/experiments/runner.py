@@ -7,7 +7,7 @@ Usage::
     python -m repro.experiments fig3              # run one (bench scale)
     python -m repro.experiments --all --scale test
     python -m repro.experiments fig3 --workers 4
-    python -m repro.experiments fig10 --serial    # legacy scalar loops
+    python -m repro.experiments fig10 --serial    # the scalar plane
     python -m repro.experiments fig6 --measure    # software MMAPS columns
     python -m repro.experiments --all --refresh   # ignore cached results
 
@@ -15,8 +15,8 @@ Usage::
 
 The CLI flags assemble one :class:`~repro.engine.plan.ExecPlan` that is
 threaded through every plan-aware experiment: the vectorized engine is
-the default execution plane, ``--serial`` forces the legacy scalar
-loops (results are identical — that is the certification), and
+the default execution plane, ``--serial`` forces the scalar plane
+(results are identical — that is the certification), and
 ``--workers`` fans supported sweeps across processes.  Rendered reports
 are cached under ``.repro-cache/`` keyed on code + params
 (:mod:`repro.experiments.cache`), so re-running a figure with unchanged
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="also write <id>.txt and <id>.json here")
     parser.add_argument("--serial", action="store_true",
-                        help="force the legacy scalar loops instead of the "
+                        help="force the scalar plane instead of the "
                              "vectorized repro.engine kernels (identical "
                              "results; the throughput baseline)")
     parser.add_argument("--measure", action="store_true",

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..apps.hmm import forward
 from ..arith.backend import Backend
 from ..arith.backends import LogSpaceBackend, PositBackend
 from ..data.dirichlet import HMMData
-from ..formats.logspace import log_mul, lse_n
 from ..formats.posit import PositEnv
 from .pe import LOG, POSIT, forward_pe_latency, forward_pe_structure
 from .resources import Resources
@@ -134,40 +134,20 @@ class ForwardUnit:
     def simulate(self, hmm: HMMData):
         """Execute the PE dataflow with the unit's number format.
 
-        Returns ``(likelihood_value, TimingBreakdown)``.  The reduction
-        over states is done in *tree order* (Fig. 4's parallel reduction
-        tree); for log-space the H-nary LSE of Equation (3) matches the
-        max/exp/accumulate/log pipeline exactly.
+        Returns ``(likelihood_value, TimingBreakdown)``.  For posit the
+        reduction over states is done in *tree order* (Fig. 4b's
+        parallel reduction tree); the log-space PE's H-nary LSE of
+        Equation (3) is the software recurrence's own n-ary fold, so
+        the log unit runs :func:`software_forward_log`.
         """
         if hmm.n_states != self.h:
             raise ValueError(f"unit is hardwired for H={self.h}, "
                              f"got H={hmm.n_states} (Section V.B)")
-        backend = self.backend()
         if self.style == LOG:
-            value = _simulate_log(hmm)
+            value = software_forward_log(hmm)
         else:
             value = _simulate_posit(hmm, PositEnv(64, self.posit_es))
         return value, self.timing(hmm.length)
-
-
-def _simulate_log(hmm: HMMData) -> float:
-    """Listing 3 with the PE's n-ary LSE reduction."""
-    h = hmm.n_states
-    from ..formats.logspace import LogSpace
-    codec = LogSpace()
-    ln_a = [[codec.encode_bigfloat(x) for x in row] for row in hmm.transition]
-    ln_b = [[codec.encode_bigfloat(x) for x in row] for row in hmm.emission]
-    ln_pi = [codec.encode_bigfloat(x) for x in hmm.initial]
-    o0 = hmm.observations[0]
-    alpha = [log_mul(ln_pi[q], ln_b[q][o0]) for q in range(h)]
-    for t in range(1, hmm.length):
-        ot = hmm.observations[t]
-        nxt = []
-        for q in range(h):
-            terms = [alpha[p] + ln_a[p][q] for p in range(h)]
-            nxt.append(lse_n(terms) + ln_b[q][ot])
-        alpha = nxt
-    return lse_n(alpha)
 
 
 def _tree_sum(env: PositEnv, values: list) -> int:
@@ -199,9 +179,9 @@ def _simulate_posit(hmm: HMMData, env: PositEnv) -> int:
 
 
 def software_forward_log(hmm: HMMData) -> float:
-    """The CPU software the accelerator must be bit-equivalent to
-    (same n-ary LSE order)."""
-    return _simulate_log(hmm)
+    """The CPU software the accelerator must be bit-equivalent to:
+    Listing 3, the n-ary log-space forward of :mod:`repro.apps.hmm`."""
+    return forward(hmm, LogSpaceBackend())
 
 
 def software_forward_posit(hmm: HMMData, es: int = 18) -> int:

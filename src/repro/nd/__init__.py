@@ -1,9 +1,9 @@
 """``repro.nd`` — NumPy-style format-tagged arrays over the execution
 plane.
 
-PRs 1-3 built the plane (scalar backends, certified batch mirrors, the
-format registry, :class:`~repro.engine.plan.ExecPlan`); this package is
-its public front end.  A new numeric experiment is array math, not a
+The plane is the scalar backends, their certified batch mirrors, the
+format registry and :class:`~repro.engine.plan.ExecPlan`; this package
+is its public front end.  A new numeric experiment is array math, not a
 new kernel::
 
     import repro.nd as nd
@@ -15,8 +15,11 @@ new kernel::
         joint = nd.sum(p * q)                   # certified reduction
         print(joint.to_floats())
 
-Dispatch per op: ``FArray op -> registry capability lookup -> batch
-kernel (canonical) or scalar fallback`` — see :mod:`repro.nd.farray`
+Dispatch per op is one path: ``FArray op -> the array's plane``, the
+format's batch mirror or, for the BigFloat oracle and serial plans,
+the :class:`~repro.engine.batch.ScalarPlane` that loops the scalar
+backend — chosen once, when the array is built, by
+:func:`repro.engine.plan_batch_backend`.  See :mod:`repro.nd.farray`
 for the representation rules, and
 :mod:`repro.nd.context` for the ambient ``use_format``/``use_plan``
 state that replaces positional ``(backend, plan)`` threading.

@@ -1,29 +1,28 @@
 """``FArray``: a format-tagged array over the registry + ExecPlan plane.
 
-An :class:`FArray` is the NumPy-style front end of the execution plane
-built in PRs 1-3: it pairs a scalar :class:`~repro.arith.Backend` (the
-*format*: binary64, log-space, posit, LNS, the BigFloat oracle) with an
-array of that format's values and dispatches every operation the way
-the plan and the format registry allow:
+An :class:`FArray` is the NumPy-style front end of the execution
+plane: it pairs a *format* (binary64, log-space, posit, LNS, the
+BigFloat oracle) with an array of that format's values and the
+:class:`~repro.engine.batch.BatchBackend` the plan selects for it
+(:func:`repro.engine.plan_batch_backend`), and sends every operation
+to that backend — one dispatch path:
 
-* **vectorized** — when the active :class:`~repro.engine.plan.ExecPlan`
+* **batch plane** — when the active :class:`~repro.engine.plan.ExecPlan`
   has ``batch=True`` and the registry pairs the format with a batch
   mirror, the array holds the mirror's *packed code representation*
   (float64 values/logs, int64 LNS codes, uint64 posit patterns) and
   ``+``/``*``/reductions run through the mirror's certified array
-  kernels — the canonical path.  Posit arrays also carry the mirror's
-  decoded planes between operations (see :class:`FArray`);
-* **scalar fallback** — otherwise (the BigFloat oracle, a serial
-  plan), ``_data`` is an object array of scalar backend values and
-  every op loops through the scalar backend — the reference path.
+  kernels.  Posit arrays also carry the mirror's decoded planes
+  between operations (see :class:`FArray`);
+* **scalar plane** — otherwise (the BigFloat oracle, a serial plan),
+  the backend is a :class:`~repro.engine.batch.ScalarPlane`: the array
+  holds scalar backend values in an object array and every op loops
+  through the scalar backend — the reference.
 
-The two representations hold *the same values* (that is the registry's
+The two planes hold *the same values* (that is the registry's
 certification), so an expression's result never depends on which one
-ran — only its speed does.  Every registry mirror implements the full
-elementwise op set natively (``+ - * /`` plus the fused
-:func:`multiply_add`), so a vectorized array never drops into a
-per-element decode loop; the scalar loop survives only for the
-object-array representation (the oracle and serial plans).
+ran — only its speed does.  Every op counts its result elements under
+``nd.<op>.<format>.<plane>``.
 
 Values are immutable by convention: no ``__setitem__``; build new
 arrays with expressions, ``concatenate``, or ``where`` you write
@@ -41,6 +40,8 @@ from .. import telemetry as _tele
 from ..arith.backend import Backend
 from ..arith.registry import REGISTRY
 from ..bigfloat import BigFloat, DEFAULT_PRECISION
+from ..engine import plan_batch_backend
+from ..engine.batch import ScalarPlane
 from ..engine.plan import ExecPlan, resolve_plan
 from .context import _resolve_format
 
@@ -80,16 +81,6 @@ def _tally_nd(op: str, fmt: str, plane: str, n: int) -> None:
 #: Mirror ops a resident mirror (``BatchBackend.resident``) runs on its
 #: decoded planes, as ``<op>_unpacked``.
 _PLANE_OPS = frozenset({"add", "mul", "sum", "dot", "axpy"})
-
-
-def _mirror(backend: Backend, plan: ExecPlan):
-    """The batch mirror the plan selects (or None for the scalar
-    representation).  Thin view over
-    :func:`repro.engine.plan_batch_backend` — the one place the
-    scalar-vs-vectorized decision lives (imported lazily: the engine
-    package's kernels import this module at call time)."""
-    from ..engine import plan_batch_backend
-    return plan_batch_backend(backend, plan)
 
 
 def _same_numerics(a: Backend, b: Backend) -> bool:
@@ -139,23 +130,24 @@ class FArray:
     reductions in this module.  ``item``/``tolist``/``to_bigfloats``
     exit back to scalar-backend values.
 
-    On a *resident* mirror (posit) an array holds packed codes, decoded
-    planes, or both: the planes are decoded at most once and cached,
-    views re-view them, ``+ * dot sum multiply_add`` return planes-only
-    results, and codes are built (once) only when a value escapes —
+    Every array carries the plane its plan selected (``_bb``: a batch
+    mirror or the :class:`~repro.engine.batch.ScalarPlane`), and every
+    op goes to it.  On a *resident* mirror (posit) an array holds
+    packed codes, decoded planes, or both: the planes are decoded at
+    most once and cached, views and gathers map the planes only,
+    ``+ * dot sum multiply_add`` return planes-only results, and codes
+    are built (once) only when a value escapes —
     :attr:`data`, :meth:`item`, :meth:`to_bigfloats`, the order ops,
     ``-`` and ``/``.  Either form holds the same values, so only the
     speed depends on which one an array carries.
     """
 
-    __slots__ = ("_backend", "_bb", "_codes", "_planes")
+    __slots__ = ("_bb", "_codes", "_planes")
     #: NumPy must not try to handle ``ndarray <op> FArray`` itself.
     __array_ufunc__ = None
     __array_priority__ = 1000
 
-    def __init__(self, data: Optional[np.ndarray], backend: Backend, bb=None,
-                 planes=None):
-        self._backend = backend
+    def __init__(self, data: Optional[np.ndarray], bb, planes=None):
         self._bb = bb
         self._codes = data
         self._planes = planes
@@ -166,23 +158,23 @@ class FArray:
     @property
     def format(self) -> str:
         """The registry format name this array is tagged with."""
-        return self._backend.name
+        return self._bb.scalar.name
 
     @property
     def backend(self) -> Backend:
         """The scalar backend defining this array's numerics."""
-        return self._backend
+        return self._bb.scalar
 
     @property
     def batch(self) -> bool:
-        """True when backed by the vectorized batch mirror (packed
-        codes); False on the scalar-fallback representation."""
-        return self._bb is not None
+        """True on a batch mirror's plane (packed codes); False on the
+        scalar plane."""
+        return self._bb.plane == "batch"
 
     @property
     def data(self) -> np.ndarray:
-        """The raw storage: packed codes (batch) or scalar backend
-        values in an object array (fallback)."""
+        """The raw storage: packed codes (batch plane) or scalar
+        backend values in an object array (scalar plane)."""
         return self._data
 
     @property
@@ -191,10 +183,6 @@ class FArray:
         if self._codes is None:
             self._codes = self._bb.encode_once(self._planes)
         return self._codes
-
-    @property
-    def _resident(self) -> bool:
-        return self._bb is not None and self._bb.resident
 
     def _decoded(self):
         """The decoded planes (resident mirrors), decoded at most once."""
@@ -222,19 +210,19 @@ class FArray:
         return self.shape[0]
 
     def __repr__(self):
-        mode = "batch" if self._bb is not None else "scalar"
-        return (f"<FArray {self.format} shape={self.shape} {mode}>")
+        return f"<FArray {self.format} shape={self.shape} {self._bb.plane}>"
 
     # ------------------------------------------------------------------
     # Shape manipulation (never touches values)
     # ------------------------------------------------------------------
     def _view(self, fn) -> "FArray":
-        """``fn`` applied to the codes and, on a resident mirror, to the
-        planes — decoded first (once), so every view of an array stays
-        in the plane."""
-        planes = self._decoded().map(fn) if self._resident else None
-        codes = None if self._codes is None else fn(self._codes)
-        return FArray(codes, self._backend, self._bb, planes)
+        """``fn`` applied to the storage: on a resident mirror to the
+        planes only — decoded first (once), so every view of an array
+        stays in the plane, and its codes are built only if its value
+        escapes — else to the codes."""
+        if self._bb.resident:
+            return FArray(None, self._bb, self._decoded().map(fn))
+        return FArray(fn(self._codes), self._bb)
 
     def __getitem__(self, key) -> "FArray":
         if isinstance(key, FArray):
@@ -257,24 +245,17 @@ class FArray:
     def item(self, index=()):
         """One element as a scalar-backend value (for scoring, ratio
         tests, ``backend.to_bigfloat`` ...)."""
-        if self._bb is not None:
-            return self._bb.item(self._data, index)
-        return self._data[index]
+        return self._bb.item(self._data, index)
 
     def tolist(self):
         """Nested lists of scalar-backend values (row-major)."""
-        if self._bb is None:
-            return self._data.tolist()
-        out = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(*self.shape):
-            out[idx] = self._bb.item(self._data, idx)
-        return out.tolist()
+        out = np.empty(self.size, dtype=object)
+        out[:] = self._items_flat()
+        return out.reshape(self.shape).tolist()
 
     def to_bigfloats(self) -> List[BigFloat]:
         """Exact (or correctly rounded) values, flattened row-major."""
-        if self._bb is not None:
-            return self._bb.to_bigfloats(self._data)
-        return [self._backend.to_bigfloat(v) for v in self._data.ravel()]
+        return self._bb.to_bigfloats(self._data)
 
     def to_floats(self) -> np.ndarray:
         """Lossy float64 readout (underflows below 2**-1074 — which is
@@ -284,81 +265,63 @@ class FArray:
 
     def is_zero(self) -> np.ndarray:
         """Boolean mask of exactly-zero probabilities."""
-        if self._bb is not None:
-            return np.asarray(self._bb.is_zero(self._data), dtype=bool)
-        out = np.frompyfunc(self._backend.is_zero, 1, 1)(self._data)
-        return np.asarray(out, dtype=bool)
+        return np.asarray(self._bb.is_zero(self._data), dtype=bool)
 
     # ------------------------------------------------------------------
     # Representation plumbing
     # ------------------------------------------------------------------
     def _items_flat(self) -> list:
         """Every element as a scalar-backend value, row-major."""
-        if self._bb is None:
-            return list(self._data.ravel())
         flat = self._data.ravel()
         return [self._bb.item(flat, i) for i in range(flat.size)]
 
     def _as_mode(self, bb) -> "FArray":
-        """This array re-encoded for another representation (same
-        format, so values are preserved exactly)."""
-        if bb is self._bb:
+        """This array on plane ``bb`` (same format, so values are
+        preserved exactly).  Two planes of one kind share the code
+        space (and the decoded-plane layout), so only a move between
+        the batch and the scalar plane re-encodes."""
+        if bb.plane == self._bb.plane:
             return self
-        if bb is not None and self._bb is not None:
-            # Two mirrors of one format share the code space (and the
-            # plane layout); retag.
-            return FArray(self._codes, self._backend, bb, self._planes)
-        items = self._items_flat()
-        if bb is None:
-            out = np.empty(self.shape, dtype=object)
-            out.reshape(-1)[:] = items
-            return FArray(out, self._backend, None)
-        return FArray(bb.from_items(items, self.shape), self._backend, bb)
+        return FArray(bb.from_items(self._items_flat(), self.shape), bb)
 
     def _coerce(self, other) -> Optional["FArray"]:
         """``other`` as an FArray in this array's format and
         representation (None when the type is not coercible)."""
         if isinstance(other, FArray):
-            if not _same_numerics(self._backend, other._backend):
+            if not _same_numerics(self.backend, other.backend):
                 raise TypeError(
                     f"format mismatch: {self.format} vs {other.format} "
                     f"(or differing backend modes, e.g. log sum_mode); "
                     f"convert explicitly with astype()")
             return other._as_mode(self._bb)
         if isinstance(other, (BigFloat, numbers.Number)):
-            bf = _exact(other)
-            if self._bb is not None:
-                return FArray(self._bb.from_bigfloats([bf]).reshape(()),
-                              self._backend, self._bb)
-            out = np.empty((), dtype=object)
-            out[()] = self._backend.from_bigfloat(bf)
-            return FArray(out, self._backend, None)
+            return FArray(self._bb.from_bigfloats([_exact(other)])
+                          .reshape(()), self._bb)
         if isinstance(other, (list, tuple, np.ndarray)):
-            return _convert(other, self._backend, self._bb)
+            return _convert(other, self._bb)
         return None
 
     # ------------------------------------------------------------------
-    # Arithmetic (dispatch: batch mirror op -> scalar fallback)
+    # Arithmetic (one dispatch: the array's plane)
     # ------------------------------------------------------------------
-    def _vector_op(self, op: str, *operands: "FArray", **kw) -> "FArray":
-        """Mirror op ``op`` over ``operands`` (this array's format and
-        representation): on the decoded planes when the mirror keeps
-        them resident, else on packed codes.
+    def _plane_op(self, op: str, *operands: "FArray", **kw) -> "FArray":
+        """Plane op ``op`` over ``operands`` (this array's format and
+        plane): on the decoded planes when the mirror keeps them
+        resident, else on the stored codes or values.
 
-        Every registry mirror implements the full op set natively
-        (``BatchBackend.sub``/``div`` raise for exotic mirrors without
-        one — there is no silent per-element fallback on the vectorized
-        representation)."""
+        Every plane implements the full op set (``BatchBackend.sub``/
+        ``div`` raise for exotic mirrors without one — there is no
+        silent per-element fallback)."""
         bb = self._bb
         if bb.resident and op in _PLANE_OPS:
             planes = getattr(bb, op + "_unpacked")(
                 *(x._decoded() for x in operands), **kw)
-            out = FArray(None, self._backend, bb, planes)
+            out = FArray(None, bb, planes)
         else:
             codes = getattr(bb, op)(*(x._data for x in operands), **kw)
-            out = FArray(np.asarray(codes), self._backend, bb)
+            out = FArray(np.asarray(codes), bb)
         if _tele.current() is not None:
-            _tally_nd(op, self.format, "batch", out.size)
+            _tally_nd(op, self.format, bb.plane, out.size)
         return out
 
     def _binary(self, other, op: str, reflected: bool = False):
@@ -366,18 +329,7 @@ class FArray:
         if rhs is None:
             return NotImplemented
         a, b = (rhs, self) if reflected else (self, rhs)
-        if self._bb is not None:
-            return self._vector_op(op, a, b)
-        return self._scalar_binary(a, b, op)
-
-    def _scalar_binary(self, a: "FArray", b: "FArray", op: str) -> "FArray":
-        """Elementwise op through the scalar backend (the object-array
-        representation's path)."""
-        fn = getattr(self._backend, op)
-        out = np.frompyfunc(fn, 2, 1)(a._data, b._data)
-        if _tele.current() is not None:
-            _tally_nd(op, self._backend.name, "scalar", np.size(out))
-        return FArray(np.asarray(out, dtype=object), self._backend, None)
+        return self._plane_op(op, a, b)
 
     def __add__(self, other):
         return self._binary(other, "add")
@@ -406,12 +358,11 @@ class FArray:
     def maximum(self, other) -> "FArray":
         """Elementwise larger probability (first operand on ties).
 
-        Exact by construction on every representation: the batch
-        mirrors compare monotone code arrays (float values/logs, posit
-        patterns as two's-complement, LNS codes), the scalar fallback
-        uses the backend's representation-native ``gt`` — the same
-        total order, so the max semirings decide identically on both
-        planes.
+        Exact by construction on every plane: the batch mirrors compare
+        monotone code arrays (float values/logs, posit patterns as
+        two's-complement, LNS codes), the scalar plane uses the
+        backend's representation-native ``gt`` — the same total order,
+        so the max semirings decide identically on both planes.
         """
         out = self._binary(other, "maximum")
         if out is NotImplemented:
@@ -437,83 +388,50 @@ class FArray:
     def sum(self, axis: Optional[int] = None) -> "FArray":
         """Reduce along ``axis`` (or everything) in index order with the
         format's ``sum`` fold — vectorized through the batch mirror,
-        scalar backend fold otherwise (the same bits either way).
+        the scalar backend's fold per lane on the scalar plane (the
+        same bits either way).
         """
         if axis is None:
             return self.ravel().sum(axis=0)
-        if self._bb is not None:
-            return self._vector_op("sum", self, axis=axis)
-        moved = np.moveaxis(self._data, axis, -1)
-        out = np.empty(moved.shape[:-1], dtype=object)
-        for idx in np.ndindex(*out.shape):
-            out[idx] = self._backend.sum(list(moved[idx]))
-        if _tele.current() is not None:
-            _tally_nd("sum", self.format, "scalar", out.size)
-        return FArray(out, self._backend, None)
+        return self._plane_op("sum", self, axis=axis)
 
     def dot(self, other, axis: int = -1) -> "FArray":
         """Sum of elementwise products along ``axis`` (mul then the
         ``sum`` fold — the forward algorithm's inner kernel).
 
-        On the vectorized representation this dispatches to the batch
-        mirror's ``dot``; the posit mirror runs it on the decoded planes
-        with every intermediate still rounded op-for-op like the fold.
+        The posit mirror runs it on the decoded planes with every
+        intermediate still rounded op-for-op like the fold.
         """
         rhs = self._coerce(other)
         if rhs is None:
             raise TypeError(f"cannot dot {type(other).__name__} with an "
                             f"FArray")
-        if self._bb is not None:
-            return self._vector_op("dot", self, rhs, axis=axis)
-        return (self * rhs).sum(axis=axis)
+        return self._plane_op("dot", self, rhs, axis=axis)
 
     def max(self, axis: Optional[int] = None) -> "FArray":
         """Largest probability along ``axis`` (or of everything).
 
         The max fold is associative and exact in every format (no
-        rounding — one of the inputs *is* the result), so batch and
-        scalar representations always agree (ties resolve to the first
-        index, as :meth:`argmax` reports).
+        rounding — one of the inputs *is* the result), so the batch and
+        scalar planes always agree (ties resolve to the first index, as
+        :meth:`argmax` reports).
         """
         if axis is None:
             return self.ravel().max(axis=0)
-        if self._bb is not None:
-            return self._vector_op("amax", self, axis=axis)
-        moved = np.moveaxis(self._data, axis, -1)
-        out = np.empty(moved.shape[:-1], dtype=object)
-        for idx in np.ndindex(*out.shape):
-            acc = moved[idx][0]
-            for v in moved[idx][1:]:
-                acc = self._backend.maximum(acc, v)
-            out[idx] = acc
-        if _tele.current() is not None:
-            _tally_nd("amax", self.format, "scalar", out.size)
-        return FArray(out, self._backend, None)
+        return self._plane_op("amax", self, axis=axis)
 
     def argmax(self, axis: int = -1) -> np.ndarray:
         """Index of the largest probability along ``axis`` (first index
         on ties — ``np.argmax``'s rule), as a plain integer ndarray.
 
-        This is the Viterbi back-pointer primitive; batch and scalar
-        representations decide identically (same total order, same
-        tie-break), which is what makes traceback paths plan-invariant.
+        This is the Viterbi back-pointer primitive; the batch and scalar
+        planes decide identically (same total order, same tie-break),
+        which is what makes traceback paths plan-invariant.
         """
-        if self._bb is not None:
-            out = np.asarray(self._bb.argmax(self._data, axis=axis),
-                             dtype=np.intp)
-            if _tele.current() is not None:
-                _tally_nd("argmax", self.format, "batch", out.size)
-            return out
-        moved = np.moveaxis(self._data, axis, -1)
-        out = np.empty(moved.shape[:-1], dtype=np.intp)
-        for idx in np.ndindex(*out.shape):
-            best, best_i = moved[idx][0], 0
-            for i, v in enumerate(moved[idx][1:], start=1):
-                if self._backend.gt(v, best):
-                    best, best_i = v, i
-            out[idx] = best_i
+        out = np.asarray(self._bb.argmax(self._data, axis=axis),
+                         dtype=np.intp)
         if _tele.current() is not None:
-            _tally_nd("argmax", self.format, "scalar", out.size)
+            _tally_nd("argmax", self.format, self._bb.plane, out.size)
         return out
 
     # ------------------------------------------------------------------
@@ -531,33 +449,25 @@ class FArray:
         """
         target = _resolve_format(format, **format_kwargs)
         plan = resolve_plan(plan, where="FArray.astype")
-        bb = _mirror(target, plan)
-        if _same_numerics(target, self._backend):
-            if (self._bb is None) == (bb is None):
-                return self
+        bb = plan_batch_backend(target, plan)
+        if _same_numerics(target, self.backend):
             return self._as_mode(bb)
         if _tele.current() is not None:
-            _tally_nd("astype", f"{self.format}->{target.name}",
-                      "scalar" if bb is None else "batch", self.size)
-        return _from_bigfloats(self.to_bigfloats(), self.shape, target, bb)
+            _tally_nd("astype", f"{self.format}->{target.name}", bb.plane,
+                      self.size)
+        return _from_bigfloats(self.to_bigfloats(), self.shape, bb)
 
 
 # ----------------------------------------------------------------------
 # Constructors
 # ----------------------------------------------------------------------
-def _from_bigfloats(values: Sequence[BigFloat], shape, backend: Backend,
-                    bb) -> FArray:
-    if bb is not None:
-        return FArray(bb.from_bigfloats(values).reshape(shape), backend, bb)
-    out = np.empty(shape, dtype=object)
-    out.reshape(-1)[:] = [backend.from_bigfloat(v) for v in values]
-    return FArray(out, backend, None)
+def _from_bigfloats(values: Sequence[BigFloat], shape, bb) -> FArray:
+    return FArray(bb.from_bigfloats(values).reshape(shape), bb)
 
 
-def _convert(values, backend: Backend, bb) -> FArray:
-    """Nested numbers/BigFloats into an FArray with the given
-    representation."""
-    if bb is not None and isinstance(values, np.ndarray) \
+def _convert(values, bb) -> FArray:
+    """Nested numbers/BigFloats into an FArray on plane ``bb``."""
+    if isinstance(values, np.ndarray) \
             and np.issubdtype(values.dtype, np.floating) \
             and np.isfinite(values).all():
         # Finite float tensors skip the per-element BigFloat round-trip:
@@ -566,10 +476,10 @@ def _convert(values, backend: Backend, bb) -> FArray:
         # result is bit-identical by construction — pinned by
         # tests/test_nd.py against the exact path.  Non-finite entries
         # fall through so they raise the same error as scalar inputs.
-        return FArray(bb.from_floats(values), backend, bb)
+        return FArray(bb.from_floats(values), bb)
     src = np.asarray(values, dtype=object)
     flat = [_exact(v) for v in src.ravel()]
-    return _from_bigfloats(flat, src.shape, backend, bb)
+    return _from_bigfloats(flat, src.shape, bb)
 
 
 def asarray(values, format=None, *, plan: Optional[ExecPlan] = None,
@@ -580,20 +490,18 @@ def asarray(values, format=None, *, plan: Optional[ExecPlan] = None,
     ``format`` is a registry name or scalar backend; omitted, the
     ambient :func:`~repro.nd.use_format` format applies.  ``plan``
     (default: the ambient :func:`~repro.nd.use_plan` plan) selects the
-    representation — see the module docstring.  Conversion is
+    plane — see the module docstring.  Conversion is
     input-side and exact: every element becomes an exact BigFloat
     first, then rounds once into the format.
     """
     backend = _resolve_format(format, **format_kwargs)
     plan = resolve_plan(plan, where="nd.asarray")
-    bb = _mirror(backend, plan)
+    bb = plan_batch_backend(backend, plan)
     if isinstance(values, FArray):
-        if _same_numerics(values._backend, backend):
-            if (values._bb is None) == (bb is None):
-                return values
+        if _same_numerics(values.backend, backend):
             return values._as_mode(bb)
         return values.astype(backend, plan=plan)
-    return _convert(values, backend, bb)
+    return _convert(values, bb)
 
 
 array = asarray
@@ -601,30 +509,21 @@ array = asarray
 
 def wrap(data, format=None, *, bb=None) -> FArray:
     """An :class:`FArray` over *already-encoded* storage (no value
-    conversion): ``bb`` + a packed code array for the vectorized
-    representation, or a format + an object array of scalar backend
-    values.  This is the kernel-facing constructor; most callers want
+    conversion): ``bb`` + a packed code array for its plane, or a
+    format + an object array of scalar backend values (the scalar
+    plane).  This is the kernel-facing constructor; most callers want
     :func:`asarray`.
     """
-    if bb is not None:
-        return FArray(np.asarray(data, dtype=bb.dtype), bb.scalar, bb)
-    backend = _resolve_format(format)
-    return FArray(np.asarray(data, dtype=object), backend, None)
-
-
-def _fill(shape, method: str, backend: Backend, bb) -> FArray:
-    """The shared identity-array body: ``method`` is "zeros"/"ones"."""
-    if bb is not None:
-        return FArray(getattr(bb, method)(shape), backend, bb)
-    out = np.empty(shape, dtype=object)
-    out[...] = getattr(backend, "zero" if method == "zeros" else "one")()
-    return FArray(out, backend, None)
+    if bb is None:
+        bb = ScalarPlane(_resolve_format(format))
+    return FArray(np.asarray(data, dtype=bb.dtype), bb)
 
 
 def _filled(shape, method: str, format, plan, format_kwargs) -> FArray:
+    """The shared identity-array body: ``method`` is "zeros"/"ones"."""
     backend = _resolve_format(format, **format_kwargs)
-    plan = resolve_plan(plan, where=f"nd.{method}")
-    return _fill(shape, method, backend, _mirror(backend, plan))
+    bb = plan_batch_backend(backend, resolve_plan(plan, where=f"nd.{method}"))
+    return FArray(getattr(bb, method)(shape), bb)
 
 
 def zeros(shape, format=None, *, plan: Optional[ExecPlan] = None,
@@ -644,21 +543,21 @@ def full(shape, value, format=None, *, plan: Optional[ExecPlan] = None,
     """An array with every element the given probability value."""
     scalar = asarray([value], format, plan=plan, **format_kwargs)
     data = np.broadcast_to(scalar._data.reshape(()), shape)
-    return FArray(data, scalar._backend, scalar._bb)
+    return FArray(data, scalar._bb)
 
 
 def _like(x: FArray, method: str, shape) -> FArray:
-    return _fill(x.shape if shape is None else shape, method,
-                 x._backend, x._bb)
+    shape = x.shape if shape is None else shape
+    return FArray(getattr(x._bb, method)(shape), x._bb)
 
 
 def zeros_like(x: FArray, shape=None) -> FArray:
-    """Probability-0 array in ``x``'s format *and* representation."""
+    """Probability-0 array in ``x``'s format *and* plane."""
     return _like(x, "zeros", shape)
 
 
 def ones_like(x: FArray, shape=None) -> FArray:
-    """Probability-1 array in ``x``'s format *and* representation."""
+    """Probability-1 array in ``x``'s format *and* plane."""
     return _like(x, "ones", shape)
 
 
@@ -684,10 +583,10 @@ def _join(arrays: Sequence[FArray], fn) -> FArray:
     codes = planes = None
     if all(a._codes is not None for a in arrays):
         codes = fn(*(a._codes for a in arrays))
-    if first._resident and any(a._planes is not None for a in arrays):
+    if first._bb.resident and any(a._planes is not None for a in arrays):
         planes = first._decoded().map(
             fn, *(a._decoded() for a in arrays[1:]))
-    return FArray(codes, first._backend, first._bb, planes)
+    return FArray(codes, first._bb, planes)
 
 
 def concatenate(arrays: Sequence[FArray], axis: int = 0) -> FArray:
@@ -746,9 +645,7 @@ def multiply_add(x: FArray, y, z) -> FArray:
     if ry is None or rz is None:
         raise TypeError("multiply_add operands must be coercible to "
                         "the FArray's format")
-    if x._bb is not None:
-        return x._vector_op("axpy", x, ry, rz)
-    return x * ry + rz
+    return x._plane_op("axpy", x, ry, rz)
 
 
 def _matmul(a: FArray, b: FArray) -> FArray:
@@ -778,10 +675,7 @@ def logsumexp(x: FArray, axis: Optional[int] = None,
     """
     total = x.sum(axis=axis)
     if x.format == "log":
-        if total._bb is not None:
-            return np.asarray(total._data, dtype=np.float64)
-        return np.array(total._data.tolist(),
-                        dtype=np.float64).reshape(total.shape)
+        return np.asarray(total._data, dtype=np.float64)
     from ..bigfloat import functions as bf
     out = np.empty(total.shape, dtype=np.float64)
     flat = out.reshape(-1)
@@ -814,16 +708,15 @@ def fused_sum(x: FArray, axis: Optional[int] = None, *,
     if axis is None:
         return fused_sum(x.ravel(), axis=0, max_limbs=max_limbs)
     env = x.backend.env
-    if x._bb is not None:
+    if x.batch:
         from ..engine.quire_batch import fused_sum_batch
         return FArray(fused_sum_batch(env, x._data, axis=axis,
-                                      max_limbs=max_limbs),
-                      x._backend, x._bb)
+                                      max_limbs=max_limbs), x._bb)
     moved = np.moveaxis(x._data, axis, -1)
     out = np.empty(moved.shape[:-1], dtype=object)
     for idx in np.ndindex(*out.shape):
         out[idx] = env.fused_sum(list(moved[idx]))
-    return FArray(out, x._backend, None)
+    return FArray(out, x._bb)
 
 
 def fused_dot(x: FArray, y, axis: int = -1, *,
@@ -834,12 +727,11 @@ def fused_dot(x: FArray, y, axis: int = -1, *,
     _require_fused(x, "quire_fused_dot")
     rhs = x._coerce(y)
     env = x.backend.env
-    if x._bb is not None:
+    if x.batch:
         from ..engine.quire_batch import fused_dot_product_batch
         return FArray(fused_dot_product_batch(env, x._data, rhs._data,
                                               axis=axis,
-                                              max_limbs=max_limbs),
-                      x._backend, x._bb)
+                                              max_limbs=max_limbs), x._bb)
     from ..formats.quire import fused_dot_product
     da, db = np.broadcast_arrays(x._data, rhs._data)
     moved_a = np.moveaxis(da, axis, -1)
@@ -848,4 +740,4 @@ def fused_dot(x: FArray, y, axis: int = -1, *,
     for idx in np.ndindex(*out.shape):
         out[idx] = fused_dot_product(env, list(moved_a[idx]),
                                      list(moved_b[idx]))
-    return FArray(out, x._backend, None)
+    return FArray(out, x._bb)

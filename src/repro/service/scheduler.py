@@ -87,14 +87,13 @@ class Microbatcher:
     batchmates; ``max_batch`` — flush-on-full group size (``1``
     disables coalescing: the baseline configuration the load harness
     measures against); ``max_queue`` — admission bound on in-flight
-    requests; ``workers`` — concurrent executor drains (1 keeps batch
-    execution strictly ordered); ``plan`` — the server's
+    requests; ``plan`` — the server's
     :class:`ExecPlan` for kernel calls; ``collector`` — the server
     collector that per-batch telemetry children merge into.
     """
 
     def __init__(self, *, window_s: float = 0.002, max_batch: int = 64,
-                 max_queue: int = 1024, workers: int = 1,
+                 max_queue: int = 1024,
                  plan: Optional[ExecPlan] = None,
                  collector: Optional[Collector] = None,
                  deadline_s: Optional[float] = None):
@@ -102,8 +101,6 @@ class Microbatcher:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if window_s < 0:
             raise ValueError(f"window_s must be >= 0, got {window_s}")
         if deadline_s is not None and deadline_s <= 0:
@@ -119,8 +116,7 @@ class Microbatcher:
         self._seq = 0
         self._in_flight = 0
         self._woken: Optional[asyncio.Event] = None
-        self._workers: List[asyncio.Task] = []
-        self._n_workers = workers
+        self._drainer: Optional[asyncio.Task] = None
         self._stopping = False
 
     # ------------------------------------------------------------------
@@ -131,7 +127,7 @@ class Microbatcher:
         """Queue one *validated* request; returns its ``(values, stats)``
         once its group has executed.  Raises :class:`Overloaded` at the
         admission bound and :class:`ShuttingDown` during drain."""
-        self._ensure_workers()
+        self._ensure_drainer()
         if self._stopping:
             raise ShuttingDown("scheduler is stopping")
         if self._in_flight >= self.max_queue:
@@ -199,13 +195,13 @@ class Microbatcher:
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    def _ensure_workers(self) -> None:
-        if self._workers or self._stopping:
+    def _ensure_drainer(self) -> None:
+        """Start the one drain task, which executes the ready groups
+        strictly in priority order."""
+        if self._drainer is not None or self._stopping:
             return
         self._woken = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        self._workers = [loop.create_task(self._drain())
-                         for _ in range(self._n_workers)]
+        self._drainer = asyncio.get_running_loop().create_task(self._drain())
 
     async def _drain(self) -> None:
         while True:
@@ -358,14 +354,13 @@ class Microbatcher:
             _p, _s, group = heapq.heappop(self._ready)
             self._fail_group(group, ShuttingDown(
                 "server is shutting down; request was never executed"))
-        for task in self._workers:
-            task.cancel()
-        for task in self._workers:
+        if self._drainer is not None:
+            self._drainer.cancel()
             try:
-                await task
+                await self._drainer
             except (asyncio.CancelledError, Exception):
                 pass
-        self._workers = []
+            self._drainer = None
 
 
 __all__ = ["Microbatcher"]

@@ -64,8 +64,8 @@ def _percentile(sorted_values, q: float) -> float:
 class EvalServer:
     """The arithmetic-as-a-service endpoint.
 
-    ``window_s``/``max_batch``/``max_queue``/``workers`` parameterize
-    the :class:`Microbatcher` (``max_batch=1`` is the no-coalescing
+    ``window_s``/``max_batch``/``max_queue`` parameterize the
+    :class:`Microbatcher` (``max_batch=1`` is the no-coalescing
     baseline the load harness measures against); ``plan`` is the
     execution plan every kernel call runs under; ``cache`` is the
     *server-side* dedupe switch (``"auto"`` honors each request plan's
@@ -79,7 +79,7 @@ class EvalServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  window_s: float = 0.002, max_batch: int = 64,
-                 max_queue: int = 1024, workers: int = 1,
+                 max_queue: int = 1024,
                  plan: Optional[ExecPlan] = None, cache: str = "auto",
                  cache_dir: Optional[str] = None,
                  max_body: int = 32 * 1024 * 1024,
@@ -95,8 +95,7 @@ class EvalServer:
         self.max_body = max_body
         self.collector = Collector()
         self.batcher = Microbatcher(window_s=window_s, max_batch=max_batch,
-                                    max_queue=max_queue, workers=workers,
-                                    plan=self.plan,
+                                    max_queue=max_queue, plan=self.plan,
                                     collector=self.collector,
                                     deadline_s=deadline_s)
         self._server: Optional[asyncio.AbstractServer] = None

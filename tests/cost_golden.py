@@ -22,6 +22,9 @@ its target format.  To accept an intended change in the work,
 regenerate::
 
     PYTHONPATH=src python tests/cost_golden.py --regen
+
+which also prints every changed count as a markdown table
+(:func:`change_table`).
 """
 
 import json
@@ -60,16 +63,38 @@ def scalar_leaks(counters: dict) -> list:
     return leaks
 
 
-def differences(entry_id: str, expected: dict, actual: dict) -> list:
-    """One line per pinned count that differs, naming the entry."""
-    lines = []
+def _changes(expected: dict, actual: dict):
+    """``(kind, name, expected, actual)`` for each pinned count that
+    differs (None where a count is absent)."""
     for kind in ("counters", "spans", "events"):
         want, got = expected.get(kind, {}), actual.get(kind, {})
         for name in sorted(set(want) | set(got)):
             if want.get(name) != got.get(name):
-                lines.append(f"{entry_id}: {kind} {name} expected "
-                             f"{want.get(name)}, got {got.get(name)}")
-    return lines
+                yield kind, name, want.get(name), got.get(name)
+
+
+def differences(entry_id: str, expected: dict, actual: dict) -> list:
+    """One line per pinned count that differs, naming the entry."""
+    return [f"{entry_id}: {kind} {name} expected {want}, got {got}"
+            for kind, name, want, got in _changes(expected, actual)]
+
+
+def change_table(parent: dict, change: dict) -> list:
+    """Every count that differs between two cost goldens, as the rows
+    of a markdown table ``| entry | kind | name | parent | change |``
+    (``—`` where a count is absent)."""
+    rows = ["| entry | kind | name | parent | change |",
+            "| --- | --- | --- | --- | --- |"]
+    for section, label in (("experiments", "experiment"),
+                           ("service", "service")):
+        before, after = parent.get(section, {}), change.get(section, {})
+        for entry_id in sorted(set(before) | set(after)):
+            for kind, name, want, got in _changes(
+                    before.get(entry_id, {}), after.get(entry_id, {})):
+                rows.append(f"| {entry_id} ({label}) | {kind} | `{name}` "
+                            f"| {'—' if want is None else want} "
+                            f"| {'—' if got is None else got} |")
+    return rows
 
 
 def load() -> dict:
@@ -104,6 +129,7 @@ def _regen():
     from test_experiment_goldens import _lines
     from test_service_goldens import GOLDEN, _entry_id, _request
 
+    parent = load() if os.path.exists(GOLDEN_PATH) else {}
     golden = {"experiments": {}, "service": {}}
     for eid in sorted(REGISTRY):
         with telemetry.collect() as col:
@@ -117,6 +143,8 @@ def _regen():
         json.dump(golden, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {GOLDEN_PATH}")
+    rows = change_table(parent, golden)
+    print("\n".join(rows) if len(rows) > 2 else "no pinned count changed")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ default n-ary Equation-3 LSE.
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.apps import forward_batch, pbd_pvalue_batch
 from repro.apps.hmm import forward
 from repro.apps.pbd import pbd_pvalue
@@ -17,6 +18,7 @@ from repro.arith import Binary64Backend, LogSpaceBackend, PositBackend
 from repro.bigfloat import BigFloat
 from repro.core.accuracy import measure_op, measure_ops_batch
 from repro.core.sweep import FIG3_BINS, generate_add_pairs, generate_mul_pairs
+from repro.data.dirichlet import HMMData
 from repro.engine import ExecPlan, batch_backend_for
 from repro.formats import PositEnv
 
@@ -154,3 +156,79 @@ def test_log_entry_points_agree_across_plans(sum_mode):
                      viterbi_batch(hmm, scalar, obs, plan=plan)[0]):
             paths.add((path.score, tuple(path.states())))
     assert len(likes) == 1 and len(betas) == 1 and len(paths) == 1
+
+
+def _near_uniform_hmm(n_states, n_symbols, length, n_seqs, seed):
+    """An HMM whose every row is uniform within 5% (normalised), with
+    ``n_seqs`` observation sequences.  Each step's LSE terms then sit
+    within a few units of their max, so a last-bit difference in one
+    ``exp`` survives the sum: the app-level fixture that tells two exp
+    kernels apart."""
+    rng = np.random.default_rng(seed)
+
+    def rows(n_rows, n_cols):
+        v = rng.uniform(0.95, 1.05, size=(n_rows, n_cols))
+        v /= v.sum(axis=1, keepdims=True)
+        return tuple(tuple(BigFloat.from_float(float(x)) for x in row)
+                     for row in v)
+
+    obs = rng.integers(0, n_symbols, size=(n_seqs, length))
+    hmm = HMMData(rows(n_states, n_states), rows(n_states, n_symbols),
+                  rows(1, n_states)[0], tuple(int(o) for o in obs[0]))
+    return hmm, obs
+
+
+@pytest.mark.parametrize("n_states", [4, 8])
+def test_near_uniform_log_forward_agrees_across_plans(n_states):
+    """n-ary log forward over near-uniform models, 10 seeds x 8
+    sequences: the batch plane's fold and the scalar plane's ``lse_n``
+    must agree in every lane."""
+    scalar = LogSpaceBackend()  # nary
+    for seed in range(10):
+        hmm, obs = _near_uniform_hmm(n_states, 2, 16, 8, seed)
+        assert forward_batch(hmm, scalar, obs, plan=ExecPlan()) == \
+            forward_batch(hmm, scalar, obs, plan=ExecPlan.serial()), seed
+
+
+def _nd_counts(run, plan) -> tuple:
+    """``run(plan)``'s ``nd.<op>.<format>`` element counts, keyed
+    without the plane suffix, plus the set of planes they ran on."""
+    with telemetry.collect() as col:
+        run(plan)
+    counts = {name.rsplit(".", 1)[0]: n
+              for name, n in col.counters.items() if name.startswith("nd.")}
+    planes = {name.rsplit(".", 1)[1]
+              for name in col.counters if name.startswith("nd.")}
+    return counts, planes
+
+
+def _posit_entry_points():
+    from repro.data.dirichlet import sample_hmm
+    from repro.workloads.kalman import kalman_batch
+    from repro.workloads.viterbi import viterbi_batch
+    scalar = _scalar_backend("posit(64,12)")
+    hmm = sample_hmm(4, 5, 12, seed=7)
+    obs = np.random.default_rng(8).integers(0, 5, size=(3, 12))
+    rng = np.random.default_rng(9)
+    sites = [[BigFloat.from_float(float(p))
+              for p in rng.uniform(1e-4, 0.3, 10)] for _ in range(3)]
+    tracks = rng.uniform(0.5, 2.0, size=(2, 8))
+    return {
+        "forward": lambda plan: forward_batch(hmm, scalar, obs, plan=plan),
+        "pbd": lambda plan: pbd_pvalue_batch(sites, 2, scalar, plan=plan),
+        "viterbi": lambda plan: viterbi_batch(hmm, scalar, obs, plan=plan),
+        "kalman": lambda plan: kalman_batch(tracks, scalar, plan=plan),
+    }
+
+
+@pytest.mark.parametrize("entry", ["forward", "pbd", "viterbi", "kalman"])
+def test_scalar_plane_counts_the_batch_plane_ops(entry):
+    """One dispatch path: under ``ExecPlan.serial()`` every nd op runs
+    on the scalar plane and counts the same ``nd.<op>.<format>``
+    elements the batch plane counts under ``ExecPlan()`` (a dot is one
+    dot, not a mul and a sum)."""
+    run = _posit_entry_points()[entry]
+    serial, serial_planes = _nd_counts(run, ExecPlan.serial())
+    batch, batch_planes = _nd_counts(run, ExecPlan())
+    assert serial_planes == {"scalar"} and batch_planes == {"batch"}
+    assert serial == batch

@@ -104,6 +104,28 @@ def test_cost_differences_name_the_entry_and_counter():
         "nd.astype.bigfloat256->posit(16,1).scalar"]
 
 
+def test_cost_change_table_lists_each_changed_count():
+    parent = {"experiments": {"fig1": {
+        "counters": {"nd.mul.bigfloat96.scalar": 8364},
+        "spans": {"app.hmm.forward": 2}}}}
+    change = {"experiments": {"fig1": {
+        "counters": {"nd.dot.bigfloat96.scalar": 1194,
+                     "nd.mul.bigfloat96.scalar": 1200},
+        "spans": {"app.hmm.forward": 2}}},
+        "service": {"pbd/bigfloat128": {
+            "counters": {"nd.axpy.bigfloat128.scalar": 24}}}}
+    assert cost_golden.change_table(parent, change) == [
+        "| entry | kind | name | parent | change |",
+        "| --- | --- | --- | --- | --- |",
+        "| fig1 (experiment) | counters | `nd.dot.bigfloat96.scalar` "
+        "| — | 1194 |",
+        "| fig1 (experiment) | counters | `nd.mul.bigfloat96.scalar` "
+        "| 8364 | 1200 |",
+        "| pbd/bigfloat128 (service) | counters "
+        "| `nd.axpy.bigfloat128.scalar` | — | 24 |"]
+    assert cost_golden.change_table(change, change)[2:] == []
+
+
 def test_first_difference_names_the_line():
     assert first_difference(["a", "b"], ["a", "c"]) == (
         "line 2: expected 'b', got 'c'")

@@ -4,7 +4,10 @@ plus functional-simulation bit-equivalence."""
 import numpy as np
 import pytest
 
+from repro.apps.hmm import forward
+from repro.arith import LogSpaceBackend
 from repro.data import sample_hmm, synth_column
+from repro.engine import ExecPlan
 from repro.hw import (
     LOG,
     POSIT,
@@ -121,9 +124,13 @@ class TestForwardUnitResources:
 
 class TestForwardUnitSimulation:
     def test_log_sim_bit_equivalent_to_software(self):
+        """The log unit's n-ary LSE PE is the apps recurrence's n-ary
+        fold: the unit equals the software forward on either plane."""
         hmm = sample_hmm(8, 16, 25, seed=4)
         unit = ForwardUnit(LOG, 8)
         value, timing = unit.simulate(hmm)
+        for plan in (ExecPlan(), ExecPlan.serial()):
+            assert value == forward(hmm, LogSpaceBackend(), plan=plan)
         assert value == software_forward_log(hmm)  # bit-equivalent
         assert timing.total_cycles == 25 * timing.cycles_per_outer
 
