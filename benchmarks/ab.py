@@ -14,9 +14,19 @@ and the side that runs first alternates from pair to pair.
 
 For every end-to-end metric of ``BENCHMARK.json`` the printout gives
 both sides' median and inter-quartile range, the ratio of the medians
-(change / base) and the pairs each side won, judged by the metric's
-``better``; a tie counts for neither side.  The exit status is 1 when
-any run exits non-zero or reports a failed operation.
+(change / base), the pairs each side won, judged by the metric's
+``better`` (a tie counts for neither side), and a verdict:
+
+* ``worse`` — the change's median is worse than the base's by more
+  than the metric's ``bound``;
+* ``gain`` — the change won at least 9 in 10 pairs and its median is
+  better than the base's by more than the base's IQR;
+* ``unresolved`` — the base's IQR exceeds ``bound`` times its median,
+  and not every change run beats every base run;
+* ``same`` — otherwise.
+
+The exit status is 1 when any run exits non-zero or reports a failed
+operation.
 """
 
 from __future__ import annotations
@@ -45,7 +55,9 @@ def compare(pairs: Sequence[Dict[str, Dict[str, float]]],
     ``pairs`` holds one ``{"base": {metric: value}, "change": {...}}``
     per pair; ``metrics`` are ``BENCHMARK.json``'s end-to-end entries.
     Each row carries both sides' median and IQR, the ratio of the
-    medians (change / base), and the pairs won by each side.
+    medians (change / base), the pairs won by each side, whether every
+    change run beats every base run (``separated``) and the
+    :func:`verdict` under the metric's ``bound``.
     """
     rows = []
     for m in metrics:
@@ -60,26 +72,47 @@ def compare(pairs: Sequence[Dict[str, Dict[str, float]]],
                 else:
                     lost += 1
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
-        rows.append({
+        separated = (max(change) < min(base) if lower
+                     else min(change) > max(base))
+        row = {
             "name": name, "unit": m["unit"], "better": m["better"],
             "base_median": bm, "base_iqr": b3 - b1,
             "change_median": cm, "change_iqr": c3 - c1,
             "ratio": cm / bm if bm else float("inf"),
-            "won": won, "lost": lost, "pairs": len(pairs)})
+            "won": won, "lost": lost, "pairs": len(pairs),
+            "separated": separated}
+        row["verdict"] = verdict(row, m["bound"])
+        rows.append(row)
     return rows
+
+
+def verdict(row: dict, bound: float) -> str:
+    """``worse``, ``gain``, ``unresolved`` or ``same`` for one
+    :func:`compare` row (see the module docstring), in that order."""
+    lower = row["better"] == "lower"
+    bm, cm = row["base_median"], row["change_median"]
+    if (row["ratio"] - 1 if lower else 1 - row["ratio"]) > bound:
+        return "worse"
+    better_by = bm - cm if lower else cm - bm
+    if row["won"] >= 0.9 * row["pairs"] and better_by > row["base_iqr"]:
+        return "gain"
+    if row["base_iqr"] > bound * bm and not row["separated"]:
+        return "unresolved"
+    return "same"
 
 
 def render(rows: Sequence[dict]) -> str:
     lines = ["| metric | better | base median (IQR) | change median (IQR) "
-             "| ratio | pairs won by change |",
-             "| --- | --- | --- | --- | --- | --- |"]
+             "| ratio | pairs won by change | verdict |",
+             "| --- | --- | --- | --- | --- | --- | --- |"]
     for r in rows:
         lines.append(
             f"| `{r['name']}` ({r['unit']}) | {r['better']} "
             f"| {r['base_median']:.4g} ({r['base_iqr']:.3g}) "
             f"| {r['change_median']:.4g} ({r['change_iqr']:.3g}) "
             f"| {r['ratio']:.3f} "
-            f"| {r['won']} of {r['pairs']} (lost {r['lost']}) |")
+            f"| {r['won']} of {r['pairs']} (lost {r['lost']}) "
+            f"| {r['verdict']} |")
     return "\n".join(lines)
 
 

@@ -67,8 +67,9 @@ class BatchBackend(abc.ABC):
     plane = "batch"
     #: Whether :mod:`repro.nd` keeps this mirror's arrays in a decoded
     #: plane between operations.  A resident mirror provides
-    #: ``decode_once``/``encode_once`` and ``<op>_unpacked`` plane ops
-    #: for add/mul/sum/dot/axpy (see
+    #: ``decode_once``/``encode_once`` and an ``<op>_unpacked`` plane op
+    #: for every op :mod:`repro.nd` dispatches — add, sub, mul, div,
+    #: sum, dot, axpy, maximum, amax and argmax (see
     #: :class:`~repro.engine.posit_batch.BatchPosit`).
     resident = False
 
@@ -176,11 +177,12 @@ class BatchBackend(abc.ABC):
     def _order_key(self, arr: np.ndarray) -> np.ndarray:
         """``arr``'s codes mapped onto a NumPy-comparable array whose
         ``<`` order equals the probability order — the certification
-        behind :meth:`maximum`/:meth:`amax`/:meth:`argmax`.  Every
-        registered mirror's code space is monotone (float64 values,
-        float64 logs, LNS int64 codes with the zero sentinel at int64
-        min, posit patterns as two's-complement integers), so max is
-        *exact by construction*: no decode, no rounding, no tie hazard.
+        behind :meth:`maximum`/:meth:`amax`/:meth:`argmax`.  The
+        registered code spaces are monotone (float64 values, float64
+        logs, LNS int64 codes with the zero sentinel at int64 min), so
+        max is *exact by construction*: no decode, no rounding, no tie
+        hazard.  Posit compares its decoded planes in the same order
+        instead (:class:`~repro.engine.posit_batch.BatchPosit`).
         Exotic mirrors without a monotone code space leave the default,
         which raises (mirroring ``sub``/``div``)."""
         raise NotImplementedError(

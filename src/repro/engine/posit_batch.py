@@ -15,33 +15,39 @@ only fixed-width integer array operations:
   operands are too far apart to cancel;
 * quotients are produced by a restoring long division, one exact bit per
   step, with the remainder as the sticky;
-* the one rounding (:meth:`BatchPosit._round_mag`) works on the top 64
-  bits of the encoding string (regime + exponent + fraction): the kept
-  and guard bits always fit one limb, and every lower bit only matters
-  as a boolean sticky.  It returns the rounded pattern *and its
-  planes*, read off the pattern at the unrounded regime's field
-  offsets, so no fresh pattern is parsed again;
+* the one rounding (:meth:`BatchPosit._round_mag`) returns planes
+  only.  When no live lane's regime run exceeds ``nbits - 3 - es``
+  (the cut falls inside the fraction field), it rounds to nearest even
+  on ``frac64`` itself and carries into the scale; otherwise it rounds
+  the top 64 bits of the encoding string (regime + exponent +
+  fraction: the kept and guard bits always fit one limb, and every
+  lower bit only matters as a boolean sticky) and reads the planes off
+  the rounded pattern at the unrounded regime's field offsets;
 * operand constants are read-only 0-d arrays, which a ufunc takes
   without the per-call conversion a NumPy scalar costs — at the 16–128
   lanes of the workloads an op costs its NumPy calls, not its lanes.
+  The intended uint64 wraparounds always have an array operand or are
+  explicit ufunc calls, which never warn, so no op enters
+  ``np.errstate``.
 
 Every operation runs through the **decoded plane** (:class:`Unpacked`:
-zero/NaR/sign flags, the left-aligned significand and scale, and the
-rounded magnitude pattern).  ``decode_once`` enters it (the only
-place a pattern is parsed), the plane ops
-(``mul_unpacked``/``add_unpacked``/``sum_unpacked``/``dot_unpacked``)
-round each result once — exactly where the scalar chain rounds it — and
-``encode_once`` leaves it with a sign/zero/NaR fix-up of the magnitude
-pattern the rounding already produced.  :mod:`repro.nd` keeps posit
-arrays in this plane between operations, so a chained expression
-decodes each operand once and builds codes only when a value escapes;
-the packed-pattern API (``add``/``mul``/``dot``/``sum``/``axpy``) is
-the same plane ops wrapped in one decode and one fix-up.
+zero/NaR/sign flags and the left-aligned significand and scale).
+``decode_once`` enters it (the only place a pattern is parsed), the
+plane ops (``mul``/``add``/``sub``/``div``/``sum``/``dot``/``axpy``
+``_unpacked``) round each result once — exactly where the scalar chain
+rounds it — the order ops (``maximum``/``amax``/``argmax``
+``_unpacked``) compare the planes, and ``encode_once`` leaves it by
+assembling the exact pattern from the planes, with no rounding.
+:mod:`repro.nd` keeps posit arrays in this plane between operations,
+so a chained expression decodes each operand once and builds codes
+only when a value escapes; the packed-pattern API is the same plane
+ops wrapped in one decode and one assembly.
 
 Element-for-element equality with ``PositEnv`` is enforced by
 ``tests/test_engine_posit_batch.py`` (exhaustively at 8 bits for
-es = 0, 1, 2, for all four operations, the plane round-trip and the
-resident :mod:`repro.nd` chains) and, scale by scale at 64 bits, by
+es = 0, 1, 2, for all four operations on both sides of the rounding
+gate, the order ops and the plane round-trip) and, regime by regime at
+64 bits with the gate pinned, by
 ``tests/test_posit_rounding_structured.py``.
 """
 
@@ -82,7 +88,13 @@ _U64C = _const(64)
 _SIXTY_THREE = _const(63)
 _I0 = _const(0, _I64)
 _I1 = _const(1, _I64)
+_I63 = _const(63, _I64)
 _I64C = _const(64, _I64)
+_I64MIN = _const(np.iinfo(np.int64).min, _I64)
+#: The highest guard-bit position in ``frac64`` the plane rounding
+#: takes: regime runs up to ``nbits - 3 - es`` keep the whole exponent
+#: and at least one fraction bit.
+_GUARD_MAX = _const(61, _I64)
 
 
 def _u64(x) -> np.ndarray:
@@ -160,18 +172,17 @@ def _umul64(a, b):
 
 
 class Unpacked(NamedTuple):
-    """A posit array in the decoded plane: per-element flags, a
-    left-aligned significand and base-2 scale, and the magnitude
-    pattern.
+    """A posit array in the decoded plane: per-element flags and a
+    left-aligned significand and base-2 scale.
 
     The element value is ``(-1)**sign * frac64 * 2**(scale - 63)`` with
-    ``frac64``'s leading 1 at bit 63; ``mag`` is the same value's
-    rounded magnitude bit pattern (what the pattern is once the sign is
-    applied), so leaving the plane costs no second rounding.
-    ``zero``/``nar`` lanes carry well-defined but meaningless
-    ``sign``/``frac64``/``scale``/``mag`` planes — every consumer must
-    (and every kernel here does) honor the flags.  All planes share one
-    shape.
+    ``frac64``'s leading 1 at bit 63, and it is always a posit value:
+    every plane op rounds its result once, so the pattern can be
+    assembled from the planes exactly (``encode_once``) when the value
+    escapes, and no plane op needs it.  ``zero``/``nar`` lanes carry
+    well-defined but meaningless ``sign``/``frac64``/``scale`` planes —
+    every consumer must (and every kernel here does) honor the flags.
+    All five planes share one shape.
     """
 
     zero: np.ndarray
@@ -179,11 +190,10 @@ class Unpacked(NamedTuple):
     sign: np.ndarray
     frac64: np.ndarray
     scale: np.ndarray
-    mag: np.ndarray
 
     @property
     def shape(self):
-        return np.shape(self.mag)
+        return np.shape(self.frac64)
 
     def map(self, fn, *others: "Unpacked") -> "Unpacked":
         """``fn`` applied plane by plane — how views, gathers and joins
@@ -231,6 +241,8 @@ class BatchPosit(BatchBackend):
         self._below_mask = _const((1 << (63 - self._body_len)) - 1)
         self._has_below = self._body_len < 63
         self._tail_shift = _const(64 - self._body_len, _I64)
+        self._guard_base = _const(65 - env.nbits + env.es, _I64)
+        self._key_base = _const(env.max_scale + 1, _I64)
         self._max_scale = _const(env.max_scale, _I64)
         self._min_scale = _const(-env.max_scale, _I64)
         self._useed_log2 = _const(env.useed_log2, _I64)
@@ -272,18 +284,6 @@ class BatchPosit(BatchBackend):
     def is_nar(self, arr) -> np.ndarray:
         return (_u64(arr) & self._mask) == self._nar
 
-    def _order_key(self, arr) -> np.ndarray:
-        """Posit patterns as two's-complement integers — the standard's
-        total order (NaR = the sign-bit pattern sorts below every
-        real), matching the scalar backend's ``gt`` exactly."""
-        codes = _u64(arr)
-        if self.env.nbits == 64:
-            return codes.view(np.int64) if codes.dtype == np.uint64 \
-                else codes.astype(np.int64)
-        signed = codes.astype(np.int64)
-        return np.where(signed >= np.int64(self.env.sign_bit),
-                        signed - np.int64(1 << self.env.nbits), signed)
-
     # ------------------------------------------------------------------
     # Entering and leaving the decoded plane
     # ------------------------------------------------------------------
@@ -317,7 +317,7 @@ class BatchPosit(BatchBackend):
         """The decoded-plane form of a pattern array (see
         :class:`Unpacked`) — decode each operand once, then chain plane
         ops on it."""
-        with _tele.span("posit.decode"), np.errstate(over="ignore"):
+        with _tele.span("posit.decode"):
             bits = _u64(bits)
             if self._mask != _FULL64:
                 bits = bits & self._mask
@@ -325,86 +325,111 @@ class BatchPosit(BatchBackend):
             mag = np.where(sign, _U0 - bits, bits) & self._body_mask
             frac64, scale = self._parse_body(mag)
             return Unpacked(bits == 0, bits == self._nar, sign, frac64,
-                            scale, mag)
+                            scale)
 
     def encode_once(self, u: Unpacked) -> np.ndarray:
-        """Decoded planes back to bit patterns: the sign applied to the
-        rounded magnitude, zero and NaR lanes fixed up (no rounding —
-        that happened when the planes were produced)."""
-        with np.errstate(over="ignore"):
-            pattern = np.where(u.sign, (_U0 - u.mag) & self._mask, u.mag)
-            pattern = np.where(u.zero, _U0, pattern)
-            return np.where(u.nar, self._nar, pattern)
+        """Decoded planes back to bit patterns (when a value escapes):
+        the encoding string of each lane's planes cut to the body —
+        they hold a posit value, so no bit set is dropped and nothing
+        rounds — signed, with zero and NaR lanes fixed up."""
+        mag = self._string(u.scale >> self._es_i, u.scale, u.frac64)[0] \
+            >> self._kept_shift
+        pattern = np.where(u.sign, (_U0 - mag) & self._mask, mag)
+        pattern = np.where(u.zero, _U0, pattern)
+        return np.where(u.nar, self._nar, pattern)
 
     def zeros_unpacked(self, shape) -> Unpacked:
         """Probability-0 planes (the fold identity)."""
         return self.decode_once(self.zeros(shape))
 
     # ------------------------------------------------------------------
-    # The one rounding: (scale, frac64, sticky) -> pattern and planes
+    # The one rounding: (scale, frac64, sticky) -> planes
     # ------------------------------------------------------------------
-    def _round_mag(self, scale, frac64, sticky, live=None):
-        """Round an exact ``(scale, frac64, sticky)`` magnitude to the
-        nearest-even posit; returns the rounded *magnitude* pattern
-        (sign not yet applied) with its planes, ``(mag, frac64,
-        scale)``.
+    def _string(self, k, scale, frac64):
+        """The encoding string's top limb (regime + exponent +
+        fraction) for regime ``k = scale >> es``: ``(limb, r1, tail_hi,
+        tail_lo)``, ``r1`` the regime and terminator length and the
+        tail the ``es + 63`` exponent + fraction bits (top-aligned; the
+        low ``es`` in ``tail_lo`` when es >= 2).  Shift counts of 64 or
+        more give 0 (NumPy defines oversized shifts), which is what a
+        regime or tail past the end of the limb needs."""
+        pos = k >= _I0
+        run = np.where(pos, k + _I1, -k)  # regime length, >= 1
+        run_u = run.view(_U64)
+        # Regime in the top limb: `run` ones (k >= 0) or the terminator
+        # one at position `run` (k < 0), which drops out of the limb
+        # once run >= 64.  Non-saturating positive regimes always fit
+        # (run <= nbits - 1 <= 63); oversized positive runs are
+        # saturation lanes whose value the rounding's clamp overrides.
+        reg = np.where(pos, _FULL64 << (_U64C - run_u), _TOP64 >> run_u)
+        # Exponent + fraction tail, top-aligned (constant shifts — es is
+        # fixed per environment).
+        fraction = frac64 & _BELOW_TOP
+        es = self.env.es
+        t_lo = None
+        if es == 0:
+            t_hi = fraction << _ONE
+        elif es == 1:
+            e = (scale - (k << self._es_i)).view(_U64)
+            t_hi = (e << _SIXTY_THREE) | fraction
+        else:
+            e = (scale - (k << self._es_i)).view(_U64)
+            t_hi = ((e << self._e_top_shift)
+                    | (fraction >> self._f_hi_shift))
+            t_lo = fraction << self._f_lo_shift
+        r1 = run + _I1
+        return reg | (t_hi >> r1.view(_U64)), r1, t_hi, t_lo
 
-        Mirrors ``PositEnv.encode_real``/``_round_pattern``: the
-        encoding string is regime + exponent + fraction.  Its kept and
-        guard bits always fit the top 64 bits, and every lower string
-        bit only matters as a boolean, so the string is built in one
-        limb with any-bits-below masks.  Shift counts of 64 or more
-        give 0 (NumPy defines oversized shifts), which is what a regime
-        or tail past the end of the limb needs.
+    def _round_mag(self, scale, frac64, sticky, dead, tally=False):
+        """Round exact ``(scale, frac64, sticky)`` magnitudes to the
+        nearest-even posit: the rounded planes ``(frac64, scale,
+        flushed)``, ``flushed`` flagging lanes a flush-mode rounding
+        took to zero (None when none can be).  ``dead`` flags lanes the
+        caller's flags decide (zero, NaR, passthrough, cancelled):
+        their scales are meaningless, so they neither gate the branch
+        nor tally.  ``tally`` enables the ``posit.saturate``/
+        ``posit.flush`` tallies (callers pass it while a collector is
+        active).
 
-        The planes are read off the pattern at the *unrounded* regime's
-        field offsets: its kept exponent and fraction bits, top-aligned.
-        A round-up that carried through every kept bit leaves them all
-        0 and moves the regime one step; saturated and sub-minpos lanes
-        clip the scale to ``±max_scale``.  So no rounded pattern is
-        parsed again.
-
-        ``live``, when given, masks the finite-nonzero result lanes and
-        enables the ``posit.saturate``/``posit.flush`` event tallies
-        (callers only build it while a telemetry collector is active).
+        One gated branch.  When no live lane's regime run exceeds
+        ``nbits - 3 - es`` (the cut keeps the whole exponent and at
+        least one fraction bit), it rounds ``frac64`` itself: drop its
+        ``d = run + 65 - nbits + es`` low bits to nearest even, and a
+        round-up out of the top bit leaves 1.0 at the next scale; such
+        lanes can neither saturate nor flush.  Otherwise it mirrors
+        ``PositEnv.encode_real``/``_round_pattern`` on the encoding
+        string, whose kept and guard bits always fit the top 64 bits,
+        and reads the planes off the rounded pattern at the *unrounded*
+        regime's field offsets (a round-up through every kept bit moves
+        the regime one step; saturated and sub-minpos lanes clip the
+        scale to ``±max_scale``), so no pattern is parsed again.
         """
         with _tele.span("posit.encode"):
             es_i = self._es_i
             k = scale >> es_i  # arithmetic shift = floor division
-            pos = k >= _I0
-            run = np.where(pos, k + _I1, -k)  # regime length, >= 1
-            run_u = run.view(_U64)
-            # Regime in the top limb: `run` ones (k >= 0) or the
-            # terminator one at position `run` (k < 0), which drops out
-            # of the limb once run >= 64.  Non-saturating positive
-            # regimes always fit (run <= nbits - 1 <= 63); oversized
-            # positive runs are saturation lanes whose value the final
-            # clamp overrides.
-            reg = np.where(pos, _FULL64 << (_U64C - run_u), _TOP64 >> run_u)
-            # Exponent + fraction tail: es + 63 bits, top-aligned
-            # (constant shifts — es is fixed per environment).
-            fraction = frac64 & _BELOW_TOP
-            es = self.env.es
-            t_lo = None
-            if es == 0:
-                t_hi = fraction << _ONE
-            elif es == 1:
-                e = (scale - (k << es_i)).view(_U64)
-                t_hi = (e << _SIXTY_THREE) | fraction
-            else:
-                e = (scale - (k << es_i)).view(_U64)
-                t_hi = ((e << self._e_top_shift)
-                        | (fraction >> self._f_hi_shift))
-                t_lo = fraction << self._f_lo_shift
+            # The guard bit's position in frac64, (run - 1) + 65 - N + es
+            # (k ^ (k >> 63) is run - 1 for either sign of k).
+            g = (k ^ (k >> _I63)) + self._guard_base
+            if not np.count_nonzero((g > _GUARD_MAX) > dead):
+                g_u = g.view(_U64)
+                up = _FULL64 << g_u  # the guard bit and every bit above
+                # Nearest even in one add: the dropped bits (the sticky
+                # joins them at bit 0, below the guard) plus half an ulp
+                # less one, plus the kept lsb, carry into the kept bits
+                # exactly when rounding goes up.  A carry out of bit 63
+                # wraps (np.add never warns) and leaves the kept bits 0.
+                fs = frac64 | sticky
+                lsb = (fs >> g_u) >> _ONE & _ONE
+                t = np.add(fs, ~up + lsb)
+                return ((t & (up << _ONE)) | _TOP64,
+                        scale + (~t >> _SIXTY_THREE).view(_I64), None)
+            e_hi, r1, t_hi, t_lo = self._string(k, scale, frac64)
             # Drop the tail below the regime: bits landing in the top
             # limb join the window, everything lower is a sticky.
-            r1 = run + _I1
-            r1_u = r1.view(_U64)
-            below = sticky | ((t_hi & ((_ONE << r1_u) - _ONE)) != _U0)
+            below = sticky | ((t_hi & ((_ONE << r1.view(_U64)) - _ONE))
+                              != _U0)
             if t_lo is not None:
                 below = below | (t_lo != _U0)
-            e_hi = reg | (t_hi >> r1_u)
-
             kept = e_hi >> self._kept_shift
             if self._has_below:
                 below = below | ((e_hi & self._below_mask) != _U0)
@@ -412,22 +437,23 @@ class BatchPosit(BatchBackend):
                         & (below | ((kept & _ONE) != _U0)))
             pattern = np.minimum(kept + round_up, self._maxpos)
             sat = scale > self._max_scale
-            if live is not None:
-                self._tally_rounding(live, sat, scale, frac64, sticky,
+            if tally:
+                self._tally_rounding(~dead, sat, scale, frac64, sticky,
                                      pattern)
             if not self._flush:
                 # Saturate mode: a nonzero real never rounds to zero.  In
                 # flush mode a rounded-to-zero pattern simply stays zero.
                 pattern = np.where(pattern == _U0, self._minpos, pattern)
             pattern = np.where(sat, self._maxpos, pattern)
+            flushed = (pattern == _U0) if self._flush else None
 
             # The planes: the kept exponent + fraction bits, top-aligned
             # (0 once the regime fills the body).
             tail = pattern << (r1 + self._tail_shift).view(_U64)
             k = k + (round_up & (tail == _U0))
-            if es == 0:
+            if self.env.es == 0:
                 r_frac, r_scale = tail >> _ONE, k
-            elif es == 1:
+            elif self.env.es == 1:
                 r_frac = tail & _BELOW_TOP
                 r_scale = (k << es_i) + (tail >> _SIXTY_THREE).view(_I64)
             else:
@@ -436,12 +462,12 @@ class BatchPosit(BatchBackend):
                            + (tail >> self._e_top_shift).view(_I64))
             r_scale = np.minimum(np.maximum(r_scale, self._min_scale),
                                  self._max_scale)
-            return pattern, r_frac | _TOP64, r_scale
+            return r_frac | _TOP64, r_scale, flushed
 
     def _tally_rounding(self, live, sat, scale, frac64, sticky, pattern):
         """Tally ``posit.saturate``/``posit.flush`` on live result lanes.
 
-        Only reached when the caller built a ``live`` mask, i.e. while a
+        Only reached when the caller asked for tallies, i.e. while a
         collector was active; re-checks in case the scope closed."""
         c = _tele.current()
         if c is None:
@@ -462,23 +488,30 @@ class BatchPosit(BatchBackend):
         if n:
             c.event("posit.flush", n)
 
-    def _tally_nar(self, nar, dead):
-        """Tally ``posit.nar`` result lanes and return the live mask
-        (neither NaR nor an exact-zero passthrough lane) for the
-        rounding-event tallies.  Only called while a collector is
-        active."""
-        n = int(np.count_nonzero(nar))
-        if n:
-            _tele.event("posit.nar", n)
-        return ~(nar | dead)
+    def _rounded(self, sign, scale, frac, sticky, zero, nar,
+                 tally=True) -> Unpacked:
+        """Planes of a rounded exact result.  ``zero`` flags lanes the
+        caller fixes at zero (exact zeros, and any lane whose planes it
+        replaces); a flush-to-zero rounding adds its own.  While a
+        collector is active the ``posit.nar`` and rounding events are
+        tallied, unless ``tally`` is False."""
+        dead = zero | nar
+        tally = tally and _tele.current() is not None
+        if tally:
+            n = int(np.count_nonzero(nar))
+            if n:
+                _tele.event("posit.nar", n)
+        f2, s2, flushed = self._round_mag(scale, frac, sticky, dead, tally)
+        if flushed is not None:
+            zero = zero | flushed
+        return Unpacked(zero, nar, sign, f2, s2)
 
-    def _encode(self, sign, scale, frac64, sticky, live=None):
-        """Round and sign an exact result straight to bit patterns (the
-        callers that need only codes — conversions, quotients, the
-        quire read-out — drop the planes)."""
-        pattern = self._round_mag(_i64(scale), _u64(frac64),
-                                  np.asarray(sticky, dtype=bool), live)[0]
-        return np.where(sign, (_U0 - pattern) & self._mask, pattern)
+    def _encode(self, sign, scale, frac64, sticky, zero, nar):
+        """Round and sign an exact result straight to bit patterns, with
+        no event tallies (the conversions and the quire read-out)."""
+        return self.encode_once(self._rounded(
+            sign, _i64(scale), _u64(frac64), np.asarray(sticky, dtype=bool),
+            zero, nar, tally=False))
 
     # ------------------------------------------------------------------
     # Arithmetic cores (decoded-plane in, exact pre-rounding result out)
@@ -497,34 +530,11 @@ class BatchPosit(BatchBackend):
     def _add_core(self, ua: Unpacked, ub: Unpacked):
         """Exact sum: ``(sign, scale, frac64, sticky, cancelled)`` —
         ``cancelled`` flags the exact zero results of opposite-sign
-        adds."""
+        adds (None when every lane adds same-sign operands)."""
         with _tele.span("posit.core.add"):
             sa, fa, ea = ua.sign, ua.frac64, ua.scale
             sb, fb, eb = ub.sign, ub.frac64, ub.scale
-            # Dominant operand first (larger magnitude).
-            a_small = (ea < eb) | ((ea == eb) & (fa < fb))
-            s1 = np.where(a_small, sb, sa)
-            f1 = np.where(a_small, fb, fa)
-            e1 = np.where(a_small, eb, ea)
-            s2 = np.where(a_small, sa, sb)
-            f2 = np.where(a_small, fa, fb)
-            gap = e1 - np.where(a_small, ea, eb)
-            # Align the small operand into a 128-bit window.  Shifts of
-            # 64 or more give 0, so these two shifts place it for any
-            # gap in [0, 64] (at gap > 64 the low count wraps past 63).
-            gap_u = gap.view(_U64)
-            b_hi = f2 >> gap_u
-            b_lo = f2 << (_U64C - gap_u)
-            gbig = gap >= _I64C
-            if np.count_nonzero(gbig):
-                # Past the high limb: the low limb holds f2 >> (gap-64)
-                # and the bits shifted out below it are the sticky.
-                g2 = gap_u - _U64C
-                b_lo = np.where(gbig, f2 >> g2, b_lo)
-                st_b = gbig & ((f2 & ((_ONE << g2) - _ONE)) != _U0)
-            else:
-                st_b = gbig  # all-False, correctly shaped
-            same = s1 == s2
+            same = sa == sb
             # Operand-dependent gating: probability workloads are almost
             # always sign-uniform (all positive), so compute each branch
             # only where some lane needs it.  Results are identical
@@ -534,26 +544,52 @@ class BatchPosit(BatchBackend):
             n_same = np.count_nonzero(same)
             any_diff = n_same != np.size(same)
             any_same = n_same != 0 or not any_diff
+            # Dominant operand first: the larger scale, which is all a
+            # same-sign sum needs (at equal scales it commutes), and at
+            # equal scales the larger significand when a difference
+            # needs the larger magnitude.
+            a_small = ea < eb
+            if any_diff:
+                a_small = a_small | ((ea == eb) & (fa < fb))
+            f1 = np.where(a_small, fb, fa)
+            f2 = np.where(a_small, fa, fb)
+            e1 = np.maximum(ea, eb)
+            gap = e1 - np.minimum(ea, eb)
+            # Align the small operand into a 128-bit window.  Shifts of
+            # 64 or more give 0, so these two shifts place it for any
+            # gap in [0, 64] (at gap > 64 the low count wraps past 63).
+            gap_u = gap.view(_U64)
+            b_hi = f2 >> gap_u
+            b_lo = f2 << (_U64C - gap_u)
+            gbig = gap >= _I64C
+            any_big = np.count_nonzero(gbig)
+            if any_big:
+                # Past the high limb: the low limb holds f2 >> (gap-64)
+                # and the bits shifted out below it are the sticky.
+                g2 = gap_u - _U64C
+                b_lo = np.where(gbig, f2 >> g2, b_lo)
+                st_b = gbig & ((f2 & ((_ONE << g2) - _ONE)) != _U0)
+            else:
+                st_b = gbig  # all-False, correctly shaped
 
             if any_same:
-                # Same sign: (f1, 0) + aligned B, renormalizing one
-                # carry bit.
-                lo_s = b_lo
+                # Same sign: (f1, 0) + aligned B.  A carry renormalizes
+                # by one bit, and the bit it shifts out joins the
+                # sticky (``hi_s & carry`` is that bit on carry lanes).
                 hi_s = f1 + b_hi
                 carry = hi_s < f1
-                st_s = st_b | (carry & ((lo_s & _ONE) != 0))
-                lo_s = np.where(carry,
-                                (lo_s >> _ONE) | (hi_s << _SIXTY_THREE),
-                                lo_s)
-                hi_s = np.where(carry, (hi_s >> _ONE) | _TOP64, hi_s)
-                scale_s = e1 + carry.astype(np.int64)
+                frac_s = np.where(carry, (hi_s >> _ONE) | _TOP64, hi_s)
+                sticky_s = (b_lo | (hi_s & carry)) != _U0
+                if any_big:
+                    sticky_s = sticky_s | st_b
+                scale_s = e1 + carry
 
             if any_diff:
                 # Opposite sign: (f1, 0) - aligned B, minus a borrow
                 # when the alignment lost bits (true B is larger than
                 # its truncation; the lost fraction survives as the
                 # sticky).
-                hi_d, lo_d = _sub128(f1, np.zeros_like(f1), b_hi, b_lo,
+                hi_d, lo_d = _sub128(f1, _U0, b_hi, b_lo,
                                      st_b.astype(np.uint64))
                 cancelled = (hi_d == 0) & (lo_d == 0) & ~st_b
                 msb = np.where(hi_d != 0, 64 + _bit_length64(hi_d),
@@ -561,21 +597,20 @@ class BatchPosit(BatchBackend):
                 shift_up = np.where(cancelled, 0, 127 - msb)
                 hi_d, lo_d = _shl128(hi_d, lo_d, shift_up)
                 scale_d = e1 - shift_up
+                sticky_d = st_b | (lo_d != _U0)
                 cancelled = cancelled & ~same
+                s1 = np.where(a_small, sb, sa)
             else:
-                cancelled = np.zeros_like(same)
+                cancelled = None
+                s1 = sa | sb  # equal lane for lane, at the result shape
 
             if not any_diff:
-                frac, low, sticky, scale = hi_s, lo_s, st_s, scale_s
-            elif not any_same:
-                frac, low, sticky, scale = hi_d, lo_d, st_b, scale_d
-            else:
-                frac = np.where(same, hi_s, hi_d)
-                low = np.where(same, lo_s, lo_d)
-                sticky = np.where(same, st_s, st_b)
-                scale = np.where(same, scale_s, scale_d)
-            sticky = sticky | (low != _U0)
-            return s1, scale, frac, sticky, cancelled
+                return s1, scale_s, frac_s, sticky_s, None
+            if not any_same:
+                return s1, scale_d, hi_d, sticky_d, cancelled
+            return (s1, np.where(same, scale_s, scale_d),
+                    np.where(same, frac_s, hi_d),
+                    np.where(same, sticky_s, sticky_d), cancelled)
 
     def _divide_frac(self, fa: np.ndarray, fb: np.ndarray):
         """Normalized exact quotient of two left-aligned significands:
@@ -610,46 +645,45 @@ class BatchPosit(BatchBackend):
     # ------------------------------------------------------------------
     # Decoded-plane ops (each result rounded once, element-exact)
     # ------------------------------------------------------------------
-    def _rounded(self, sign, scale, frac, sticky, zero, nar, live):
-        """Planes of a rounded exact result (``zero`` flags lanes known
-        to be exact zeros; a flush-to-zero rounding adds its own)."""
-        pm, f2, s2 = self._round_mag(scale, frac, sticky, live)
-        if self._flush:  # saturate mode never rounds to zero
-            zero = zero | (pm == _U0)
-        return Unpacked(zero, nar, sign, f2, s2, pm)
-
     def mul_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
         """Rounded product in the decoded plane (element-exact)."""
-        with np.errstate(over="ignore"):
-            sign, scale, frac, sticky = self._mul_core(ua, ub)
-            dead = ua.zero | ub.zero
-            nar = ua.nar | ub.nar
-            live = None
-            if _tele.current() is not None:
-                live = self._tally_nar(nar, dead)
-            return self._rounded(sign, scale, frac, sticky, dead, nar,
-                                 live)
+        sign, scale, frac, sticky = self._mul_core(ua, ub)
+        return self._rounded(sign, scale, frac, sticky, ua.zero | ub.zero,
+                             ua.nar | ub.nar)
 
     def add_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
         """Rounded sum in the decoded plane (element-exact), with the
         zero passthrough merges gated off when no operand lane is
         zero."""
-        with np.errstate(over="ignore"):
-            za, zb = ua.zero, ub.zero
-            s1, scale, frac, sticky, mixed = self._add_core(ua, ub)
-            nar = ua.nar | ub.nar
-            live = None
-            if _tele.current() is not None:
-                live = self._tally_nar(nar, za | zb | mixed)
-            out = self._rounded(s1, scale, frac, sticky, mixed, nar, live)
-            if not (np.count_nonzero(za) or np.count_nonzero(zb)):
-                return out
-            # add(0, x) and add(x, 0) pass x through exactly.
-            merged = ub.map(
-                lambda b, a, r: np.where(za, b, np.where(zb, a, r)),
-                ua, out)
-            return merged._replace(
-                zero=(za & zb) | (~za & ~zb & out.zero), nar=nar)
+        za, zb = ua.zero, ub.zero
+        s1, scale, frac, sticky, mixed = self._add_core(ua, ub)
+        # Passthrough lanes take an operand's planes below, so they are
+        # rounded as zeros (dead lanes) like the cancelled ones.
+        passed = za | zb
+        zero = passed if mixed is None else passed | mixed
+        out = self._rounded(s1, scale, frac, sticky, zero, ua.nar | ub.nar)
+        if not np.count_nonzero(passed):
+            return out
+        # add(0, x) and add(x, 0) pass x through exactly.
+        merged = ub.map(
+            lambda b, a, r: np.where(za, b, np.where(zb, a, r)), ua, out)
+        return merged._replace(zero=(za & zb) | (~passed & out.zero),
+                               nar=out.nar)
+
+    def sub_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
+        """``a - b``: the sum with ``b``'s sign plane flipped — the
+        scalar environment's ``add(a, neg(b))``, as negation is exact
+        and fixes zero and NaR."""
+        return self.add_unpacked(ua, ub._replace(sign=~ub.sign))
+
+    def div_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
+        """Correctly rounded quotient in the decoded plane (exact long
+        division + one rounding), element-exact against
+        ``PositEnv.div``: NaR for a zero or NaR divisor."""
+        fa, fb, za = np.broadcast_arrays(ua.frac64, ub.frac64, ua.zero)
+        frac, sticky, dec = self._divide_frac(fa, fb)
+        return self._rounded(ua.sign ^ ub.sign, ua.scale - ub.scale - dec,
+                             frac, sticky, za, ua.nar | ub.nar | ub.zero)
 
     def axpy_unpacked(self, a: Unpacked, x: Unpacked,
                       y: Unpacked) -> Unpacked:
@@ -682,8 +716,55 @@ class BatchPosit(BatchBackend):
         return self.sum_unpacked(self.mul_unpacked(ua, ub), axis)
 
     # ------------------------------------------------------------------
-    # Packed-pattern arithmetic (the plane ops, decoded once and fixed
-    # up once)
+    # Order on the decoded plane (exact: no rounding)
+    # ------------------------------------------------------------------
+    def _order_planes(self, u: Unpacked):
+        """``(hi, lo)`` int64/uint64 keys whose lexicographic order is
+        the standard's total order of the patterns as two's-complement
+        integers: NaR below every real, then the reals by value — the
+        scalar ``gt``.  Finite nonzero lanes key on ``(scale,
+        frac64)``, mirrored for negative values; zero keys ``(0, 0)``
+        and NaR ``(int64 min, 0)``."""
+        hi = u.scale + self._key_base  # >= 1 on finite nonzero lanes
+        lo = u.frac64
+        if np.count_nonzero(u.sign):
+            hi = np.where(u.sign, -hi, hi)
+            lo = np.where(u.sign, ~lo, lo)
+        special = u.zero | u.nar
+        if np.count_nonzero(special):
+            hi = np.where(special, _I64MIN * u.nar, hi)
+            lo = np.where(special, _U0, lo)
+        return hi, lo
+
+    def maximum_unpacked(self, ua: Unpacked, ub: Unpacked) -> Unpacked:
+        """Elementwise larger value on the planes (``a`` on ties), the
+        code-order ``maximum``'s choice lane for lane."""
+        ha, la = self._order_planes(ua)
+        hb, lb = self._order_planes(ub)
+        take = (hb > ha) | ((hb == ha) & (lb > la))
+        return ua.map(lambda a, b: np.where(take, b, a), ub)
+
+    def argmax_unpacked(self, u: Unpacked, axis: int = -1) -> np.ndarray:
+        """First index of the largest value along ``axis`` on the
+        planes: the lanes holding the top ``hi`` key, then the first of
+        them holding their top ``lo`` key."""
+        hi, lo = self._order_planes(u)
+        top = hi == hi.max(axis=axis, keepdims=True)
+        lo = np.where(top, lo, _U0)
+        return np.argmax(top & (lo == lo.max(axis=axis, keepdims=True)),
+                         axis=axis)
+
+    def amax_unpacked(self, u: Unpacked, axis: int = -1) -> Unpacked:
+        """The largest value along ``axis``: the planes at
+        :meth:`argmax_unpacked`'s index (the max fold keeps its first
+        maximal element, so no rounding and no tie hazard)."""
+        idx = np.expand_dims(self.argmax_unpacked(u, axis), axis)
+        return u.map(lambda p: np.squeeze(
+            np.take_along_axis(p, idx, axis=axis), axis))
+
+    # ------------------------------------------------------------------
+    # Packed-pattern arithmetic (the plane ops, decoded once and
+    # assembled once)
     # ------------------------------------------------------------------
     def mul(self, a, b) -> np.ndarray:
         return self.encode_once(
@@ -693,32 +774,17 @@ class BatchPosit(BatchBackend):
         return self.encode_once(
             self.add_unpacked(self.decode_once(a), self.decode_once(b)))
 
-    def neg(self, a) -> np.ndarray:
-        """Pattern negation (exact; zero and NaR are fixed points)."""
-        with np.errstate(over="ignore"):
-            return (_U0 - _u64(a)) & self._mask
-
     def sub(self, a, b) -> np.ndarray:
         """``a - b`` — exactly the scalar environment's
         ``add(a, neg(b))``."""
-        return self.add(a, self.neg(b))
+        return self.encode_once(
+            self.sub_unpacked(self.decode_once(a), self.decode_once(b)))
 
     def div(self, a, b) -> np.ndarray:
-        """Correctly rounded quotient (exact long division + one
-        rounding), element-exact against ``PositEnv.div``."""
-        with np.errstate(over="ignore"):
-            ua, ub = self.decode_once(a), self.decode_once(b)
-            fa, fb = np.broadcast_arrays(ua.frac64, ub.frac64)
-            frac, sticky, dec = self._divide_frac(fa, fb)
-            scale = ua.scale - ub.scale - dec
-            nar = ua.nar | ub.nar | ub.zero
-            live = None
-            if _tele.current() is not None:
-                live = self._tally_nar(nar, np.asarray(ua.zero))
-            pattern = self._encode(ua.sign ^ ub.sign, scale, frac, sticky,
-                                   live)
-            pattern = np.where(ua.zero, _U0, pattern)
-            return np.where(nar, self._nar, pattern)
+        """Correctly rounded quotient, element-exact against
+        ``PositEnv.div``."""
+        return self.encode_once(
+            self.div_unpacked(self.decode_once(a), self.decode_once(b)))
 
     def dot(self, a, b, axis: int = -1) -> np.ndarray:
         """Decoded-plane dot product (element-exact against the base
@@ -739,23 +805,31 @@ class BatchPosit(BatchBackend):
         return self.encode_once(self.axpy_unpacked(
             self.decode_once(a), self.decode_once(x), self.decode_once(y)))
 
+    def maximum(self, a, b) -> np.ndarray:
+        return self.encode_once(self.maximum_unpacked(
+            self.decode_once(a), self.decode_once(b)))
+
+    def amax(self, arr, axis: int = -1) -> np.ndarray:
+        return self.encode_once(
+            self.amax_unpacked(self.decode_once(arr), axis))
+
+    def argmax(self, arr, axis: int = -1) -> np.ndarray:
+        return self.argmax_unpacked(self.decode_once(arr), axis)
+
     # ------------------------------------------------------------------
     # Float conversions (convenience; encode side is exact)
     # ------------------------------------------------------------------
     def from_floats(self, values) -> np.ndarray:
         """Exact float64 -> posit conversion (vectorized encode)."""
-        with np.errstate(over="ignore"):
-            x = np.asarray(values, dtype=np.float64)
-            finite = np.isfinite(x)
-            m, e = np.frexp(np.where(finite, x, 0.0))
-            mant = np.abs(m * 9007199254740992.0).astype(np.uint64)  # 2**53
-            bl = _bit_length64(mant)
-            frac64 = mant << (_U64C - _u64(bl))
-            scale = e.astype(np.int64) - 54 + bl
-            pattern = self._encode(np.signbit(x), scale, frac64,
-                                   np.zeros(x.shape, dtype=bool))
-            pattern = np.where(x == 0.0, _U0, pattern)
-            return np.where(~finite, self._nar, pattern)
+        x = np.asarray(values, dtype=np.float64)
+        finite = np.isfinite(x)
+        m, e = np.frexp(np.where(finite, x, 0.0))
+        mant = np.abs(m * 9007199254740992.0).astype(np.uint64)  # 2**53
+        bl = _bit_length64(mant)
+        frac64 = mant << (_U64C - _u64(bl))
+        scale = e.astype(np.int64) - 54 + bl
+        return self._encode(np.signbit(x), scale, frac64, False, x == 0.0,
+                            ~finite)
 
     def to_floats(self, arr) -> np.ndarray:
         """Posit -> float64, rounding the (up to 62-bit) significand to

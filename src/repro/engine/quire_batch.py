@@ -266,10 +266,8 @@ class BatchQuire:
         sticky = below_limb | ((low & ((_U64(1) << off) - _U64(1))) != 0)
         sticky = np.where(limb < 0, False, sticky)
         frac64 = np.where(is_zero, _U64(1) << _U64(63), frac64)
-        pattern = self._batch._encode(sign, np.where(is_zero, 0, scale),
-                                      frac64, sticky)
-        pattern = np.where(is_zero, _U64(0), pattern)
-        return np.where(self._nar, _U64(self.env.nar), pattern)
+        return self._batch._encode(sign, np.where(is_zero, 0, scale),
+                                   frac64, sticky, is_zero, self._nar)
 
     def _take_mag(self, mag: np.ndarray, idx: np.ndarray) -> np.ndarray:
         safe = np.clip(idx, 0, self.n_limbs - 1)

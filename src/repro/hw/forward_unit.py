@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..apps.hmm import forward
-from ..arith.backend import Backend
-from ..arith.backends import LogSpaceBackend, PositBackend
+from ..arith.backends import LogSpaceBackend
 from ..data.dirichlet import HMMData
 from ..formats.posit import PositEnv
 from .pe import LOG, POSIT, forward_pe_latency, forward_pe_structure
@@ -126,11 +125,6 @@ class ForwardUnit:
         return base * t / 500_000
 
     # -- functional simulation -----------------------------------------
-    def backend(self) -> Backend:
-        if self.style == LOG:
-            return LogSpaceBackend()
-        return PositBackend(PositEnv(64, self.posit_es))
-
     def simulate(self, hmm: HMMData):
         """Execute the PE dataflow with the unit's number format.
 

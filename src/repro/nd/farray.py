@@ -78,11 +78,6 @@ def _tally_nd(op: str, fmt: str, plane: str, n: int) -> None:
     _tele.count(f"nd.{op}.{fmt}.{plane}", int(n))
 
 
-#: Mirror ops a resident mirror (``BatchBackend.resident``) runs on its
-#: decoded planes, as ``<op>_unpacked``.
-_PLANE_OPS = frozenset({"add", "mul", "sum", "dot", "axpy"})
-
-
 def _same_numerics(a: Backend, b: Backend) -> bool:
     """Whether two scalar backends define the same arithmetic.
 
@@ -134,12 +129,13 @@ class FArray:
     mirror or the :class:`~repro.engine.batch.ScalarPlane`), and every
     op goes to it.  On a *resident* mirror (posit) an array holds
     packed codes, decoded planes, or both: the planes are decoded at
-    most once and cached, views and gathers map the planes only,
-    ``+ * dot sum multiply_add`` return planes-only results, and codes
-    are built (once) only when a value escapes —
-    :attr:`data`, :meth:`item`, :meth:`to_bigfloats`, the order ops,
-    ``-`` and ``/``.  Either form holds the same values, so only the
-    speed depends on which one an array carries.
+    most once and cached, views and gathers map the planes only, every
+    op (``+ - * / @``, ``dot``, ``sum``, ``multiply_add``,
+    ``maximum``, ``max``, ``argmax``) runs on the planes and returns
+    planes only, and codes are assembled (once) only when a value
+    escapes — :attr:`data`, :meth:`item`, :meth:`to_bigfloats` and the
+    service wire.  Either form holds the same values, so only the speed
+    depends on which one an array carries.
     """
 
     __slots__ = ("_bb", "_codes", "_planes")
@@ -304,22 +300,26 @@ class FArray:
     # ------------------------------------------------------------------
     # Arithmetic (one dispatch: the array's plane)
     # ------------------------------------------------------------------
-    def _plane_op(self, op: str, *operands: "FArray", **kw) -> "FArray":
-        """Plane op ``op`` over ``operands`` (this array's format and
-        plane): on the decoded planes when the mirror keeps them
-        resident, else on the stored codes or values.
+    def _run(self, op: str, *operands: "FArray", **kw):
+        """Mirror op ``op`` over ``operands`` (this array's format and
+        plane): ``<op>_unpacked`` on the decoded planes when the mirror
+        keeps them resident, else ``op`` on the stored codes or values.
 
         Every plane implements the full op set (``BatchBackend.sub``/
         ``div`` raise for exotic mirrors without one — there is no
         silent per-element fallback)."""
         bb = self._bb
-        if bb.resident and op in _PLANE_OPS:
-            planes = getattr(bb, op + "_unpacked")(
+        if bb.resident:
+            return getattr(bb, op + "_unpacked")(
                 *(x._decoded() for x in operands), **kw)
-            out = FArray(None, bb, planes)
-        else:
-            codes = getattr(bb, op)(*(x._data for x in operands), **kw)
-            out = FArray(np.asarray(codes), bb)
+        return getattr(bb, op)(*(x._data for x in operands), **kw)
+
+    def _plane_op(self, op: str, *operands: "FArray", **kw) -> "FArray":
+        """:meth:`_run` as an array of this format and plane."""
+        bb = self._bb
+        out = self._run(op, *operands, **kw)
+        out = FArray(None, bb, out) if bb.resident \
+            else FArray(np.asarray(out), bb)
         if _tele.current() is not None:
             _tally_nd(op, self.format, bb.plane, out.size)
         return out
@@ -359,10 +359,11 @@ class FArray:
         """Elementwise larger probability (first operand on ties).
 
         Exact by construction on every plane: the batch mirrors compare
-        monotone code arrays (float values/logs, posit patterns as
-        two's-complement, LNS codes), the scalar plane uses the
-        backend's representation-native ``gt`` — the same total order,
-        so the max semirings decide identically on both planes.
+        monotone code arrays (float values/logs, LNS codes) or, for
+        posit, the decoded planes in the order of its two's-complement
+        patterns; the scalar plane uses the backend's
+        representation-native ``gt`` — the same total order, so the max
+        semirings decide identically on both planes.
         """
         out = self._binary(other, "maximum")
         if out is NotImplemented:
@@ -428,7 +429,7 @@ class FArray:
         planes decide identically (same total order, same tie-break),
         which is what makes traceback paths plan-invariant.
         """
-        out = np.asarray(self._bb.argmax(self._data, axis=axis),
+        out = np.asarray(self._run("argmax", self, axis=axis),
                          dtype=np.intp)
         if _tele.current() is not None:
             _tally_nd("argmax", self.format, self._bb.plane, out.size)

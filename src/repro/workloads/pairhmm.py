@@ -71,19 +71,15 @@ def match_priors(haplotype, reads: np.ndarray,
     return np.where(match, 1.0 - mismatch, mismatch / 3.0)
 
 
-def _pairhmm_nd(priors, semiring, trans: dict, length: int):
+def _pairhmm_nd(priors, semiring, trans: dict, d_row):
     """The recurrence over an already-encoded prior tensor
     ``priors (B, R, L)`` (FArray); returns the ``(B,)`` likelihood
-    FArray.  ``trans`` holds the seven transition FArrays (0-d)."""
+    FArray.  ``trans`` holds the seven transition FArrays (0-d) and
+    ``d_row`` the free-gap row ``D[0] (B, L+1)``."""
     n_batch, n_reads, n_hap = priors.shape
     with _tele.span("workload.pairhmm"):
         m_row = nd.zeros_like(priors, (n_batch, n_hap + 1))
         i_row = nd.zeros_like(priors, (n_batch, n_hap + 1))
-        # Free gap before the read starts: D[0, j>=1] = 1/L.
-        d_init = np.concatenate(
-            [np.zeros((n_batch, 1)),
-             np.full((n_batch, n_hap), 1.0 / length)], axis=1)
-        d_row = nd.asarray(d_init, priors.backend)._as_mode(priors._bb)
         zero_col = nd.zeros_like(priors, (n_batch, 1))
         for i in range(n_reads):
             rec = semiring.plus(
@@ -130,7 +126,12 @@ def pairhmm_batch(haplotype, reads, backend=None,
     trans = {k: nd.asarray(v, backend, plan=plan)
              for k, v in params.transitions().items()}
     priors = nd.asarray(priors_f64, backend, plan=plan)
-    out = _pairhmm_nd(priors, sr, trans, hap.size)
+    # Free gap before the read starts: D[0, j>=1] = 1/L.
+    d_init = np.concatenate(
+        [np.zeros((reads.shape[0], 1)),
+         np.full((reads.shape[0], hap.size), 1.0 / hap.size)], axis=1)
+    d_row = nd.asarray(d_init, backend, plan=plan)
+    out = _pairhmm_nd(priors, sr, trans, d_row)
     return [out.item(i) for i in range(out.shape[0])]
 
 

@@ -18,10 +18,11 @@ Two ``plus`` monoids exist:
   fused kernels.
 * ``"max"`` — the larger probability.  This dispatches to the
   :func:`nd.maximum`/:meth:`FArray.max` order ops, which compare the
-  mirrors' *monotone code arrays* (float values, float logs, posit
-  patterns as two's-complement integers, LNS fixed-point codes), so
-  max is **exact by construction** in every registered format — no
-  rounding, no decode, and batch/serial plans decide identically.
+  mirrors' *monotone code arrays* (float values, float logs, LNS
+  fixed-point codes) or, for posit, its resident decoded planes in the
+  order of its patterns as two's-complement integers, so max is
+  **exact by construction** in every registered format — no rounding,
+  and batch/serial plans decide identically.
   That certification is pinned exhaustively in
   ``tests/test_workloads_semiring.py``.
 

@@ -180,8 +180,10 @@ class TestMain:
 class TestABCompare:
     """``benchmarks/ab.py``'s statistics over synthetic paired runs."""
 
-    METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
-               {"name": "throughput", "unit": "1/s", "better": "higher"}]
+    METRICS = [{"name": "wall_s", "unit": "s", "better": "lower",
+                "bound": 0.2},
+               {"name": "throughput", "unit": "1/s", "better": "higher",
+                "bound": 0.2}]
 
     @staticmethod
     def _pairs(base, change):
@@ -215,6 +217,55 @@ class TestABCompare:
         text = ab.render(rows)
         assert "`wall_s` (s)" in text and "`throughput` (1/s)" in text
         assert "2 of 2 (lost 0)" in text
+
+
+class TestABStatistics:
+    """Each of ``ab.py``'s verdicts, with synthetic pairs on both sides
+    of its rule (bound 0.2)."""
+
+    WALL, THROUGHPUT = TestABCompare.METRICS
+
+    @staticmethod
+    def _verdict(metric, base, change):
+        pairs = [{"base": {metric["name"]: b},
+                  "change": {metric["name"]: c}}
+                 for b, c in zip(base, change)]
+        row, = ab.compare(pairs, [metric])
+        return row["verdict"]
+
+    def test_worse_past_the_bound(self):
+        base = [1.0] * 10
+        assert self._verdict(self.WALL, base, [1.25] * 10) == "worse"
+        assert self._verdict(self.WALL, base, [1.15] * 10) == "same"
+        assert self._verdict(self.THROUGHPUT, base, [0.75] * 10) == "worse"
+        assert self._verdict(self.THROUGHPUT, base, [0.85] * 10) == "same"
+
+    def test_gain_needs_nine_wins_and_a_gap_past_the_iqr(self):
+        base = [1.00, 1.02, 0.98, 1.01, 0.99] * 2  # IQR about 0.03
+        nine = [0.90] * 9 + [1.05]
+        assert self._verdict(self.WALL, base, nine) == "gain"
+        eight = [0.90] * 8 + [1.05] * 2
+        assert self._verdict(self.WALL, base, eight) == "same"
+        # Nine wins, but the medians lie within the base's IQR.
+        close = [0.985] * 9 + [1.05]
+        assert self._verdict(self.WALL, base, close) == "same"
+        faster = [1 / b for b in base]
+        assert self._verdict(self.THROUGHPUT, faster,
+                             [1 / c for c in nine]) == "gain"
+        # A tie counts for neither side, so it cannot make a ninth win.
+        tied = [0.90] * 8 + [base[8], 1.05]
+        assert self._verdict(self.WALL, base, tied) == "same"
+
+    def test_unresolved_when_the_base_spreads_past_the_bound(self):
+        base = [1.0, 1.5] * 5  # IQR 0.5 against a median of 1.25
+        overlapping = [1.1, 1.4] * 5
+        assert self._verdict(self.WALL, base, overlapping) == "unresolved"
+        # Every change run beats every base run: resolved (but within
+        # the IQR, so no gain).
+        below = [0.95, 0.99] * 5
+        assert self._verdict(self.WALL, base, below) == "same"
+        steady = [1.0, 1.1] * 5  # IQR 0.1 against 1.05: inside the bound
+        assert self._verdict(self.WALL, steady, [1.02, 1.08] * 5) == "same"
 
 
 class TestCommittedArtifacts:

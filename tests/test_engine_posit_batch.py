@@ -85,35 +85,93 @@ def test_deep_magnitudes_and_cancellation():
         _check_ops(env, [p[0] for p in muls], [p[1] for p in muls])
 
 
+def _regime_run(env, pattern):
+    """The regime run of a pattern's magnitude (None for zero, NaR)."""
+    if pattern in (0, env.nar):
+        return None
+    mag = (-pattern) & env.mask if pattern >= env.sign_bit else pattern
+    body = format(mag, f"0{env.nbits - 1}b")
+    return len(body) - len(body.lstrip(body[0]))
+
+
+def _calls_by_result_regime(env, a, b, want):
+    """Index groups of one op's pattern pairs, one rounding call each:
+    the pairs with a zero or NaR operand (lanes the flags decide) spread
+    over every group, the others grouped by the regime run of the
+    reference result — so the runs up to ``nbits - 3 - es`` round in
+    the plane, the rest on the encoding string."""
+    dead = np.isin(a, [0, env.nar]) | np.isin(b, [0, env.nar])
+    runs = {}
+    for i in np.flatnonzero(~dead):
+        runs.setdefault(_regime_run(env, int(want[i])), []).append(i)
+    groups = list(runs.values())
+    for j, i in enumerate(np.flatnonzero(dead)):
+        groups[j % len(groups)].append(i)
+    return [np.array(g) for g in groups]
+
+
+def _plane_call(bp, op, *operands, **kw):
+    """``<op>_unpacked`` on the operand patterns: its result (assembled
+    patterns, or the indices of ``argmax``) and whether the call built
+    an encoding string (the string rounding; plane rounding builds
+    none, and the assembly runs after the call)."""
+    us = [bp.decode_once(x) for x in operands]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return BatchPosit._string(bp, *args)
+
+    bp._string = spy
+    try:
+        out = getattr(bp, op + "_unpacked")(*us, **kw)
+    finally:
+        del bp._string
+    if op != "argmax":
+        out = bp.encode_once(out)
+    return out, bool(calls)
+
+
+def _check_exhaustive(env, ops):
+    """Every posit(8, es) pattern pair through each rounding op's plane
+    form, one call per :func:`_calls_by_result_regime` group, and
+    through the packed op in one call, against the scalar environment;
+    both rounding branches must be reached."""
+    bp = BatchPosit(env)
+    pats = np.arange(256, dtype=np.uint64)
+    a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
+    for op in ops:
+        want = np.fromiter(
+            (getattr(env, op)(int(x), int(y)) for x, y in zip(a, b)),
+            dtype=np.uint64, count=a.size)
+        branches = set()
+        for idx in _calls_by_result_regime(env, a, b, want):
+            got, on_string = _plane_call(bp, op, a[idx], b[idx])
+            branches.add(on_string)
+            bad = np.flatnonzero(got != want[idx])
+            assert bad.size == 0, (
+                f"{op}({int(a[idx][bad[0]]):#x}, {int(b[idx][bad[0]]):#x})"
+                f" in {env!r}")
+        assert branches == {False, True}, (op, env)
+        assert (getattr(bp, op)(a, b) == want).all(), (op, env)
+
+
 @pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
 def test_exhaustive_posit8(underflow):
     """Every posit(8, es) pattern pair — the full 256x256 space, es 0,
-    1 and 2 — for both add and mul, in both underflow modes."""
+    1 and 2 — for both add and mul, in both underflow modes, on both
+    sides of the rounding gate."""
     for es in (0, 1, 2):
-        env = PositEnv(8, es, underflow)
-        bp = BatchPosit(env)
-        pats = np.arange(256, dtype=np.uint64)
-        a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
-        got_add = bp.add(a, b)
-        got_mul = bp.mul(a, b)
-        want_add = np.fromiter(
-            (env.add(int(x), int(y)) for x, y in zip(a, b)),
-            dtype=np.uint64, count=a.size)
-        want_mul = np.fromiter(
-            (env.mul(int(x), int(y)) for x, y in zip(a, b)),
-            dtype=np.uint64, count=a.size)
-        assert (got_add == want_add).all(), env
-        assert (got_mul == want_mul).all(), env
+        _check_exhaustive(PositEnv(8, es, underflow), ("add", "mul"))
 
 
 def test_decode_encode_roundtrip_is_identity():
     env = PositEnv(64, 12)
     bp = BatchPosit(env)
     pats = np.array(_random_patterns(env, 500, seed=7), dtype=np.uint64)
-    zero, nar, sign, frac, scale, _mag = bp.decode_once(pats)
-    re = bp._encode(sign, scale, frac, np.zeros(pats.shape, bool))
-    re = np.where(zero, np.uint64(0), re)
-    re = np.where(nar, np.uint64(env.nar), re)
+    zero, nar, sign, frac, scale = bp.decode_once(pats)
+    re = bp._encode(sign, scale, frac, np.zeros(pats.shape, bool), zero,
+                    nar)
     assert (re == pats).all()
 
 
@@ -157,25 +215,46 @@ def test_bit_length_matches_python():
 
 @pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
 def test_exhaustive_posit8_sub_div(underflow):
-    """Every posit(8, es) pattern pair (es 0, 1 and 2) for the native
+    """Every posit(8, es) pattern pair (es 0, 1 and 2) for the plane
     sub and div, in both underflow modes — sub must equal add(a, neg(b))
     and div the correctly rounded quotient (NaR for zero/NaR divisors),
-    exactly as the scalar environment computes them."""
+    exactly as the scalar environment computes them, on both sides of
+    the rounding gate."""
+    for es in (0, 1, 2):
+        _check_exhaustive(PositEnv(8, es, underflow), ("sub", "div"))
+
+
+@pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
+def test_exhaustive_posit8_order_planes(underflow):
+    """The plane maximum/amax/argmax on every posit(8, es) pattern pair
+    (es 0, 1 and 2): the scalar backend's ``maximum`` and its strict
+    ``gt`` fold — NaR lowest, negative, zero and tied lanes included,
+    the first index winning ties — along either axis."""
+    from repro.arith.backends import PositBackend
     for es in (0, 1, 2):
         env = PositEnv(8, es, underflow)
-        bp = BatchPosit(env)
+        sb, bp = PositBackend(env), BatchPosit(env)
         pats = np.arange(256, dtype=np.uint64)
         a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
-        got_sub = bp.sub(a, b)
-        got_div = bp.div(a, b)
-        want_sub = np.fromiter(
-            (env.sub(int(x), int(y)) for x, y in zip(a, b)),
-            dtype=np.uint64, count=a.size)
-        want_div = np.fromiter(
-            (env.div(int(x), int(y)) for x, y in zip(a, b)),
-            dtype=np.uint64, count=a.size)
-        assert (got_sub == want_sub).all(), env
-        assert (got_div == want_div).all(), env
+        got, _ = _plane_call(bp, "maximum", a, b)
+        want = [sb.maximum(int(x), int(y)) for x, y in zip(a, b)]
+        assert got.tolist() == want, env
+        rows = np.stack([a, b, a, b[::-1]], axis=1)
+
+        def first_max(row):
+            best = 0
+            for i in range(1, len(row)):
+                if sb.gt(int(row[i]), int(row[best])):
+                    best = i
+            return best
+
+        want_idx = [first_max(r) for r in rows]
+        for axis, arr in ((1, rows), (0, rows.T)):
+            idx, _ = _plane_call(bp, "argmax", arr, axis=axis)
+            assert idx.tolist() == want_idx, (env, axis)
+            top, _ = _plane_call(bp, "amax", arr, axis=axis)
+            assert top.tolist() == [int(r[i]) for r, i in
+                                    zip(rows, want_idx)], (env, axis)
 
 
 @pytest.mark.parametrize("nbits,es", [(64, 9), (64, 12), (32, 2), (16, 1)])

@@ -10,8 +10,16 @@ an all-ones tail whose round-up carries through the kept fraction into
 the exponent, the regime or saturation), with the sticky tail off or
 on.  ``BatchPosit``'s rounding must give ``PositEnv.encode_real``'s
 pattern, and the planes it produces must be the planes ``decode_once``
-reads off that pattern.  Decoding is pinned the same way, on every
-regime/exponent boundary pattern against ``PositEnv.decode``.
+reads off that pattern.
+
+The rounding has two branches, chosen per call: the plane rounding on
+``frac64`` when no live lane's regime run exceeds ``nbits - 3 - es``,
+the encoding-string rounding otherwise.  So every regime rounds in a
+call of its own (a call spanning regimes would always take the string
+branch), and the gate's boundary is pinned in every configuration.
+Pattern assembly (``encode_once``) is pinned on a structured set of
+exactly representable planes, and decoding on every regime/exponent
+boundary pattern, against ``PositEnv``.
 """
 
 import random
@@ -20,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchPosit
+from repro.engine.posit_batch import Unpacked
 from repro.formats import PositEnv
 from repro.formats.posit import FLUSH, NAR, SATURATE, ZERO
 from repro.formats.real import Real
@@ -31,19 +40,23 @@ _BODY = 63  # body bits of a 64-bit posit (after the sign)
 _FRAC = 63  # fraction bits below frac64's leading 1
 _FRAC_MASK = (1 << _FRAC) - 1
 _BASE_FRAC = _FRAC_MASK // 3  # alternating kept fraction bits
+#: Every configuration the rounding is checked in.
+_CONFIGS = [(64, 0), (64, 2), (64, 9), (64, 12), (64, 18), (32, 2),
+            (32, 6), (16, 1), (8, 0), (8, 2)]
 
 
 def _exponents(es):
-    return sorted({0, 1, 1 << (es - 1), (1 << es) - 1})
+    return sorted({0, 1, 1 << (es - 1), (1 << es) - 1}) if es else [0]
 
 
-def _tail(k, e, cut, es):
+def _tail(k, e, cut, es, body=_BODY):
     """The exponent + fraction tail (``es + 63`` bits) for regime ``k``
-    with the dropped bits below the cut set by ``cut``.  Where the cut
-    falls inside the exponent field, ``cut`` overrides its low bits."""
+    of a posit with ``body`` bits after the sign, with the dropped bits
+    below the cut set by ``cut``.  Where the cut falls inside the
+    exponent field, ``cut`` overrides its low bits."""
     run = k + 1 if k >= 0 else -k
     tail_len = es + _FRAC
-    kept = min(max(_BODY - (run + 1), 0), tail_len)
+    kept = min(max(body - (run + 1), 0), tail_len)
     drop = tail_len - kept  # >= 1: the fraction never fits whole
     low = (1 << drop) - 1
     half = 1 << (drop - 1)
@@ -58,14 +71,14 @@ def _tail(k, e, cut, es):
     return tail
 
 
-def _rounding_cases(es):
+def _rounding_cases(es, regimes=range(-64, 64), body=_BODY):
     """Deduplicated ``(sign, scale, frac64, sticky)`` cases, each with
     the ``(k, e, cut, sticky)`` that produced it."""
     cases = {}
-    for k in range(-64, 64):
+    for k in regimes:
         for e in _exponents(es):
             for cut in _CUTS:
-                tail = _tail(k, e, cut, es)
+                tail = _tail(k, e, cut, es, body)
                 scale = (k << es) + (tail >> _FRAC)
                 frac64 = (1 << 63) | (tail & _FRAC_MASK)
                 for sticky in (False, True):
@@ -97,25 +110,41 @@ def _assert_planes_match_decode(bp, u, expected, where):
     bad = np.flatnonzero((u.nar != ref.nar) | (~ref.nar & (u.zero != ref.zero)))
     assert bad.size == 0, f"flags differ at {where(bad[0])}"
     live = ~(ref.zero | ref.nar)
-    for name in ("sign", "frac64", "scale", "mag"):
+    for name in ("sign", "frac64", "scale"):
         bad = np.flatnonzero(live & (getattr(u, name) != getattr(ref, name)))
         assert bad.size == 0, f"{name} plane differs at {where(bad[0])}"
 
 
-def _check_rounding(env, keys, label):
+def _regime(env, scale):
+    return scale >> env.es
+
+
+def _check_call(env, keys, label):
+    """Round ``keys`` in one call: the patterns must be
+    ``encode_real``'s and the planes ``decode_once``'s of them."""
     bp = BatchPosit(env)
     sign, scale, frac64, sticky = _arrays(keys)
     expected = np.array([_reference(env, *c) for c in keys],
                         dtype=np.uint64)
-    got = bp._encode(sign, scale, frac64, sticky)
+    none = np.zeros(sign.shape, dtype=bool)
+    u = bp._rounded(sign, scale, frac64, sticky, none, none)
+    got = bp.encode_once(u)
     bad = np.flatnonzero(got != expected)
     assert bad.size == 0, (
         f"{len(bad)} mismatches in {env!r}; first {label(bad[0])}: "
         f"got {int(got[bad[0]]):#x}, want {int(expected[bad[0]]):#x}")
-    none = np.zeros(sign.shape, dtype=bool)
-    u = bp._rounded(sign, scale, frac64, sticky, none, none, None)
-    assert np.array_equal(bp.encode_once(u), expected)
     _assert_planes_match_decode(bp, u, expected, label)
+
+
+def _check_rounding(env, keys, label):
+    """:func:`_check_call` once per regime ``k`` of the exact values,
+    so the in-range regimes take the plane branch."""
+    by_k = {}
+    for i, key in enumerate(keys):
+        by_k.setdefault(_regime(env, key[1]), []).append(i)
+    for idx in by_k.values():
+        _check_call(env, [keys[i] for i in idx],
+                    lambda j, idx=idx: label(idx[j]))
 
 
 @pytest.mark.parametrize("es", _ES)
@@ -128,9 +157,7 @@ def test_rounding_matches_encode_real_at_every_scale(es, underflow):
                     lambda i: "(k, e, cut, sticky) = %r" % (cases[keys[i]],))
 
 
-@pytest.mark.parametrize("nbits,es", [(64, 0), (64, 2), (64, 9), (64, 12),
-                                      (64, 18), (32, 2), (16, 1), (8, 0),
-                                      (8, 2)])
+@pytest.mark.parametrize("nbits,es", _CONFIGS)
 @pytest.mark.parametrize("underflow", _MODES)
 def test_rounding_matches_encode_real_on_sampled_scales(nbits, es,
                                                         underflow):
@@ -143,6 +170,108 @@ def test_rounding_matches_encode_real_on_sampled_scales(nbits, es,
              (1 << 63) | rng.getrandbits(63), rng.random() < 0.5)
             for _ in range(1500)]
     _check_rounding(env, keys, lambda i: "case %r" % (keys[i],))
+
+
+def _rounds_on_string(bp, keys, zero):
+    """Round ``keys`` in one call, ``zero`` flagging the lanes the
+    caller decides (their planes are meaningless); returns the planes
+    and whether the call built the encoding string."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return BatchPosit._string(bp, *args)
+
+    sign, scale, frac64, sticky = _arrays(keys)
+    bp._string = spy
+    try:
+        u = bp._rounded(sign, scale, frac64, sticky, zero,
+                        np.zeros(sign.shape, dtype=bool))
+    finally:
+        del bp._string
+    return u, bool(calls)
+
+
+@pytest.mark.parametrize("nbits,es", _CONFIGS)
+@pytest.mark.parametrize("underflow", _MODES)
+def test_gate_boundary(nbits, es, underflow):
+    """Regime runs up to ``nbits - 3 - es`` round in the plane and one
+    more takes the encoding string, for values above and below 1;
+    lanes the caller's flags decide do not gate, whatever their scale.
+    Every call's patterns and planes are ``encode_real``'s."""
+    env = PositEnv(nbits, es, underflow)
+    bp = BatchPosit(env)
+    limit = nbits - 3 - es
+    for run in (limit, limit + 1):
+        for k in (run - 1, -run):  # k >= 0 has run k + 1, k < 0 has -k
+            cases = _rounding_cases(es, [k], nbits - 1)
+            keys = list(cases)
+            none = np.zeros(len(keys), dtype=bool)
+            u, on_string = _rounds_on_string(bp, keys, none)
+            assert on_string == (run > limit), (run, k)
+            _check_call(env, keys, lambda i: "(k, e, cut, sticky) = %r"
+                        % (cases[keys[i]],))
+    # Lanes flagged zero carry scales from both ends of the range.
+    keys = list(_rounding_cases(es, [limit - 1], nbits - 1))
+    far = [(False, -8 * env.max_scale, 1 << 63, True),
+           (True, 8 * env.max_scale, (1 << 64) - 1, False)]
+    zero = np.array([False] * len(keys) + [True] * len(far))
+    u, on_string = _rounds_on_string(bp, keys + far, zero)
+    assert not on_string
+    want = [_reference(env, *c) for c in keys] + [0] * len(far)
+    assert bp.encode_once(u).tolist() == want
+    # One live lane past the limit sends the whole call to the string.
+    beyond = [(False, -(limit + 1) << es, 1 << 63, False)]
+    u, on_string = _rounds_on_string(bp, keys + beyond,
+                                     np.zeros(len(keys) + 1, dtype=bool))
+    assert on_string
+    assert bp.encode_once(u).tolist() == [
+        _reference(env, *c) for c in keys + beyond]
+
+
+def _assembly_patterns(env):
+    """Every regime of ``env`` (minpos to maxpos) with the exponent
+    values of :func:`_exponents` and a fraction of 0, its last kept bit
+    or all ones, cut to the body where the regime leaves no room, in
+    both signs."""
+    es, body_len = env.es, env.nbits - 1
+    pats = set()
+    for k in range(-(env.nbits - 2), env.nbits - 1):
+        run = k + 1 if k >= 0 else -k
+        regime = ((1 << run) - 1) << 1 if k >= 0 else 1
+        f_len = max(body_len - (run + 1) - es, 0)
+        length = run + 1 + es + f_len
+        for e in _exponents(es):
+            for f in {0, 1 if f_len else 0, (1 << f_len) - 1}:
+                body = ((((regime << es) | e) << f_len) | f) \
+                    >> (length - body_len)
+                pats.update((body, (-body) & env.mask))
+    return sorted(pats)
+
+
+@pytest.mark.parametrize("nbits,es", [(64, 9), (64, 12), (64, 18), (32, 2),
+                                      (32, 6), (16, 1)])
+def test_encode_once_assembles_the_scalar_pattern(nbits, es):
+    """``encode_once`` builds the exact pattern from planes holding a
+    posit value — ``PositEnv``'s pattern, with no rounding — and fixes
+    zero and NaR lanes whatever their planes hold."""
+    env = PositEnv(nbits, es)
+    pats = _assembly_patterns(env)
+    sign, frac64, scale = [], [], []
+    for p in pats:
+        value = env.decode(p)
+        mb = value.mantissa.bit_length()
+        sign.append(bool(value.sign))
+        frac64.append(value.mantissa << (64 - mb))
+        scale.append(value.exponent + mb - 1)
+    flags = [False] * len(pats)
+    u = Unpacked(np.array(flags + [True, False]),
+                 np.array(flags + [False, True]),
+                 np.array(sign + [True, True]),
+                 np.array(frac64 + [(1 << 64) - 1] * 2, dtype=np.uint64),
+                 np.array(scale + [3, -3 * env.max_scale], dtype=np.int64))
+    got = BatchPosit(env).encode_once(u).tolist()
+    assert got == pats + [0, env.nar]
 
 
 def _boundary_patterns(env):
@@ -173,10 +302,8 @@ def test_decode_planes_match_scalar_decode_at_boundaries(es):
     u = BatchPosit(env).decode_once(np.array(pats, dtype=np.uint64))
     for i, p in enumerate(pats):
         value = env.decode(p)
-        sign = p >= env.sign_bit
-        mag = ((-p) & env.mask if sign else p) & (env.sign_bit - 1)
-        got = (bool(u.zero[i]), bool(u.nar[i]), int(u.mag[i]))
-        assert got == (value is ZERO, value is NAR, mag), hex(p)
+        got = (bool(u.zero[i]), bool(u.nar[i]))
+        assert got == (value is ZERO, value is NAR), hex(p)
         if value is ZERO or value is NAR:
             continue
         mb = value.mantissa.bit_length()
@@ -188,8 +315,8 @@ def test_decode_planes_match_scalar_decode_at_boundaries(es):
 @pytest.mark.parametrize("es", _ES)
 @pytest.mark.parametrize("underflow", _MODES)
 def test_op_planes_match_decode_once_of_their_patterns(es, underflow):
-    """The planes ``mul_unpacked``/``add_unpacked`` hand to the next op
-    are the planes a fresh decode of their result pattern gives."""
+    """The planes the rounding plane ops hand to the next op are the
+    planes a fresh decode of their result pattern gives."""
     env = PositEnv(64, es, underflow)
     bp = BatchPosit(env)
     pats = _boundary_patterns(env)
@@ -197,7 +324,7 @@ def test_op_planes_match_decode_once_of_their_patterns(es, underflow):
     a = np.array(pats, dtype=np.uint64)
     b = np.array(rng.sample(pats, len(pats)), dtype=np.uint64)
     ua, ub = bp.decode_once(a), bp.decode_once(b)
-    for op in ("mul", "add"):
+    for op in ("mul", "add", "sub", "div"):
         u = getattr(bp, op + "_unpacked")(ua, ub)
         expected = bp.encode_once(u)
         for i in range(0, len(pats), 97):

@@ -178,6 +178,22 @@ class TestPairHMM:
         with pytest.raises(ValueError, match="batch"):
             pairhmm_batch([0, 1], np.zeros(3, dtype=int), backend)
 
+    def test_serial_plan_never_rounds_on_the_batch_plane(self):
+        """Every array of a serial-plan call, the free-gap row included,
+        is built under that plan (the ambient plan stays the default):
+        the posit mirror rounds nothing, and the values are the batch
+        plan's."""
+        from repro import telemetry
+        backend = _backend("posit(64,12)")
+        rng = np.random.default_rng(15)
+        hap = rng.integers(0, 4, 10)
+        reads = rng.integers(0, 4, (3, 5))
+        with telemetry.collect() as col:
+            serial = pairhmm_batch(hap, reads, backend,
+                                   plan=ExecPlan.serial())
+        assert "posit.encode" not in col.spans
+        assert serial == pairhmm_batch(hap, reads, backend)
+
 
 class TestKalman:
     @pytest.mark.parametrize("fmt", FORMATS)

@@ -46,7 +46,7 @@ def _lns_codes(env):
 
 class TestPositMaxExhaustive:
     """posit(8,1): batch ``maximum`` equals decode-and-compare on all
-    65536 operand pairs — the monotone-code certification."""
+    65536 operand pairs — the order certification."""
 
     ENV = PositEnv(8, 1)
 
