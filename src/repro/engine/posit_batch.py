@@ -15,14 +15,12 @@ only fixed-width integer array operations:
   operands are too far apart to cancel;
 * quotients are produced by a restoring long division, one exact bit per
   step, with the remainder as the sticky;
-* the one rounding (:meth:`BatchPosit._round_mag`) returns planes
-  only.  When no live lane's regime run exceeds ``nbits - 3 - es``
-  (the cut falls inside the fraction field), it rounds to nearest even
-  on ``frac64`` itself and carries into the scale; otherwise it rounds
-  the top 64 bits of the encoding string (regime + exponent +
-  fraction: the kept and guard bits always fit one limb, and every
-  lower bit only matters as a boolean sticky) and reads the planes off
-  the rounded pattern at the unrounded regime's field offsets;
+* the one rounding (:meth:`BatchPosit._round_mag`) works on the
+  planes and returns planes, for every regime: nearest even on
+  ``frac64`` where the cut keeps a fraction bit, on the scale where it
+  falls in the exponent field, and maxpos/minpos/zero where the regime
+  fills the body — the bits the scalar rounding of the encoding string
+  gives, with no string built;
 * operand constants are read-only 0-d arrays, which a ufunc takes
   without the per-call conversion a NumPy scalar costs — at the 16–128
   lanes of the workloads an op costs its NumPy calls, not its lanes.
@@ -45,10 +43,9 @@ ops wrapped in one decode and one assembly.
 
 Element-for-element equality with ``PositEnv`` is enforced by
 ``tests/test_engine_posit_batch.py`` (exhaustively at 8 bits for
-es = 0, 1, 2, for all four operations on both sides of the rounding
-gate, the order ops and the plane round-trip) and, regime by regime at
-64 bits with the gate pinned, by
-``tests/test_posit_rounding_structured.py``.
+es = 0, 1, 2, for all four operations, the order ops and the plane
+round-trip) and, regime by regime at 64 bits with the event tallies,
+by ``tests/test_posit_rounding_structured.py``.
 """
 
 from __future__ import annotations
@@ -85,15 +82,19 @@ _ONE = _const(1)
 _U0 = _const(0)
 _U32 = _const(32)
 _U64C = _const(64)
+_TWO = _const(2)
+_SIXTY_ONE = _const(61)
 _SIXTY_THREE = _const(63)
 _I0 = _const(0, _I64)
 _I1 = _const(1, _I64)
+_I62 = _const(62, _I64)
 _I63 = _const(63, _I64)
 _I64C = _const(64, _I64)
 _I64MIN = _const(np.iinfo(np.int64).min, _I64)
-#: The highest guard-bit position in ``frac64`` the plane rounding
-#: takes: regime runs up to ``nbits - 3 - es`` keep the whole exponent
-#: and at least one fraction bit.
+#: The highest guard-bit position in ``frac64`` where the rounding
+#: cut keeps the whole exponent and at least one fraction bit (regime
+#: runs up to ``nbits - 3 - es``); calls with no live lane past it skip
+#: the long-regime cases.
 _GUARD_MAX = _const(61, _I64)
 
 
@@ -217,8 +218,10 @@ class BatchPosit(BatchBackend):
     def __init__(self, env: PositEnv, scalar: Optional[PositBackend] = None):
         if env.nbits > 64:
             raise ValueError("BatchPosit supports nbits <= 64")
-        if env.es > 59:
-            raise ValueError("BatchPosit supports es <= 59")
+        # The int64 scale plane holds exact products, up to 2*max_scale.
+        if max(env.max_scale, env.useed_log2) >= 1 << 62:
+            raise ValueError("BatchPosit supports max_scale and 2**es "
+                             "below 2**62 (es <= 56 at 64 bits)")
         self.env = env
         self.name = env.name
         self._scalar = scalar if scalar is not None else PositBackend(env)
@@ -226,8 +229,6 @@ class BatchPosit(BatchBackend):
         self._sign_bit = _const(env.sign_bit)
         self._body_mask = _const(env.sign_bit - 1)
         self._nar = _const(env.nar)
-        self._maxpos = _const(env.maxpos)
-        self._minpos = _const(env.minpos)
         self._body_len = env.nbits - 1
         self._one = _const(env.from_float(1.0))
         self._flush = env.underflow == FLUSH
@@ -237,11 +238,15 @@ class BatchPosit(BatchBackend):
         self._top_shift = _const(self._body_len - 1)
         self._e_mask = _const((1 << env.es) - 1)
         self._kept_shift = _const(64 - self._body_len)
-        self._guard_bit = _const(1 << (63 - self._body_len))
-        self._below_mask = _const((1 << (63 - self._body_len)) - 1)
-        self._has_below = self._body_len < 63
-        self._tail_shift = _const(64 - self._body_len, _I64)
         self._guard_base = _const(65 - env.nbits + env.es, _I64)
+        # Bit es + 2 of _round_mag's scale word is read only by a cut at
+        # q = es, as its kept lsb: the terminator of k = nbits - 3 (0) or
+        # 2 - nbits (1), k's low bit for odd nbits, else its complement.
+        self._terminator_flip = _const((1 - env.nbits % 2) << (env.es + 2))
+        # The word's bits under the terminator (exponent, top fraction
+        # bit, sticky), read when that is the guard (k = 1 - nbits).
+        self._under_terminator = _const((1 << (env.es + 2)) - 1)
+        self._k_floor = _const(1 - env.nbits, _I64)
         self._key_base = _const(env.max_scale + 1, _I64)
         self._max_scale = _const(env.max_scale, _I64)
         self._min_scale = _const(-env.max_scale, _I64)
@@ -249,10 +254,9 @@ class BatchPosit(BatchBackend):
         self._es_u = _const(env.es)
         self._es_i = _const(env.es, _I64)
         self._body_len_u = _const(self._body_len)
-        if env.es >= 2:
+        if env.es:
             self._e_top_shift = _const(64 - env.es)
             self._f_hi_shift = _const(env.es - 1)
-            self._f_lo_shift = _const(65 - env.es)
 
     @property
     def scalar(self) -> Backend:
@@ -332,8 +336,20 @@ class BatchPosit(BatchBackend):
         the encoding string of each lane's planes cut to the body —
         they hold a posit value, so no bit set is dropped and nothing
         rounds — signed, with zero and NaR lanes fixed up."""
-        mag = self._string(u.scale >> self._es_i, u.scale, u.frac64)[0] \
-            >> self._kept_shift
+        k = u.scale >> self._es_i
+        pos = k >= _I0
+        run = np.where(pos, k + _I1, -k).view(_U64)  # regime length, >= 1
+        # `run` ones (k >= 0) or the terminator one after `run` zeros.
+        reg = np.where(pos, _FULL64 << (_U64C - run), _TOP64 >> run)
+        # Exponent + fraction, top-aligned (constant shifts — es is
+        # fixed per environment).
+        fraction = u.frac64 & _BELOW_TOP
+        if self.env.es:
+            tail = (((u.scale.view(_U64) & self._e_mask) << self._e_top_shift)
+                    | (fraction >> self._f_hi_shift))
+        else:
+            tail = fraction << _ONE
+        mag = (reg | (tail >> (run + _ONE))) >> self._kept_shift
         pattern = np.where(u.sign, (_U0 - mag) & self._mask, mag)
         pattern = np.where(u.zero, _U0, pattern)
         return np.where(u.nar, self._nar, pattern)
@@ -345,126 +361,79 @@ class BatchPosit(BatchBackend):
     # ------------------------------------------------------------------
     # The one rounding: (scale, frac64, sticky) -> planes
     # ------------------------------------------------------------------
-    def _string(self, k, scale, frac64):
-        """The encoding string's top limb (regime + exponent +
-        fraction) for regime ``k = scale >> es``: ``(limb, r1, tail_hi,
-        tail_lo)``, ``r1`` the regime and terminator length and the
-        tail the ``es + 63`` exponent + fraction bits (top-aligned; the
-        low ``es`` in ``tail_lo`` when es >= 2).  Shift counts of 64 or
-        more give 0 (NumPy defines oversized shifts), which is what a
-        regime or tail past the end of the limb needs."""
-        pos = k >= _I0
-        run = np.where(pos, k + _I1, -k)  # regime length, >= 1
-        run_u = run.view(_U64)
-        # Regime in the top limb: `run` ones (k >= 0) or the terminator
-        # one at position `run` (k < 0), which drops out of the limb
-        # once run >= 64.  Non-saturating positive regimes always fit
-        # (run <= nbits - 1 <= 63); oversized positive runs are
-        # saturation lanes whose value the rounding's clamp overrides.
-        reg = np.where(pos, _FULL64 << (_U64C - run_u), _TOP64 >> run_u)
-        # Exponent + fraction tail, top-aligned (constant shifts — es is
-        # fixed per environment).
-        fraction = frac64 & _BELOW_TOP
-        es = self.env.es
-        t_lo = None
-        if es == 0:
-            t_hi = fraction << _ONE
-        elif es == 1:
-            e = (scale - (k << self._es_i)).view(_U64)
-            t_hi = (e << _SIXTY_THREE) | fraction
-        else:
-            e = (scale - (k << self._es_i)).view(_U64)
-            t_hi = ((e << self._e_top_shift)
-                    | (fraction >> self._f_hi_shift))
-            t_lo = fraction << self._f_lo_shift
-        r1 = run + _I1
-        return reg | (t_hi >> r1.view(_U64)), r1, t_hi, t_lo
-
     def _round_mag(self, scale, frac64, sticky, dead, tally=False):
         """Round exact ``(scale, frac64, sticky)`` magnitudes to the
         nearest-even posit: the rounded planes ``(frac64, scale,
         flushed)``, ``flushed`` flagging lanes a flush-mode rounding
         took to zero (None when none can be).  ``dead`` flags lanes the
         caller's flags decide (zero, NaR, passthrough, cancelled):
-        their scales are meaningless, so they neither gate the branch
-        nor tally.  ``tally`` enables the ``posit.saturate``/
-        ``posit.flush`` tallies (callers pass it while a collector is
-        active).
+        their scales are meaningless, so they neither tally nor make a
+        call run the long-regime cases.  ``tally`` enables the
+        ``posit.saturate``/``posit.flush`` tallies (callers pass it
+        while a collector is active).  The guard is bit ``g = run + 64
+        - nbits + es`` of ``frac64``, for regime run ``run``:
 
-        One gated branch.  When no live lane's regime run exceeds
-        ``nbits - 3 - es`` (the cut keeps the whole exponent and at
-        least one fraction bit), it rounds ``frac64`` itself: drop its
-        ``d = run + 65 - nbits + es`` low bits to nearest even, and a
-        round-up out of the top bit leaves 1.0 at the next scale; such
-        lanes can neither saturate nor flush.  Otherwise it mirrors
-        ``PositEnv.encode_real``/``_round_pattern`` on the encoding
-        string, whose kept and guard bits always fit the top 64 bits,
-        and reads the planes off the rounded pattern at the *unrounded*
-        regime's field offsets (a round-up through every kept bit moves
-        the regime one step; saturated and sub-minpos lanes clip the
-        scale to ``±max_scale``), so no pattern is parsed again.
+        * ``g <= 61`` (the cut keeps a fraction bit): nearest even on
+          ``frac64``; a round-up out of the top bit carries 1.0 into
+          the next scale.
+        * ``q = g - 62`` in ``[0, es]`` (the cut drops ``q`` exponent
+          bits): nearest even on the scale at ``2**q``, in one word of
+          the scale's low bits, the top fraction bit and a sticky; the
+          kept lsb is scale bit ``q``, or the regime terminator (1
+          below 1.0, 0 above) when ``q = es``; ``frac64`` is 1.0.
+        * ``q > es`` (the regime fills the body): maxpos above 1.0;
+          below it minpos when the terminator is the guard (``k = 1 -
+          nbits``) with anything set under it, else zero (flush mode)
+          or minpos.
         """
         with _tele.span("posit.encode"):
-            es_i = self._es_i
-            k = scale >> es_i  # arithmetic shift = floor division
+            k = scale >> self._es_i  # arithmetic shift = floor division
             # The guard bit's position in frac64, (run - 1) + 65 - N + es
             # (k ^ (k >> 63) is run - 1 for either sign of k).
             g = (k ^ (k >> _I63)) + self._guard_base
-            if not np.count_nonzero((g > _GUARD_MAX) > dead):
-                g_u = g.view(_U64)
-                up = _FULL64 << g_u  # the guard bit and every bit above
-                # Nearest even in one add: the dropped bits (the sticky
-                # joins them at bit 0, below the guard) plus half an ulp
-                # less one, plus the kept lsb, carry into the kept bits
-                # exactly when rounding goes up.  A carry out of bit 63
-                # wraps (np.add never warns) and leaves the kept bits 0.
-                fs = frac64 | sticky
-                lsb = (fs >> g_u) >> _ONE & _ONE
-                t = np.add(fs, ~up + lsb)
-                return ((t & (up << _ONE)) | _TOP64,
-                        scale + (~t >> _SIXTY_THREE).view(_I64), None)
-            e_hi, r1, t_hi, t_lo = self._string(k, scale, frac64)
-            # Drop the tail below the regime: bits landing in the top
-            # limb join the window, everything lower is a sticky.
-            below = sticky | ((t_hi & ((_ONE << r1.view(_U64)) - _ONE))
-                              != _U0)
-            if t_lo is not None:
-                below = below | (t_lo != _U0)
-            kept = e_hi >> self._kept_shift
-            if self._has_below:
-                below = below | ((e_hi & self._below_mask) != _U0)
-            round_up = (((e_hi & self._guard_bit) != _U0)
-                        & (below | ((kept & _ONE) != _U0)))
-            pattern = np.minimum(kept + round_up, self._maxpos)
-            sat = scale > self._max_scale
+            long = g > _GUARD_MAX
+            any_long = np.count_nonzero(long > dead)
+            g_u = g.view(_U64)
+            up = _FULL64 << g_u  # the guard bit and every bit above
+            # Nearest even in one add: the dropped bits (the sticky
+            # joins them at bit 0, below the guard) plus half an ulp
+            # less one, plus the kept lsb, carry into the kept bits
+            # exactly when rounding goes up.  A carry out of bit 63
+            # wraps (np.add never warns) and leaves the kept bits 0.
+            fs = frac64 | sticky
+            lsb = (fs >> g_u) >> _ONE & _ONE
+            t = np.add(fs, ~up + lsb)
+            r_frac = (t & (up << _ONE)) | _TOP64
+            r_scale = scale + (~t >> _SIXTY_THREE).view(_I64)
+            if not any_long:
+                return r_frac, r_scale, None
+            # The same add on the scale word: guard at bit q + 1, kept
+            # lsb at q + 2, and a carry into it adds 2**q to the scale.
+            # A regime that fills the body rounds as if cut at q = es:
+            # its scale lands past +-max_scale, and the clamp makes it
+            # maxpos or minpos.
+            q = np.minimum(g - _I62, self._es_i)
+            q_u = q.view(_U64)
+            lsb_at = q_u + _TWO
+            w = ((scale.view(_U64) << _TWO) | ((fs >> _SIXTY_ONE) & _TWO)
+                 | np.minimum(fs << _TWO, _ONE)) ^ self._terminator_flip
+            t = np.add(w, (_ONE << (q_u + _ONE)) - _ONE
+                       + ((w >> lsb_at) & _ONE))
+            carry = (((t ^ w) >> lsb_at) & _ONE).view(_I64)
+            r_scale = np.where(long, np.minimum(np.maximum(
+                ((scale >> q) + carry) << q, self._min_scale),
+                self._max_scale), r_scale)
+            # Below minpos, and not rounding up to it: k below 1 - N, or
+            # k = 1 - N (the terminator is the guard) with nothing under
+            # the terminator.
+            under = (k < self._k_floor) | (
+                (k == self._k_floor) & ((w & self._under_terminator) == _U0))
             if tally:
-                self._tally_rounding(~dead, sat, scale, frac64, sticky,
-                                     pattern)
-            if not self._flush:
-                # Saturate mode: a nonzero real never rounds to zero.  In
-                # flush mode a rounded-to-zero pattern simply stays zero.
-                pattern = np.where(pattern == _U0, self._minpos, pattern)
-            pattern = np.where(sat, self._maxpos, pattern)
-            flushed = (pattern == _U0) if self._flush else None
+                self._tally_rounding(~dead, scale, frac64, sticky, under)
+            return (np.where(long, _TOP64, r_frac), r_scale,
+                    under if self._flush else None)
 
-            # The planes: the kept exponent + fraction bits, top-aligned
-            # (0 once the regime fills the body).
-            tail = pattern << (r1 + self._tail_shift).view(_U64)
-            k = k + (round_up & (tail == _U0))
-            if self.env.es == 0:
-                r_frac, r_scale = tail >> _ONE, k
-            elif self.env.es == 1:
-                r_frac = tail & _BELOW_TOP
-                r_scale = (k << es_i) + (tail >> _SIXTY_THREE).view(_I64)
-            else:
-                r_frac = (tail << self._es_u) >> _ONE
-                r_scale = ((k << es_i)
-                           + (tail >> self._e_top_shift).view(_I64))
-            r_scale = np.minimum(np.maximum(r_scale, self._min_scale),
-                                 self._max_scale)
-            return r_frac | _TOP64, r_scale, flushed
-
-    def _tally_rounding(self, live, sat, scale, frac64, sticky, pattern):
+    def _tally_rounding(self, live, scale, frac64, sticky, under):
         """Tally ``posit.saturate``/``posit.flush`` on live result lanes.
 
         Only reached when the caller asked for tallies, i.e. while a
@@ -476,15 +445,15 @@ class BatchPosit(BatchBackend):
         # outright, or it sits exactly at max_scale with anything below
         # the leading significand bit set (frac64's leading 1 is bit 63,
         # so the value is frac64 * 2**(scale-63) plus the sticky tail).
-        over = live & (sat | ((scale == self._max_scale)
-                              & ((frac64 != _TOP64) | sticky)))
+        over = live & ((scale > self._max_scale)
+                       | ((scale == self._max_scale)
+                          & ((frac64 != _TOP64) | sticky)))
         n = int(np.count_nonzero(over))
         if n:
             c.event("posit.saturate", n)
         # Magnitude rounded to zero (kept in flush mode, clamped back to
         # minpos in saturate mode — the rounding event is the same).
-        under = live & ~sat & (pattern == 0)
-        n = int(np.count_nonzero(under))
+        n = int(np.count_nonzero(live & under))
         if n:
             c.event("posit.flush", n)
 

@@ -260,7 +260,11 @@ class FArray:
                         dtype=np.float64).reshape(self.shape)
 
     def is_zero(self) -> np.ndarray:
-        """Boolean mask of exactly-zero probabilities."""
+        """Boolean mask of exactly-zero probabilities: a fresh mask off
+        the zero plane when there are planes (NaR overrides a zero flag)."""
+        u = self._planes
+        if u is not None:
+            return np.asarray(u.zero & ~u.nar)
         return np.asarray(self._bb.is_zero(self._data), dtype=bool)
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Any, List, Optional
 
 import numpy as np
 
+from .. import nd
 from .. import telemetry as _tele
 from ..engine.plan import ExecPlan, resolve_plan
 
@@ -49,9 +50,10 @@ def _viterbi_nd(a, b, pi, obs: np.ndarray):
     path (B, T) intp ndarray)``.
 
     Identical op order to ``_forward_recurrence`` under MAX_PRODUCT —
-    ``prod`` is the contraction's multiply, ``max``/``argmax`` its
-    recombination — so the returned score equals the semiring forward's
-    bit-for-bit; ``argmax`` merely observes which lane won.
+    ``prod`` is the contraction's multiply, the max its recombination —
+    so the returned score equals the semiring forward's bit-for-bit:
+    the max is gathered at ``argmax`` (the max fold keeps its first
+    maximal element), so each step compares the products once.
     """
     from ..apps.hmm import _emission_shared
     obs = np.asarray(obs)
@@ -65,11 +67,13 @@ def _viterbi_nd(a, b, pi, obs: np.ndarray):
             # prod[s, p, q] = delta[s, p] × A[p, q]; the max monoid
             # recombines over p (exact code order, first index on ties).
             prod = delta[:, :, None] * a
-            back.append(prod.argmax(axis=1))
-            delta = prod.max(axis=1) * _emission_shared(b, obs, t)
-        score = delta.max(axis=1)
+            best = prod.argmax(axis=1)
+            back.append(best)
+            delta = (nd.take_along_axis(prod, best[:, None], axis=1)[:, 0]
+                     * _emission_shared(b, obs, t))
         path = np.empty((n_batch, n_steps), dtype=np.intp)
         path[:, -1] = delta.argmax(axis=1)
+        score = nd.take_along_axis(delta, path[:, -1:], axis=1)[:, 0]
         rows = np.arange(n_batch)
         for t in range(n_steps - 2, -1, -1):
             path[:, t] = back[t][rows, path[:, t + 1]]

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import nd, telemetry
+from repro.apps.baum_welch import baum_welch
 from repro.apps.hmm import (_forward_models_nd, _forward_nd,
                             _forward_trace_nd, forward_models_batch)
 from repro.apps.lofreq import column_pvalues
@@ -37,6 +38,7 @@ from repro.engine import ExecPlan
 from repro.engine.posit_batch import BatchPosit
 from repro.experiments import fig9_pvalue_accuracy as fig9
 from repro.formats.posit import FLUSH, SATURATE, PositEnv
+from repro.workloads import viterbi_batch
 
 
 def _all_pairs(env):
@@ -304,3 +306,44 @@ class TestResidency:
             lambda: column_pvalues(columns, backend))
         assert counts["app.pbd"] == 1
         assert counts["posit.encode"] == 3 * 66 == 198
+
+    @staticmethod
+    def _calls(monkeypatch, name):
+        """Count calls of ``BatchPosit.<name>``."""
+        calls = []
+        inner = getattr(BatchPosit, name)
+
+        def spy(self, *args, **kw):
+            calls.append(name)
+            return inner(self, *args, **kw)
+
+        monkeypatch.setattr(BatchPosit, name, spy)
+        return calls
+
+    def test_is_zero_reads_the_zero_plane(self, monkeypatch):
+        """A resident array answers ``is_zero`` off its planes, with no
+        assembly: a fresh mask, NaR (0/0 flags both) not zero.  So
+        Baum-Welch's two zero checks per iteration build no codes — 20
+        assemblies train posit(64,12) where they made it 30."""
+        fmt = "posit(64,12)"
+        x = nd.asarray([0.0, 0.5, 0.0], fmt) / nd.asarray([0.0, 0.25, 1.0],
+                                                          fmt)
+        mask = x.is_zero()
+        assert x._codes is None
+        assert mask.tolist() == [False, False, True]
+        mask[:] = True
+        assert x.is_zero().tolist() == [False, False, True]
+        assert (x.data == 0).tolist() == [False, False, True]
+        assembled = self._calls(monkeypatch, "encode_once")
+        baum_welch(sample_hmm(4, 4, 20, seed=2),
+                   standard_backends()[fmt])
+        assert len(assembled) == 20
+
+    def test_viterbi_compares_each_step_once(self, monkeypatch):
+        """Each step's maxima are gathered at its back-pointers, so a
+        T = 12 decode builds the posit order keys 12 times (an argmax
+        per step and one for the last state), not twice that."""
+        keys = self._calls(monkeypatch, "_order_planes")
+        viterbi_batch(sample_hmm(3, 4, 12, seed=1),
+                      standard_backends()["posit(64,12)"])
+        assert len(keys) == 12

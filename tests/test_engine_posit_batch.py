@@ -98,8 +98,8 @@ def _calls_by_result_regime(env, a, b, want):
     """Index groups of one op's pattern pairs, one rounding call each:
     the pairs with a zero or NaR operand (lanes the flags decide) spread
     over every group, the others grouped by the regime run of the
-    reference result — so the runs up to ``nbits - 3 - es`` round in
-    the plane, the rest on the encoding string."""
+    reference result — so the calls whose results keep a fraction bit
+    skip the long-regime cases of the rounding."""
     dead = np.isin(a, [0, env.nar]) | np.isin(b, [0, env.nar])
     runs = {}
     for i in np.flatnonzero(~dead):
@@ -111,32 +111,18 @@ def _calls_by_result_regime(env, a, b, want):
 
 
 def _plane_call(bp, op, *operands, **kw):
-    """``<op>_unpacked`` on the operand patterns: its result (assembled
-    patterns, or the indices of ``argmax``) and whether the call built
-    an encoding string (the string rounding; plane rounding builds
-    none, and the assembly runs after the call)."""
-    us = [bp.decode_once(x) for x in operands]
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return BatchPosit._string(bp, *args)
-
-    bp._string = spy
-    try:
-        out = getattr(bp, op + "_unpacked")(*us, **kw)
-    finally:
-        del bp._string
-    if op != "argmax":
-        out = bp.encode_once(out)
-    return out, bool(calls)
+    """``<op>_unpacked`` on the operand patterns: its result as
+    assembled patterns, or the indices of ``argmax``."""
+    out = getattr(bp, op + "_unpacked")(
+        *(bp.decode_once(x) for x in operands), **kw)
+    return out if op == "argmax" else bp.encode_once(out)
 
 
 def _check_exhaustive(env, ops):
     """Every posit(8, es) pattern pair through each rounding op's plane
     form, one call per :func:`_calls_by_result_regime` group, and
-    through the packed op in one call, against the scalar environment;
-    both rounding branches must be reached."""
+    through the packed op in one call, against the scalar
+    environment."""
     bp = BatchPosit(env)
     pats = np.arange(256, dtype=np.uint64)
     a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
@@ -144,23 +130,19 @@ def _check_exhaustive(env, ops):
         want = np.fromiter(
             (getattr(env, op)(int(x), int(y)) for x, y in zip(a, b)),
             dtype=np.uint64, count=a.size)
-        branches = set()
         for idx in _calls_by_result_regime(env, a, b, want):
-            got, on_string = _plane_call(bp, op, a[idx], b[idx])
-            branches.add(on_string)
+            got = _plane_call(bp, op, a[idx], b[idx])
             bad = np.flatnonzero(got != want[idx])
             assert bad.size == 0, (
                 f"{op}({int(a[idx][bad[0]]):#x}, {int(b[idx][bad[0]]):#x})"
                 f" in {env!r}")
-        assert branches == {False, True}, (op, env)
         assert (getattr(bp, op)(a, b) == want).all(), (op, env)
 
 
 @pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
 def test_exhaustive_posit8(underflow):
     """Every posit(8, es) pattern pair — the full 256x256 space, es 0,
-    1 and 2 — for both add and mul, in both underflow modes, on both
-    sides of the rounding gate."""
+    1 and 2 — for both add and mul, in both underflow modes."""
     for es in (0, 1, 2):
         _check_exhaustive(PositEnv(8, es, underflow), ("add", "mul"))
 
@@ -203,6 +185,25 @@ def test_rejects_wide_configs():
         BatchPosit(PositEnv(65, 2))
 
 
+def test_es_bound_is_the_scale_planes_range():
+    """The int64 scale plane holds exact products and quotients of
+    magnitude up to ``2 * max_scale + 1``: posit(64, 56), with max_scale
+    just under 2**62, is exact at the extremes, and posit(64, 57) is
+    refused (its maxpos * maxpos would wrap)."""
+    env = PositEnv(64, 56)
+    assert env.max_scale < 1 << 62 <= 2 * env.max_scale
+    bp = BatchPosit(env)
+    ext = [env.maxpos, env.minpos, env.neg(env.maxpos), env.neg(env.minpos)]
+    a = np.array([x for x in ext for _ in ext], dtype=np.uint64)
+    b = np.array([y for _ in ext for y in ext], dtype=np.uint64)
+    for op in ("mul", "div"):
+        assert getattr(bp, op)(a, b).tolist() == [
+            getattr(env, op)(int(x), int(y)) for x, y in zip(a, b)], op
+    for es in (57, 58, 59, 62):
+        with pytest.raises(ValueError):
+            BatchPosit(PositEnv(64, es))
+
+
 def test_bit_length_matches_python():
     from repro.engine.posit_batch import _bit_length64
     rng = random.Random(9)
@@ -218,8 +219,7 @@ def test_exhaustive_posit8_sub_div(underflow):
     """Every posit(8, es) pattern pair (es 0, 1 and 2) for the plane
     sub and div, in both underflow modes — sub must equal add(a, neg(b))
     and div the correctly rounded quotient (NaR for zero/NaR divisors),
-    exactly as the scalar environment computes them, on both sides of
-    the rounding gate."""
+    exactly as the scalar environment computes them."""
     for es in (0, 1, 2):
         _check_exhaustive(PositEnv(8, es, underflow), ("sub", "div"))
 
@@ -236,7 +236,7 @@ def test_exhaustive_posit8_order_planes(underflow):
         sb, bp = PositBackend(env), BatchPosit(env)
         pats = np.arange(256, dtype=np.uint64)
         a, b = [g.ravel() for g in np.meshgrid(pats, pats)]
-        got, _ = _plane_call(bp, "maximum", a, b)
+        got = _plane_call(bp, "maximum", a, b)
         want = [sb.maximum(int(x), int(y)) for x, y in zip(a, b)]
         assert got.tolist() == want, env
         rows = np.stack([a, b, a, b[::-1]], axis=1)
@@ -250,9 +250,9 @@ def test_exhaustive_posit8_order_planes(underflow):
 
         want_idx = [first_max(r) for r in rows]
         for axis, arr in ((1, rows), (0, rows.T)):
-            idx, _ = _plane_call(bp, "argmax", arr, axis=axis)
+            idx = _plane_call(bp, "argmax", arr, axis=axis)
             assert idx.tolist() == want_idx, (env, axis)
-            top, _ = _plane_call(bp, "amax", arr, axis=axis)
+            top = _plane_call(bp, "amax", arr, axis=axis)
             assert top.tolist() == [int(r[i]) for r, i in
                                     zip(rows, want_idx)], (env, axis)
 

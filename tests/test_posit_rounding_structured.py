@@ -12,12 +12,15 @@ on.  ``BatchPosit``'s rounding must give ``PositEnv.encode_real``'s
 pattern, and the planes it produces must be the planes ``decode_once``
 reads off that pattern.
 
-The rounding has two branches, chosen per call: the plane rounding on
-``frac64`` when no live lane's regime run exceeds ``nbits - 3 - es``,
-the encoding-string rounding otherwise.  So every regime rounds in a
-call of its own (a call spanning regimes would always take the string
-branch), and the gate's boundary is pinned in every configuration.
-Pattern assembly (``encode_once``) is pinned on a structured set of
+A call whose live lanes all have regime runs up to ``nbits - 3 - es``
+(the cut keeps a fraction bit) skips the long-regime cases.  So every
+regime also rounds in a call of its own, the runs around the cut's
+moves into the exponent field and into the regime are pinned in every
+configuration, and one call per configuration mixes every regime with
+lanes flagged zero and NaR.  Every call rounds while a collector
+tallies, and the ``posit.saturate``/``posit.flush`` tallies must count
+the cases above maxpos and those flush mode takes to zero.  Pattern
+assembly (``encode_once``) is pinned on a structured set of
 exactly representable planes, and decoding on every regime/exponent
 boundary pattern, against ``PositEnv``.
 """
@@ -27,6 +30,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.engine import BatchPosit
 from repro.engine.posit_batch import Unpacked
 from repro.formats import PositEnv
@@ -40,9 +44,10 @@ _BODY = 63  # body bits of a 64-bit posit (after the sign)
 _FRAC = 63  # fraction bits below frac64's leading 1
 _FRAC_MASK = (1 << _FRAC) - 1
 _BASE_FRAC = _FRAC_MASK // 3  # alternating kept fraction bits
-#: Every configuration the rounding is checked in.
+#: Every configuration the rounding is checked in (an odd width too:
+#: the regime terminator's parity against the scale depends on it).
 _CONFIGS = [(64, 0), (64, 2), (64, 9), (64, 12), (64, 18), (32, 2),
-            (32, 6), (16, 1), (8, 0), (8, 2)]
+            (32, 6), (16, 1), (9, 1), (8, 0), (8, 2)]
 
 
 def _exponents(es):
@@ -119,26 +124,60 @@ def _regime(env, scale):
     return scale >> env.es
 
 
-def _check_call(env, keys, label):
-    """Round ``keys`` in one call: the patterns must be
-    ``encode_real``'s and the planes ``decode_once``'s of them."""
+def _run(env, scale):
+    """The regime run of an exact value's scale (unbounded by the
+    body)."""
+    k = _regime(env, scale)
+    return k + 1 if k >= 0 else -k
+
+
+def _above_maxpos(env, scale, frac64, sticky):
+    """``|x| > maxpos = 2**max_scale`` for ``x`` in ``[2**scale,
+    2**(scale + 1))``: equal to ``2**scale`` only with no bit set below
+    the leading one."""
+    return scale > env.max_scale or (
+        scale == env.max_scale and (frac64 != 1 << 63 or sticky))
+
+
+def _check_call(env, keys, label, zero=None, nar=None):
+    """Round ``keys`` in one call, ``zero``/``nar`` flagging the lanes
+    the caller decides (their planes are meaningless): the patterns
+    must be ``encode_real``'s (0 and NaR on flagged lanes) and the
+    planes ``decode_once``'s of them.  The call runs while a collector
+    tallies: ``posit.nar`` counts the NaR lanes, ``posit.saturate`` the
+    live cases above maxpos and ``posit.flush`` those flush mode rounds
+    to zero, in either mode."""
     bp = BatchPosit(env)
     sign, scale, frac64, sticky = _arrays(keys)
-    expected = np.array([_reference(env, *c) for c in keys],
-                        dtype=np.uint64)
     none = np.zeros(sign.shape, dtype=bool)
-    u = bp._rounded(sign, scale, frac64, sticky, none, none)
+    zero = none if zero is None else np.asarray(zero)
+    nar = none if nar is None else np.asarray(nar)
+    live = [c for c, dead in zip(keys, zero | nar) if not dead]
+    expected = np.array([0 if z else env.nar if n else _reference(env, *c)
+                         for c, z, n in zip(keys, zero, nar)],
+                        dtype=np.uint64)
+    flush_env = PositEnv(env.nbits, env.es, FLUSH)
+    with telemetry.collect() as t:
+        u = bp._rounded(sign, scale, frac64, sticky, zero, nar)
     got = bp.encode_once(u)
     bad = np.flatnonzero(got != expected)
     assert bad.size == 0, (
         f"{len(bad)} mismatches in {env!r}; first {label(bad[0])}: "
         f"got {int(got[bad[0]]):#x}, want {int(expected[bad[0]]):#x}")
     _assert_planes_match_decode(bp, u, expected, label)
+    tallies = (t.events.get("posit.nar", 0),
+               t.events.get("posit.saturate", 0),
+               t.events.get("posit.flush", 0))
+    assert tallies == (
+        int(np.count_nonzero(nar)),
+        sum(_above_maxpos(env, *c[1:]) for c in live),
+        sum(_reference(flush_env, *c) == 0 for c in live)), env
 
 
 def _check_rounding(env, keys, label):
     """:func:`_check_call` once per regime ``k`` of the exact values,
-    so the in-range regimes take the plane branch."""
+    so the regimes whose cut keeps a fraction bit round in calls that
+    skip the long-regime cases."""
     by_k = {}
     for i, key in enumerate(keys):
         by_k.setdefault(_regime(env, key[1]), []).append(i)
@@ -172,61 +211,39 @@ def test_rounding_matches_encode_real_on_sampled_scales(nbits, es,
     _check_rounding(env, keys, lambda i: "case %r" % (keys[i],))
 
 
-def _rounds_on_string(bp, keys, zero):
-    """Round ``keys`` in one call, ``zero`` flagging the lanes the
-    caller decides (their planes are meaningless); returns the planes
-    and whether the call built the encoding string."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return BatchPosit._string(bp, *args)
-
-    sign, scale, frac64, sticky = _arrays(keys)
-    bp._string = spy
-    try:
-        u = bp._rounded(sign, scale, frac64, sticky, zero,
-                        np.zeros(sign.shape, dtype=bool))
-    finally:
-        del bp._string
-    return u, bool(calls)
+def _labelled(cases):
+    keys = list(cases)
+    return keys, lambda i: "(k, e, cut, sticky) = %r" % (cases[keys[i]],)
 
 
 @pytest.mark.parametrize("nbits,es", _CONFIGS)
 @pytest.mark.parametrize("underflow", _MODES)
 def test_gate_boundary(nbits, es, underflow):
-    """Regime runs up to ``nbits - 3 - es`` round in the plane and one
-    more takes the encoding string, for values above and below 1;
-    lanes the caller's flags decide do not gate, whatever their scale.
-    Every call's patterns and planes are ``encode_real``'s."""
+    """Either side of the gate that skips the long-regime cases: regime
+    runs ``nbits - 3 - es`` (the last whose cut keeps a fraction bit),
+    ``nbits - 2 - es`` (the first cut in the exponent field) and
+    ``nbits - 1`` (the regime fills the body), above and below 1, each
+    in a call of its own; then every regime in one call with lanes
+    flagged zero and NaR at both ends of the scale range.  Every call's
+    patterns, planes and tallies are ``encode_real``'s."""
     env = PositEnv(nbits, es, underflow)
-    bp = BatchPosit(env)
     limit = nbits - 3 - es
-    for run in (limit, limit + 1):
+    for run in (limit, limit + 1, nbits - 1):
         for k in (run - 1, -run):  # k >= 0 has run k + 1, k < 0 has -k
-            cases = _rounding_cases(es, [k], nbits - 1)
-            keys = list(cases)
-            none = np.zeros(len(keys), dtype=bool)
-            u, on_string = _rounds_on_string(bp, keys, none)
-            assert on_string == (run > limit), (run, k)
-            _check_call(env, keys, lambda i: "(k, e, cut, sticky) = %r"
-                        % (cases[keys[i]],))
-    # Lanes flagged zero carry scales from both ends of the range.
-    keys = list(_rounding_cases(es, [limit - 1], nbits - 1))
+            keys, label = _labelled(_rounding_cases(es, [k], nbits - 1))
+            # The first two calls hold fraction cuts only.
+            assert {_run(env, c[1]) for c in keys} == {run}
+            _check_call(env, keys, label)
+    keys, label = _labelled(_rounding_cases(es, range(-nbits, nbits),
+                                            nbits - 1))
+    runs = {_run(env, c[1]) for c in keys}
+    assert min(runs) <= limit and nbits - 1 in runs and max(runs) > nbits - 1
     far = [(False, -8 * env.max_scale, 1 << 63, True),
-           (True, 8 * env.max_scale, (1 << 64) - 1, False)]
-    zero = np.array([False] * len(keys) + [True] * len(far))
-    u, on_string = _rounds_on_string(bp, keys + far, zero)
-    assert not on_string
-    want = [_reference(env, *c) for c in keys] + [0] * len(far)
-    assert bp.encode_once(u).tolist() == want
-    # One live lane past the limit sends the whole call to the string.
-    beyond = [(False, -(limit + 1) << es, 1 << 63, False)]
-    u, on_string = _rounds_on_string(bp, keys + beyond,
-                                     np.zeros(len(keys) + 1, dtype=bool))
-    assert on_string
-    assert bp.encode_once(u).tolist() == [
-        _reference(env, *c) for c in keys + beyond]
+           (True, 8 * env.max_scale, (1 << 64) - 1, False)] * 2
+    flags = [False] * len(keys)
+    _check_call(env, keys + far, label,
+                zero=flags + [True, True, False, False],
+                nar=flags + [False, False, True, True])
 
 
 def _assembly_patterns(env):
