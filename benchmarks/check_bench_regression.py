@@ -56,8 +56,6 @@ GATES: Dict[Tuple[str, str], Tuple[str, float]] = {
         ("REPRO_POSIT_SPEEDUP_FLOOR", 15.0),
     ("batch_throughput", "forward_posit64_12_batch"):
         ("REPRO_POSIT_FORWARD_SPEEDUP_FLOOR", 7.0),
-    ("apps_throughput", "quire_accumulate"):
-        ("REPRO_QUIRE_SPEEDUP_FLOOR", 10.0),
     # Native batch sub/div coverage: every recorded entry must beat the
     # scalar loop by a healthy margin (they measure far above this).
     ("batch_throughput", "binary64_sub"):
@@ -120,7 +118,7 @@ REQUIRED_RESULTS: Dict[str, Tuple[str, ...]] = {
         "posit64_9_sub", "posit64_9_div", "posit64_12_sub",
         "posit64_12_div", "lns6_8_sub", "lns12_50_div",
     ),
-    "apps_throughput": ("vicar_forward_multi", "quire_accumulate"),
+    "apps_throughput": ("vicar_forward_multi",),
     "telemetry_overhead": ("forward_disabled_overhead",),
     "faults_overhead": ("forward_disabled_overhead",),
     "service_load": ("forward_coalescing",),

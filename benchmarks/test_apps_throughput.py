@@ -1,6 +1,6 @@
 """Scalar vs batched throughput for the newly vectorized workloads:
-multi-model ViCAR forward, multi-chain MCMC, batched quire
-accumulation, and batched LNS multiplication.
+multi-model ViCAR forward, multi-chain MCMC, and batched LNS
+multiplication.
 
 Measurements land in ``bench-out/BENCH_apps.json`` (the companion of
 ``BENCH_batch.json``).  The acceptance gate is the
@@ -20,9 +20,7 @@ from repro.apps.mcmc import run_chain, run_chains
 from repro.arith import LogSpaceBackend
 from repro.arith.backends import LNSBackend
 from repro.data.dirichlet import sample_hcg_like_hmm
-from repro.engine import BatchLNS, BatchQuire, ExecPlan
-from repro.formats.posit import PositEnv
-from repro.formats.quire import Quire
+from repro.engine import BatchLNS, ExecPlan
 
 #: Filled by the tests; benchmarks/conftest.py writes it to
 #: bench-out/BENCH_apps.json once this module finishes.
@@ -108,54 +106,6 @@ def test_mcmc_chains_speedup(report):
     for got, want in zip(batched, scalar):
         assert (got.accepted, got.rejected, got.stuck, got.samples) == \
             (want.accepted, want.rejected, want.stuck, want.samples)
-    assert speedup > 1.0
-
-
-def test_quire_accumulation_speedup(report):
-    """Batched limb-array quire accumulation vs per-element scalar
-    Quire objects, element-exact."""
-    env = PositEnv(16, 1)
-    rng = np.random.default_rng(3)
-    n_quires, terms = 8_000, 12
-    bits = rng.integers(0, env.nar, size=(n_quires, terms)).astype(np.uint64)
-
-    q = BatchQuire(env, (n_quires,))
-
-    def accumulate():
-        q.clear()
-        for k in range(terms):
-            q.add_posit(bits[:, k])
-        return q.to_posit()
-
-    # Best-of-3 steady state, like the batch-throughput suite: the
-    # accumulator (and its scratch addend) is reused across chains.
-    batch_rate, batch_out = -math.inf, None
-    for _ in range(3):
-        start = time.perf_counter()
-        out = accumulate()
-        rate = n_quires * terms / (time.perf_counter() - start)
-        if rate > batch_rate:
-            batch_rate, batch_out = rate, out
-
-    subset = 150
-    start = time.perf_counter()
-    scalar_out = []
-    for i in range(subset):
-        sq = Quire(env)
-        for k in range(terms):
-            sq.add_posit(int(bits[i, k]))
-        scalar_out.append(sq.to_posit())
-    scalar_rate = subset * terms / (time.perf_counter() - start)
-
-    speedup = batch_rate / scalar_rate
-    _RESULTS["quire_accumulate_posit16_1"] = {
-        "quires": n_quires, "terms": terms,
-        "scalar_ops_per_s": scalar_rate, "batch_ops_per_s": batch_rate,
-        "speedup": speedup,
-    }
-    report("Batched quire accumulation",
-           f"posit(16,1) quire, {terms}-term sums: {speedup:.1f}x")
-    assert [int(v) for v in batch_out[:subset]] == scalar_out
     assert speedup > 1.0
 
 

@@ -6,7 +6,7 @@ statistical computations whose probabilities fall far below 2**-1074,
 at three levels: individual operations, full applications (HMM forward
 algorithm / Poisson-binomial p-values), and FPGA accelerators.
 
-Package map (see DESIGN.md for the full inventory):
+Package map (README.md's "Package map" table has a row per package):
 
 * :mod:`repro.bigfloat` — arbitrary-precision oracle (MPFR substitute)
 * :mod:`repro.formats` — posit / IEEE / log-space number formats

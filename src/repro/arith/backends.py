@@ -192,10 +192,6 @@ class PositBackend(Backend):
         return value - (1 << self.env.nbits) \
             if value >= self.env.sign_bit else value
 
-    def fused_sum(self, values) -> int:
-        """Quire-style exact accumulation (extension feature)."""
-        return self.env.fused_sum(values)
-
 
 class LNSBackend(Backend):
     """Logarithmic Number System (Section VII) with an ideal sb table.

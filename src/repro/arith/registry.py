@@ -15,9 +15,9 @@ inside the apps).  The registry owns all three concerns:
 * **pairing** — :meth:`FormatRegistry.batch_for` maps a scalar backend
   *instance* to the batch backend mirroring it (or ``None``);
 * **capabilities** — :meth:`FormatRegistry.capabilities` reports each
-  format's exactness class, fused ops, and maximum datapath width, so
-  callers can branch on *declared* guarantees instead of
-  ``isinstance`` checks.
+  format's exactness class, whether it has a batch mirror, and its
+  maximum datapath width, so callers can branch on *declared*
+  guarantees instead of ``isinstance`` checks.
 
 Exactness classes (the scalar<->batch agreement contract, enforced by
 the equivalence suites):
@@ -26,7 +26,7 @@ the equivalence suites):
   bit for bit, reductions included (binary64; log-space in either sum
   mode);
 * ``element-exact`` — batch values decode to exactly the scalar values
-  (posit, LNS, and the quire accumulators);
+  (posit, LNS);
 * ``oracle`` — arbitrary-precision reference; no array implementation,
   every caller keeps the scalar loop.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .backend import Backend
 
@@ -65,16 +65,12 @@ class FormatCapabilities:
     exactness: str
     #: Whether a vectorized array backend exists at all.
     batch: bool
-    #: Fused operations beyond add/mul the format's stack offers.
-    fused_ops: Tuple[str, ...] = ()
     #: Widest datapath in bits (None for the unbounded oracle).
     max_width: Optional[int] = None
 
     def __repr__(self):
         parts = [self.exactness,
                  "batched" if self.batch else "scalar-only"]
-        if self.fused_ops:
-            parts.append(f"fused={','.join(self.fused_ops)}")
         if self.max_width is not None:
             parts.append(f"width<={self.max_width}")
         return f"<caps {' '.join(parts)}>"
@@ -153,8 +149,8 @@ class FormatRegistry:
 
     def describe(self) -> str:
         """The registry as an aligned text table (one row per
-        registered format): exactness class, batch mirror, fused ops,
-        datapath width.  This is what
+        registered format): exactness class, batch mirror, datapath
+        width.  This is what
         ``python -m repro.experiments --formats`` prints."""
         from ..report.tables import render_table
         rows = []
@@ -165,7 +161,6 @@ class FormatRegistry:
                 "format": name,
                 "exactness": caps.exactness,
                 "batch": "yes" if caps.batch else "-",
-                "fused ops": ", ".join(caps.fused_ops) or "-",
                 "width": caps.max_width if caps.max_width is not None
                          else "unbounded",
                 "fig3 set": "*" if spec.standard else "",
@@ -263,9 +258,7 @@ def _posit_spec(nbits: int, es: int, standard: bool = False) -> FormatSpec:
         name=f"posit({nbits},{es})",
         factory=factory,
         caps=FormatCapabilities(
-            exactness=ELEMENT_EXACT, batch=True,
-            fused_ops=("quire_fused_sum", "quire_fused_dot"),
-            max_width=nbits),
+            exactness=ELEMENT_EXACT, batch=True, max_width=nbits),
         standard=standard)
 
 
@@ -280,7 +273,6 @@ def _lns_spec(int_bits: int, frac_bits: int) -> FormatSpec:
         factory=factory,
         caps=FormatCapabilities(
             exactness=ELEMENT_EXACT, batch=True,
-            fused_ops=("exact_mul",),
             # sign + zero flag + integer + fraction bits of the code.
             max_width=2 + int_bits + frac_bits),
         standard=False)
@@ -295,7 +287,7 @@ def _bigfloat_spec(prec: int) -> FormatSpec:
         name=f"bigfloat{prec}",
         factory=factory,
         caps=FormatCapabilities(
-            exactness=ORACLE, batch=False, fused_ops=(), max_width=None),
+            exactness=ORACLE, batch=False, max_width=None),
         standard=False)
 
 
@@ -308,8 +300,7 @@ def _binary64_spec() -> FormatSpec:
         name="binary64",
         factory=factory,
         caps=FormatCapabilities(
-            exactness=BIT_IDENTICAL, batch=True, fused_ops=(),
-            max_width=64),
+            exactness=BIT_IDENTICAL, batch=True, max_width=64),
         standard=True)
 
 
@@ -322,8 +313,7 @@ def _log_spec() -> FormatSpec:
         name="log",
         factory=factory,
         caps=FormatCapabilities(
-            exactness=BIT_IDENTICAL, batch=True,
-            fused_ops=("lse_nary",), max_width=64),
+            exactness=BIT_IDENTICAL, batch=True, max_width=64),
         standard=True)
 
 

@@ -86,8 +86,7 @@ def sample_hcg_like_hmm(n_states: int, length: int, seed: int = 0,
     after ``length`` sites as the paper reaches after 500k.  Transition
     structure stays a proper Dirichlet-stochastic matrix, so the
     accumulation pattern (the error driver) is unchanged; only the
-    per-step magnitude drop is rescaled.  DESIGN.md records this
-    substitution.
+    per-step magnitude drop is rescaled.
     """
     rng = np.random.default_rng(seed)
     a = sample_stochastic_matrix(rng, n_states, n_states)

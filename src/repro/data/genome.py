@@ -8,7 +8,7 @@ synthetic columns: each column has a depth N, per-read success (error)
 probabilities from a Phred-style quality model, and an observed alt count
 K chosen so the resulting PBD p-values land in requested exponent bins.
 
-Scaling substitution (documented in DESIGN.md): to reach the paper's
+Scaling substitution: to reach the paper's
 extreme p-value exponents (down to -434,916) with tractable N*K, columns
 targeting deep bins use a *compressed quality scale* — fewer, far less
 probable errors with the same total log-magnitude — which exercises the

@@ -18,8 +18,6 @@ entry points are B=1 views over the same expressions — see
   are built only when a value escapes);
 * :class:`BatchLNS` — LNS codes on int64 arrays, element-exact against
   :class:`~repro.formats.lns.LNSEnv` (exact memoized Gaussian log);
-* :class:`BatchQuire` — exact posit accumulators as uint64 limb
-  arrays, element-exact against :class:`~repro.formats.quire.Quire`;
 * :class:`~repro.engine.batch.ScalarPlane` — the scalar reference
   plane: the same interface over object arrays of scalar-backend
   values, looping the scalar backend per element;
@@ -59,11 +57,6 @@ from .batch import (
 )
 from .posit_batch import BatchPosit
 from .lns_batch import BatchLNS
-from .quire_batch import (
-    BatchQuire,
-    fused_dot_product_batch,
-    fused_sum_batch,
-)
 from ..core.accuracy import measure_pairs
 from .runner import run_sweep_parallel
 
@@ -116,12 +109,9 @@ __all__ = [
     "BatchLNS",
     "BatchLogSpace",
     "BatchPosit",
-    "BatchQuire",
     "batch_backend_for",
     "plan_batch_backend",
     "standard_batch_backends",
-    "fused_dot_product_batch",
-    "fused_sum_batch",
     "measure_pairs",
     "run_sweep_parallel",
 ]

@@ -120,21 +120,12 @@ def _bit_length64(x: np.ndarray) -> np.ndarray:
     return np.where(big, e + 32, e).astype(np.int64)
 
 
-def _shr128(hi, lo, n):
-    """Right-shift the 128-bit pair ``(hi, lo)`` by any ``n >= 0``.
+def _shl128(hi, lo, n):
+    """Left-shift the 128-bit pair by ``0 <= n < 128`` (no overflow
+    tracking; callers guarantee the top bits are clear).
 
     Plain shifts: NumPy gives 0 for counts of 64 or more, and a count
     that wraps does so only on a lane the ``where`` discards."""
-    hi, lo, n = _u64(hi), _u64(lo), _u64(n)
-    lo2 = np.where(n < _U64C, (lo >> n) | (hi << (_U64C - n)),
-                   hi >> (n - _U64C))
-    return hi >> n, lo2
-
-
-def _shl128(hi, lo, n):
-    """Left-shift the 128-bit pair by ``0 <= n < 128`` (no overflow
-    tracking; callers guarantee the top bits are clear).  Plain shifts,
-    as in :func:`_shr128`."""
     hi, lo, n = _u64(hi), _u64(lo), _u64(n)
     small = n < _U64C
     hi2 = np.where(small, (hi << n) | (lo >> (_U64C - n)),
@@ -477,7 +468,7 @@ class BatchPosit(BatchBackend):
 
     def _encode(self, sign, scale, frac64, sticky, zero, nar):
         """Round and sign an exact result straight to bit patterns, with
-        no event tallies (the conversions and the quire read-out)."""
+        no event tallies (the float conversions)."""
         return self.encode_once(self._rounded(
             sign, _i64(scale), _u64(frac64), np.asarray(sticky, dtype=bool),
             zero, nar, tally=False))

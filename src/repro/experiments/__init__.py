@@ -1,6 +1,7 @@
 """One module per table/figure in the paper's evaluation, plus a CLI
-runner (``python -m repro.experiments.runner``).  See DESIGN.md's
-per-experiment index for the mapping."""
+runner (``python -m repro.experiments.runner``).  Run with no
+arguments, it lists every experiment id with a one-line description
+of the figure or table it reproduces."""
 
 from . import (  # noqa: F401
     bitbudget_curves,

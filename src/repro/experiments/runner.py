@@ -211,7 +211,7 @@ def main(argv=None) -> int:
                              "positional)")
     parser.add_argument("--formats", action="store_true",
                         help="print the format registry table "
-                             "(exactness class, batch mirror, fused ops) "
+                             "(exactness class, batch mirror, width) "
                              "and exit")
     parser.add_argument("--scale", default="bench",
                         choices=("test", "bench", "full"))

@@ -5,7 +5,6 @@ from .real import Real
 from .posit import FLUSH, NAR, SATURATE, ZERO, PositEnv, paper_configs
 from .ieee import BINARY32, BINARY64, IEEEEnv
 from .logspace import LogSpace, log_mul, lse2, lse2_naive, lse_n, lse_sequential
-from .quire import Quire, fused_dot_product
 from .lns import LNS_ZERO, LNSEnv, lns64_for_range
 from .posit_datapath import PositDatapath
 
@@ -26,8 +25,6 @@ __all__ = [
     "lse_n",
     "lse_sequential",
     "log_mul",
-    "Quire",
-    "fused_dot_product",
     "LNSEnv",
     "LNS_ZERO",
     "lns64_for_range",

@@ -189,44 +189,6 @@ class IEEEEnv:
             return self.sign_bit if sign_a ^ sign_b else 0
         return self.encode_real(da.mul(db))
 
-    def fma(self, a: int, b: int, c: int) -> int:
-        """Fused multiply-add ``a*b + c`` with a single rounding (IEEE
-        754 fusedMultiplyAdd semantics for finite operands)."""
-        da, db, dc = self.decode(a), self.decode(b), self.decode(c)
-        if da is NAN or db is NAN or dc is NAN:
-            return self.quiet_nan
-        a_inf, b_inf, c_inf = (self._is_inf(d) for d in (da, db, dc))
-        if a_inf or b_inf:
-            if da is ZERO or db is ZERO:
-                return self.quiet_nan  # inf * 0
-            prod_sign = ((a ^ b) & self.sign_bit) >> (self.nbits - 1)
-            prod_inf = (self.sign_bit if prod_sign else 0) | self.pos_inf
-            if c_inf and (c ^ prod_inf) & self.sign_bit:
-                return self.quiet_nan  # inf - inf
-            return prod_inf
-        if c_inf:
-            # a*b is finite (exactly — no intermediate rounding), so the
-            # infinite addend wins regardless of the product's size.
-            return c & self.mask
-        if da is ZERO or db is ZERO:
-            prod = Real.zero()
-        else:
-            prod = da.mul(db)
-        if prod.is_zero() and dc is ZERO:
-            # Signed-zero rules: (-0) + (-0) = -0, anything else +0.
-            prod_negative = bool((a ^ b) & self.sign_bit)
-            c_negative = bool(c & self.sign_bit)
-            return self.sign_bit if prod_negative and c_negative else 0
-        if dc is ZERO:
-            result = prod
-        elif prod.is_zero():
-            result = dc
-        else:
-            result = prod.add(dc)
-        if result.is_zero():
-            return 0  # exact cancellation yields +0 under RNE
-        return self.encode_real(result)
-
     def neg(self, a: int) -> int:
         return (a ^ self.sign_bit) & self.mask
 

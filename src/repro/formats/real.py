@@ -71,8 +71,11 @@ class Real:
         return self.exponent + self.mantissa.bit_length() - 1
 
     # ------------------------------------------------------------------
-    # Exact arithmetic (mantissas grow as needed; callers re-encode into
-    # a finite format immediately, so growth is bounded in practice).
+    # Exact arithmetic: mantissas grow as needed.  ``add`` aligns by the
+    # full exponent gap, so its result has about (exponent gap + wider
+    # mantissa) bits: callers must keep the gap bounded, by their
+    # format's range (IEEE) or by not adding across a gap past the
+    # format's precision (``PositEnv.add`` returns the larger operand).
     # ------------------------------------------------------------------
     def add(self, other: "Real") -> "Real":
         if self.mantissa == 0:

@@ -35,8 +35,6 @@ from .farray import (
     broadcast_to,
     concatenate,
     dot,
-    fused_dot,
-    fused_sum,
     full,
     logsumexp,
     maximum,
@@ -62,8 +60,6 @@ __all__ = [
     "current_backend",
     "current_plan",
     "dot",
-    "fused_dot",
-    "fused_sum",
     "full",
     "logsumexp",
     "maximum",

@@ -38,7 +38,6 @@ import numpy as np
 
 from .. import telemetry as _tele
 from ..arith.backend import Backend
-from ..arith.registry import REGISTRY
 from ..bigfloat import BigFloat, DEFAULT_PRECISION
 from ..engine import plan_batch_backend
 from ..engine.batch import ScalarPlane
@@ -53,8 +52,6 @@ __all__ = [
     "broadcast_to",
     "concatenate",
     "dot",
-    "fused_dot",
-    "fused_sum",
     "full",
     "logsumexp",
     "maximum",
@@ -689,60 +686,3 @@ def logsumexp(x: FArray, axis: Optional[int] = None,
             bf.log(value, prec).to_float()
     return out
 
-
-# ----------------------------------------------------------------------
-# Fused ops (registry-certified)
-# ----------------------------------------------------------------------
-def _require_fused(x: FArray, op: str):
-    caps = REGISTRY.capabilities(x.format)
-    if op not in caps.fused_ops:
-        raise ValueError(
-            f"format {x.format!r} does not certify {op!r} "
-            f"(registry fused_ops: {caps.fused_ops or '()'})")
-
-
-def fused_sum(x: FArray, axis: Optional[int] = None, *,
-              max_limbs: int = 1024) -> FArray:
-    """Exact (quire) accumulation along ``axis``, rounded once per
-    output element.  Only formats whose registry entry certifies
-    ``quire_fused_sum`` (posits) accept this; others raise.
-    ``max_limbs`` bounds the accumulator width (large-ES posits need
-    multi-thousand-limb quires; raise the bound to force them).
-    """
-    _require_fused(x, "quire_fused_sum")
-    if axis is None:
-        return fused_sum(x.ravel(), axis=0, max_limbs=max_limbs)
-    env = x.backend.env
-    if x.batch:
-        from ..engine.quire_batch import fused_sum_batch
-        return FArray(fused_sum_batch(env, x._data, axis=axis,
-                                      max_limbs=max_limbs), x._bb)
-    moved = np.moveaxis(x._data, axis, -1)
-    out = np.empty(moved.shape[:-1], dtype=object)
-    for idx in np.ndindex(*out.shape):
-        out[idx] = env.fused_sum(list(moved[idx]))
-    return FArray(out, x._bb)
-
-
-def fused_dot(x: FArray, y, axis: int = -1, *,
-              max_limbs: int = 1024) -> FArray:
-    """Correctly rounded dot product along ``axis`` through the quire
-    (one rounding total per output element).  Registry-gated like
-    :func:`fused_sum`."""
-    _require_fused(x, "quire_fused_dot")
-    rhs = x._coerce(y)
-    env = x.backend.env
-    if x.batch:
-        from ..engine.quire_batch import fused_dot_product_batch
-        return FArray(fused_dot_product_batch(env, x._data, rhs._data,
-                                              axis=axis,
-                                              max_limbs=max_limbs), x._bb)
-    from ..formats.quire import fused_dot_product
-    da, db = np.broadcast_arrays(x._data, rhs._data)
-    moved_a = np.moveaxis(da, axis, -1)
-    moved_b = np.moveaxis(db, axis, -1)
-    out = np.empty(moved_a.shape[:-1], dtype=object)
-    for idx in np.ndindex(*out.shape):
-        out[idx] = fused_dot_product(env, list(moved_a[idx]),
-                                     list(moved_b[idx]))
-    return FArray(out, x._bb)

@@ -14,7 +14,7 @@ with three primitive kinds, all aggregated by a
   app/kernel entry points, the posit decode/core/encode stages,
   per-chunk sweep workers;
 * **events** — exceptional outcomes: posit NaR / saturation /
-  flush-to-zero, log-space ``-inf`` underflow, quire NaR poisoning.
+  flush-to-zero, log-space ``-inf`` underflow.
 
 Usage::
 

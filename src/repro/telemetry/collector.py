@@ -9,7 +9,7 @@ One collector aggregates everything observed inside one
   (``time.perf_counter``), nestable, aggregated per name into
   ``[count, total_s, min_s, max_s]``;
 * **events** — exceptional-outcome tallies (posit NaR/saturation/
-  flush, log-space ``-inf`` underflow, quire NaR poisoning).
+  flush, log-space ``-inf`` underflow).
 
 Collectors are plain-dict state end to end, so they pickle across
 process boundaries (the parallel sweep runner ships one back per

@@ -4,6 +4,7 @@ hardware) meet the full >=10x / >=5x floors."""
 
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -56,14 +57,12 @@ class TestCheckPayload:
 
     def test_posit_gap_floors(self):
         """The PR 5 posit-gap gates: add/mul >= 15x, fused forward
-        >= 7x, quire accumulation >= 10x."""
+        >= 7x."""
         ok = _payload("batch_throughput", "posit64_12_add", 16.0)
         assert gate.check_payload(ok, self.FLOORS) == []
         bad = _payload("batch_throughput", "posit64_12_mul", 14.0)
         assert len(gate.check_payload(bad, self.FLOORS)) == 1
         bad = _payload("batch_throughput", "forward_posit64_12_batch64", 6.0)
-        assert len(gate.check_payload(bad, self.FLOORS)) == 1
-        bad = _payload("apps_throughput", "quire_accumulate_posit16_1", 9.0)
         assert len(gate.check_payload(bad, self.FLOORS)) == 1
 
     def test_sub_div_entries_gated(self):
@@ -146,6 +145,22 @@ class TestCheckPayload:
         assert "posit64_12_sub" in missing and "lns6_8_sub" in missing
         assert gate.missing_required(
             _payload("other_bench", "x", 1.0)) == []
+
+
+def test_ci_env_relaxes_exactly_the_gates():
+    """The workflow's top-level ``env:`` sets one relaxed value per gate
+    env var and no other ``REPRO_*_FLOOR``/``REPRO_*_CEILING``: a
+    removed gate must not leave its CI floor behind, and a new gate
+    must not ship without one."""
+    with open(os.path.join(REPO_ROOT, ".github", "workflows",
+                           "ci.yml")) as f:
+        text = f.read()
+    block = re.search(r"^env:\n((?:[ \t]+.*\n)+)", text, re.M).group(1)
+    in_ci = set(re.findall(r"^\s+(REPRO_\w+_(?:FLOOR|CEILING)):", block,
+                           re.M))
+    gated = {var for var, _ in (*gate.GATES.values(),
+                                *gate.CEILINGS.values())}
+    assert in_ci == gated
 
 
 class TestMain:

@@ -9,9 +9,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import BatchPosit
-from repro.formats import PositEnv
+from repro.formats import PositEnv, Real
 from repro.formats.posit import FLUSH, SATURATE
 
 
@@ -189,19 +191,48 @@ def test_es_bound_is_the_scale_planes_range():
     """The int64 scale plane holds exact products and quotients of
     magnitude up to ``2 * max_scale + 1``: posit(64, 56), with max_scale
     just under 2**62, is exact at the extremes, and posit(64, 57) is
-    refused (its maxpos * maxpos would wrap)."""
+    refused (its maxpos * maxpos would wrap).  The scalar reference
+    reaches the extremes too: an add or sub across the whole range
+    returns the far larger operand without aligning the other."""
     env = PositEnv(64, 56)
     assert env.max_scale < 1 << 62 <= 2 * env.max_scale
     bp = BatchPosit(env)
     ext = [env.maxpos, env.minpos, env.neg(env.maxpos), env.neg(env.minpos)]
     a = np.array([x for x in ext for _ in ext], dtype=np.uint64)
     b = np.array([y for _ in ext for y in ext], dtype=np.uint64)
-    for op in ("mul", "div"):
+    for op in ("add", "sub", "mul", "div"):
         assert getattr(bp, op)(a, b).tolist() == [
             getattr(env, op)(int(x), int(y)) for x, y in zip(a, b)], op
     for es in (57, 58, 59, 62):
         with pytest.raises(ValueError):
             BatchPosit(PositEnv(64, es))
+
+
+@pytest.mark.parametrize("es", [12, 18])
+@pytest.mark.parametrize("underflow", [SATURATE, FLUSH])
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1, (1 << 63) - 1), negate=st.booleans(),
+       offset=st.integers(-8, 8), sign=st.integers(0, 1),
+       mant=st.integers(1 << 59, (1 << 60) - 1))
+def test_add_across_the_gap_cut(es, underflow, a, negate, offset, sign,
+                                mant):
+    """``PositEnv.add`` returns the larger operand when the other lies
+    more than nbits + 4 binades below it.  On both sides of that cut,
+    within 8 binades, add and sub (either operand order) equal the
+    plane, which aligns and rounds with no such shortcut."""
+    env = PositEnv(64, es, underflow)
+    bp = BatchPosit(env)
+    cut = env.nbits + 4
+    if negate:
+        a = env.neg(a)
+    scale_b = env.decode(a).scale - cut - offset
+    assume(scale_b >= env.min_scale)
+    b = env.encode_real(Real(sign, mant, scale_b - 59))
+    assume(abs(env.decode(a).scale - env.decode(b).scale - cut) <= 8)
+    x = np.array([a, b], dtype=np.uint64)
+    y = np.array([b, a], dtype=np.uint64)
+    assert bp.add(x, y).tolist() == [env.add(a, b), env.add(b, a)]
+    assert bp.sub(x, y).tolist() == [env.sub(a, b), env.sub(b, a)]
 
 
 def test_bit_length_matches_python():
@@ -370,11 +401,11 @@ def test_zero_d_ops_are_warning_free():
 
 
 def test_numpy_uint64_shifts_past_the_width_give_zero():
-    """The platform assumption under ``_round_mag``, ``_shl128`` and the
-    quire read-out: a NumPy uint64 ``<<``/``>>`` by 64 or more (a count
-    of 2**64 - 1 being a wrapped negative int64) gives 0, on arrays and
-    on 0-d operands alike, where C leaves the result undefined.  A NumPy
-    that changes this fails here by name, not as a golden diff."""
+    """The platform assumption under ``_round_mag`` and ``_shl128``: a
+    NumPy uint64 ``<<``/``>>`` by 64 or more (a count of 2**64 - 1 being
+    a wrapped negative int64) gives 0, on arrays and on 0-d operands
+    alike, where C leaves the result undefined.  A NumPy that changes
+    this fails here by name, not as a golden diff."""
     values = np.array([1, 0x8000_0000_0000_0001, 2 ** 64 - 1],
                       dtype=np.uint64)
     for count in (64, 65, 127, 2 ** 64 - 1):

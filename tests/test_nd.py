@@ -1,5 +1,5 @@
 """repro.nd core semantics: construction, representation dispatch,
-operators, reductions, fused ops, ambient contexts, and equality with
+operators, reductions, ambient contexts, and equality with
 the app layer (the canonical-vs-serial oracle extended through the new
 front end).
 """
@@ -335,31 +335,6 @@ class TestReductions:
         assert nd.logsumexp(x) == pytest.approx(np.log(0.5))
         z = nd.zeros((2,), "binary64")
         assert nd.logsumexp(z) == -np.inf
-
-
-class TestFusedOps:
-    def test_posit_fused_sum_and_dot(self):
-        x = nd.asarray([0.5, 0.25, 2.0 ** -40], "posit(32,2)")
-        assert nd.fused_sum(x).to_floats() == pytest.approx(0.75 + 2.0 ** -40)
-        assert nd.fused_dot(x, x).to_floats() == pytest.approx(0.3125,
-                                                               rel=1e-9)
-
-    def test_fused_matches_scalar_quire(self):
-        backend = REGISTRY.create("posit(32,2)")
-        x = nd.asarray([0.5, 0.25, 2.0 ** -20, 0.125], backend)
-        serial = nd.asarray([0.5, 0.25, 2.0 ** -20, 0.125], backend,
-                            plan=ExecPlan.serial())
-        assert nd.fused_sum(x).item() == nd.fused_sum(serial).item()
-        assert nd.fused_dot(x, x).item() == nd.fused_dot(serial,
-                                                         serial).item()
-
-    def test_unfused_formats_raise(self):
-        for fmt in ["binary64", "log", "lns(12,50)", "bigfloat256"]:
-            x = nd.asarray([0.5, 0.25], fmt)
-            with pytest.raises(ValueError, match="does not certify"):
-                nd.fused_sum(x)
-            with pytest.raises(ValueError, match="does not certify"):
-                nd.fused_dot(x, x)
 
 
 class TestAmbientContexts:

@@ -274,27 +274,6 @@ class TestArithmetic:
         assert env.cmp(env.from_float(-1.0), env.from_float(1.0)) == -1
         assert env.cmp(env.from_float(0.5), env.from_float(0.5)) == 0
 
-    def test_fused_sum_matches_exact(self):
-        env = PositEnv(16, 1)
-        terms = [env.from_float(v) for v in (0.1, 0.2, 0.3, 1e-5)]
-        exact = Real.zero()
-        for t in terms:
-            exact = exact.add(env.decode(t))
-        assert env.fused_sum(terms) == env.encode_real(exact)
-
-    def test_fused_sum_beats_sequential(self):
-        """The quire avoids per-add rounding; construct a case where the
-        sequential sum differs."""
-        env = PositEnv(8, 0)
-        big = env.from_float(64.0)
-        tiny = env.from_float(0.25)
-        seq = env.add(env.add(big, tiny), tiny)
-        fused = env.fused_sum([big, tiny, tiny])
-        seq_v = env.to_float(seq)
-        fused_v = env.to_float(fused)
-        exact = 64.5
-        assert abs(fused_v - exact) <= abs(seq_v - exact)
-
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, (1 << 16) - 1), st.integers(0, (1 << 16) - 1))

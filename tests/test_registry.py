@@ -182,20 +182,20 @@ class TestRegistryDescribe:
         assert "7 formats" in repr(REGISTRY)
         spec = REGISTRY.spec("posit(64,9)")
         assert "posit(64,9)" in repr(spec) and "standard" in repr(spec)
-        assert "quire_fused_sum" in repr(spec.caps)
+        assert repr(spec.caps) == "<caps element-exact batched width<=64>"
 
 
 class TestCapabilityTable:
     def test_posit_flags(self):
         caps = REGISTRY.capabilities("posit(64,12)")
         assert caps.max_width == 64
-        assert "quire_fused_sum" in caps.fused_ops
+        assert caps.batch
         assert caps.exactness == ELEMENT_EXACT
 
     def test_log_flags(self):
         caps = REGISTRY.capabilities("log")
         assert caps.exactness == BIT_IDENTICAL
-        assert caps.fused_ops == ("lse_nary",)
+        assert repr(caps) == "<caps bit-identical batched width<=64>"
         # Both sum modes pair with a mirror of the same mode.
         for mode in ("nary", "sequential"):
             backend = REGISTRY.create("log", sum_mode=mode)
