@@ -65,7 +65,25 @@ def _emission_shared(b: "nd.FArray", obs: np.ndarray, t: int) -> "nd.FArray":
     return b[:, obs[:, t]].T
 
 
-def _forward_recurrence(a, pi, emission, n_steps: int, semiring,
+def _lanes(obs, lengths=None) -> tuple:
+    """``(obs, lengths, live)``: ``obs`` as a ``(B, T)`` int array, each
+    lane's length (default ``T``; lanes ordered longest first) and the
+    retire schedule — per step ``t``, how many lanes still run."""
+    obs = np.asarray(obs)
+    if obs.ndim != 2:
+        raise ValueError("obs must have shape (batch, T)")
+    if lengths is None:
+        lengths = np.full(obs.shape[0], obs.shape[1])
+    live = np.count_nonzero(lengths[:, None] > np.arange(obs.shape[1]), axis=0)
+    return obs, lengths, live.tolist()
+
+
+def _rejoin(x, done: list):
+    """``x`` over the rows set aside in ``done``, back in lane order."""
+    return nd.concatenate([x] + done[::-1], axis=0) if done else x
+
+
+def _forward_recurrence(a, pi, emission, live, semiring,
                         trace: bool = False) -> "nd.FArray":
     """The one HMM recurrence, over any semiring: per step,
 
@@ -75,78 +93,82 @@ def _forward_recurrence(a, pi, emission, n_steps: int, semiring,
     monoid is ``nd.dot`` — mul + the format's ``sum`` fold; on posit the
     model, ``alpha`` and every intermediate stay in the decoded plane,
     so each model array decodes once per call; the max monoid is the
-    exact code-order max).  ``alpha`` is always
-    ``(B, H)``; ``a`` is ``(H, H)`` (shared model) or ``(B, H, H)``
-    (per-model), ``emission(t)`` yields ``(B, H)``.  Returns the
-    ``total_op`` reduction over states, ``(B,)`` — or, with ``trace``,
-    every step's alpha stacked to ``(B, T, H)`` (the forward matrix).
+    exact code-order max).  ``alpha`` is ``(B, H)``; ``a`` is ``(H, H)``
+    (shared model) or ``(B, H, H)`` (per-model).  Lanes retire on the
+    schedule ``live`` (:func:`_lanes`): finished lanes' rows are set
+    aside and the rest step on (``a[:n]`` too, per model), so each lane
+    runs exactly its own sequence's ops; ``emission(t, n)`` yields the
+    first ``n`` lanes' ``(n, H)``.  Returns the ``total_op`` reduction
+    over states, ``(B,)`` — or, with ``trace`` (lanes of one length),
+    every step's alpha as ``(B, T, H)`` (the forward matrix).
 
     Sum-product forward, Viterbi scoring, and the pair-HMM hybrid are
     this function under different semirings; the sum-product
     instantiation is op-for-op the pre-semiring kernel (pinned
     exhaustively in ``tests/test_workloads.py``).
     """
-    alpha = semiring.times(pi, emission(0))
-    alphas = [alpha]
-    for t in range(1, n_steps):
+    alpha = semiring.times(pi, emission(0, live[0]))
+    alphas, done = [alpha], []
+    for t in range(1, len(live)):
+        n = live[t]
+        if n < live[t - 1]:
+            done.append(alpha[n:])
+            alpha, a = alpha[:n], (a[:n] if a.ndim == 3 else a)
         # path[s, q] = ⊕_p(alpha[s, p] × A[..., p, q])
         path = semiring.contract(alpha[:, :, None], a, axis=1)
-        alpha = semiring.times(path, emission(t))
+        alpha = semiring.times(path, emission(t, n))
         if trace:
             alphas.append(alpha)
     if trace:
         return nd.stack(alphas, axis=1)
-    return semiring.reduce(alpha, axis=1)
+    return semiring.reduce(_rejoin(alpha, done), axis=1)
 
 
-def _forward_nd(a, b, pi, obs: np.ndarray, semiring=None) -> "nd.FArray":
+def _forward_nd(a, b, pi, obs, semiring=None, lengths=None) -> "nd.FArray":
     """Forward likelihoods for a batch of sequences sharing one model:
     ``a (H, H)``, ``b (H, M)``, ``pi (H,)`` FArrays, ``obs (B, T)``
-    ints; returns ``(B,)``.  Listing 1, vectorized across sequences."""
-    obs = np.asarray(obs)
-    if obs.ndim != 2:
-        raise ValueError("obs must have shape (batch, T)")
+    ints and ``lengths`` (:func:`_lanes`); returns ``(B,)``.  Listing 1,
+    vectorized across sequences."""
+    obs, _, live = _lanes(obs, lengths)
     with _tele.span("app.hmm.forward"):
         _faults.fire("app.hmm.forward")
         return _forward_recurrence(
-            a, pi, lambda t: _emission_shared(b, obs, t),
-            obs.shape[1], resolve_semiring(semiring))
+            a, pi, lambda t, n: _emission_shared(b, obs[:n], t), live,
+            resolve_semiring(semiring))
 
 
 def _forward_trace_nd(a, b, pi, obs: np.ndarray,
                       semiring=None) -> "nd.FArray":
     """Every step's alpha, shape ``(B, T, H)``: the forward matrix, and
     (summed over states) the data behind Figure 1."""
-    obs = np.asarray(obs)
+    obs, _, live = _lanes(obs)
     with _tele.span("app.hmm.forward_trace"):
         _faults.fire("app.hmm.forward_trace")
         return _forward_recurrence(
-            a, pi, lambda t: _emission_shared(b, obs, t),
-            obs.shape[1], resolve_semiring(semiring), trace=True)
+            a, pi, lambda t, n: _emission_shared(b, obs, t), live,
+            resolve_semiring(semiring), trace=True)
 
 
-def _forward_models_nd(a, b, pi, obs: np.ndarray,
-                       semiring=None) -> "nd.FArray":
+def _forward_models_nd(a, b, pi, obs: np.ndarray, semiring=None,
+                       lengths=None) -> "nd.FArray":
     """Forward likelihoods for a batch of *models* (the ViCAR/MCMC
     shape): ``a (B, H, H)``, ``b (B, H, M)``, ``pi (B, H)``,
-    ``obs (B, T)``; returns ``(B,)``."""
-    obs = np.asarray(obs)
-    if obs.ndim != 2:
-        raise ValueError("obs must have shape (batch, T)")
+    ``obs (B, T)``, ``lengths`` (:func:`_lanes`); returns ``(B,)``."""
+    obs, _, live = _lanes(obs, lengths)
     if a.ndim != 3 or b.ndim != 3 or pi.ndim != 2:
         raise ValueError("need per-model params: a (B,H,H), b (B,H,M), "
                          "pi (B,H)")
 
     rows = np.arange(obs.shape[0])
 
-    def emission(t):
-        # b[s, :, obs[s, t]] for every model s, shape (B, H): one
-        # C-level gather per plane, sized B·H.
-        return b[rows, :, obs[:, t]]
+    def emission(t, n):
+        # b[s, :, obs[s, t]] for the first n models, shape (n, H): one
+        # C-level gather per plane, sized n·H.
+        return b[rows[:n], :, obs[:n, t]]
 
     with _tele.span("app.hmm.forward_models"):
         _faults.fire("app.hmm.forward_models")
-        return _forward_recurrence(a, pi, emission, obs.shape[1],
+        return _forward_recurrence(a, pi, emission, live,
                                    resolve_semiring(semiring))
 
 
@@ -161,6 +183,21 @@ def _obs_rows(observations) -> np.ndarray:
         raise ValueError("observation sequences must share one length "
                          "for a rectangular (batch, T) array")
     return np.asarray(rows, dtype=np.intp)
+
+
+def _longest_first(seqs: list, run) -> list:
+    """``run(obs, lengths)`` once over sequences of any lengths, lanes
+    ordered longest first (``obs`` zero-padded to ``(B, T_max)``); its
+    ``(B,)`` result as a list in input order (``[]`` for none)."""
+    if not seqs:
+        return []
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    obs = np.zeros((len(seqs), lengths.max()), dtype=np.intp)
+    for row, i in enumerate(order):
+        obs[row, :lengths[i]] = seqs[i]
+    out = run(obs, lengths[order])
+    return [out.item(int(row)) for row in np.argsort(order)]
 
 
 # ----------------------------------------------------------------------
@@ -215,27 +252,21 @@ def forward_batch(hmm: HMMData, backend: Optional[Backend] = None,
                   semiring=None) -> list:
     """Forward algorithm over a batch of observation sequences.
 
-    ``observations`` is a ``(B, T)`` integer array (default: a batch of
-    one, the HMM's own sequence).  Returns a list of B likelihoods as
-    backend values, equal element-for-element to the scalar recurrence
-    per sequence under any plan.  The batch runs as one vectorized
-    pass; formats without an array backend (the BigFloat oracle) run
-    the same expression through the scalar representation, with the
-    model conversion hoisted out of the per-sequence loop.
+    ``observations`` is a list of integer sequences of any lengths
+    (default: a batch of one, the HMM's own sequence).  Returns a list
+    of B likelihoods as backend values, equal element-for-element to
+    the scalar recurrence per sequence under any plan.  The batch runs
+    as one pass whose lanes retire at their own lengths, vectorized
+    where the format has an array backend and through the scalar
+    representation otherwise; the model converts once per call.
     """
     plan = resolve_plan(plan, where="forward_batch")
     if observations is None:
         observations = [hmm.observations]
     a, b, pi = model_arrays(hmm, backend, plan=plan)
-    seqs = _seq_rows(observations)
-    if len({len(s) for s in seqs}) > 1:
-        # Ragged batch: per-sequence B=1 passes over the hoisted model.
-        return [_forward_nd(a, b, pi, np.asarray([s], dtype=np.intp),
-                            semiring=semiring).item(0)
-                for s in seqs]
-    out = _forward_nd(a, b, pi, np.asarray(seqs, dtype=np.intp),
-                      semiring=semiring)
-    return [out.item(i) for i in range(out.shape[0])]
+    return _longest_first(
+        _seq_rows(observations),
+        lambda obs, lengths: _forward_nd(a, b, pi, obs, semiring, lengths))
 
 
 def forward_models_batch(models, backend: Optional[Backend] = None,
@@ -244,31 +275,34 @@ def forward_models_batch(models, backend: Optional[Backend] = None,
     """Forward likelihoods for many *models* (each with its own
     parameters and observation sequence) — the ViCAR/MCMC shape.
 
-    Models are grouped by ``(H, M, T)`` and each group runs through
-    :func:`_forward_models_nd` in one pass; the returned list matches
-    the input order and equals calling :func:`forward` per model under
-    any plan, bit for bit (what MH acceptance decisions need).
+    Models are grouped by state count ``H``, and each group runs through
+    :func:`_forward_models_nd` in one pass whatever its lengths and
+    symbol counts (emission columns zero-padded, never read); the
+    returned list matches the input order and equals calling
+    :func:`forward` per model under any plan, bit for bit (what MH
+    acceptance decisions need).
     """
     backend = _resolve_format(backend)
     plan = resolve_plan(plan, where="forward_models_batch")
     models = list(models)
     groups: dict = {}
-    for i, hmm in enumerate(models):
-        key = (hmm.n_states, hmm.n_symbols, hmm.length)
-        groups.setdefault(key, []).append(i)
+    # Longest first: the lane order _longest_first keeps (stable sort).
+    for i in sorted(range(len(models)), key=lambda i: -models[i].length):
+        groups.setdefault(models[i].n_states, []).append(i)
     out: list = [None] * len(models)
     for group in groups.values():
-        a = nd.asarray([models[i].transition for i in group],
-                       backend, plan=plan)
-        b = nd.asarray([models[i].emission for i in group],
-                       backend, plan=plan)
-        pi = nd.asarray([models[i].initial for i in group],
-                        backend, plan=plan)
-        obs = np.array([models[i].observations for i in group],
-                       dtype=np.intp)
-        likes = _forward_models_nd(a, b, pi, obs, semiring=semiring)
-        for j, i in enumerate(group):
-            out[i] = likes.item(j)
+        width = max(models[i].n_symbols for i in group)
+        a, b, pi = (nd.asarray(rows, backend, plan=plan) for rows in (
+            [models[i].transition for i in group],
+            [[list(row) + [0] * (width - len(row))
+              for row in models[i].emission] for i in group],
+            [models[i].initial for i in group]))
+        likes = _longest_first(
+            [models[i].observations for i in group],
+            lambda obs, lengths: _forward_models_nd(a, b, pi, obs, semiring,
+                                                    lengths))
+        for i, like in zip(group, likes):
+            out[i] = like
     return out
 
 

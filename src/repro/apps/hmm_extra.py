@@ -28,33 +28,37 @@ from .. import telemetry as _tele
 from ..arith.backend import Backend
 from ..data.dirichlet import HMMData
 from ..engine.plan import ExecPlan, resolve_plan
-from .hmm import (_emission_shared, _forward_trace_nd, _obs_rows, _seq_rows,
-                  model_arrays)
+from .hmm import (_emission_shared, _forward_trace_nd, _lanes, _longest_first,
+                  _obs_rows, _rejoin, _seq_rows, model_arrays)
 
 
-def _backward_nd(a, b, pi, obs: np.ndarray,
-                 trace: bool = False) -> "nd.FArray":
+def _backward_nd(a, b, pi, obs: np.ndarray, trace: bool = False,
+                 lengths=None) -> "nd.FArray":
     """Right-to-left recurrence over a batch of sequences sharing one
     model, written once as an nd expression: ``beta[p] = sum_q(A[p, q]
     * (B[q, o_t] * beta[q]))`` with the ``sum`` fold over ``q`` in
-    index order.  Returns the ``(B,)`` likelihoods — or, with
-    ``trace``, every step's beta as ``(B, T, H)`` (the backward
-    matrix)."""
-    obs = np.asarray(obs)
-    if obs.ndim != 2:
-        raise ValueError("obs must have shape (batch, T)")
-    n_batch, t_len = obs.shape
+    index order.  Lanes retire as in
+    :func:`repro.apps.hmm._forward_recurrence`; lane ``s`` (length
+    ``T_s``) reads ``o[T_s - k]`` at its ``k``-th step.  Returns the
+    ``(B,)`` likelihoods — or, with ``trace`` (lanes of one length),
+    every step's beta as ``(B, T, H)`` (the backward matrix)."""
+    obs, lengths, live = _lanes(obs, lengths)
     with _tele.span("app.hmm.backward"):
         _faults.fire("app.hmm.backward")
-        beta = nd.ones_like(a, (n_batch, len(pi)))
-        betas = [beta]
-        for t in range(t_len - 1, 0, -1):
-            inner = _emission_shared(b, obs, t) * beta
+        beta = nd.ones_like(a, (len(lengths), len(pi)))
+        betas, done = [beta], []
+        for k in range(1, len(live)):
+            n = live[k]
+            if n < live[k - 1]:
+                done.append(beta[n:])
+                beta = beta[:n]
+            inner = b[:, obs[np.arange(n), lengths[:n] - k]].T * beta
             beta = nd.dot(a, inner[:, None, :], axis=2)
             if trace:
                 betas.append(beta)
         if trace:
             return nd.stack(betas[::-1], axis=1)
+        beta = _rejoin(beta, done)
         terms = nd.broadcast_to(pi, beta.shape) \
             * (_emission_shared(b, obs, 0) * beta)
         return nd.sum(terms, axis=1)
@@ -75,25 +79,20 @@ def backward_batch(hmm: HMMData, backend: Optional[Backend] = None,
                    observations=None,
                    plan: Optional[ExecPlan] = None) -> list:
     """Backward-algorithm likelihoods over a batch of observation
-    sequences (``(B, T)`` ints; default: a batch of one, the HMM's own
+    sequences of any lengths (default: a batch of one, the HMM's own
     sequence).  Same contract as :func:`repro.apps.hmm.forward_batch`:
-    one vectorized pass where the format has an array mirror, equal to
-    the scalar recurrence per sequence bit for bit; other formats run
-    the same expression through the scalar representation with the
-    model conversion hoisted out of the per-sequence recurrence.
+    one pass whose lanes retire at their own lengths, equal to the
+    scalar recurrence per sequence bit for bit and in event tallies,
+    vectorized where the format has an array mirror and through the
+    scalar representation otherwise; the model converts once per call.
     """
     plan = resolve_plan(plan, where="backward_batch")
     if observations is None:
         observations = [hmm.observations]
     a, b, pi = model_arrays(hmm, backend, plan=plan)
-    seqs = _seq_rows(observations)
-    if len({len(s) for s in seqs}) > 1:
-        # Ragged batch: per-sequence B=1 passes over the hoisted model.
-        return [_backward_nd(a, b, pi,
-                             np.asarray([s], dtype=np.intp)).item(0)
-                for s in seqs]
-    out = _backward_nd(a, b, pi, np.asarray(seqs, dtype=np.intp))
-    return [out.item(i) for i in range(out.shape[0])]
+    return _longest_first(
+        _seq_rows(observations),
+        lambda obs, lengths: _backward_nd(a, b, pi, obs, lengths=lengths))
 
 
 def _b1_args(hmm: HMMData, backend: Backend) -> tuple:

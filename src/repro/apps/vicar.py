@@ -138,9 +138,11 @@ def run_vicar(config: VicarConfig, backends: Dict[str, Backend],
     against the oracle.
 
     Each format's likelihoods run through the vectorized multi-model
-    forward kernel (grouped by H; equal to the per-model scalar loop
-    bit for bit, see :func:`repro.apps.hmm.forward_models_batch`);
-    ``plan=ExecPlan.serial()`` forces the per-model scalar loop.
+    forward kernel: one call per distinct state count H, each model's
+    lane retiring at its own sequence length, equal to the per-model
+    scalar loop bit for bit (see
+    :func:`repro.apps.hmm.forward_models_batch`);
+    ``plan=ExecPlan.serial()`` runs the same call on the scalar plane.
     ``plan.n_workers`` fans the oracle reference pass across processes;
     the scores are order-preserving and identical for any worker count.
     """

@@ -28,15 +28,10 @@ state that replaces positional ``(backend, plan)`` threading.
 from .context import current_backend, current_plan, use_format, use_plan
 from .farray import (
     FArray,
-    amax,
-    argmax,
-    array,
     asarray,
     broadcast_to,
     concatenate,
     dot,
-    full,
-    logsumexp,
     maximum,
     multiply_add,
     ones,
@@ -51,17 +46,12 @@ from .farray import (
 
 __all__ = [
     "FArray",
-    "amax",
-    "argmax",
-    "array",
     "asarray",
     "broadcast_to",
     "concatenate",
     "current_backend",
     "current_plan",
     "dot",
-    "full",
-    "logsumexp",
     "maximum",
     "multiply_add",
     "ones",

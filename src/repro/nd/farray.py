@@ -38,7 +38,7 @@ import numpy as np
 
 from .. import telemetry as _tele
 from ..arith.backend import Backend
-from ..bigfloat import BigFloat, DEFAULT_PRECISION
+from ..bigfloat import BigFloat
 from ..engine import plan_batch_backend
 from ..engine.batch import ScalarPlane
 from ..engine.plan import ExecPlan, resolve_plan
@@ -46,14 +46,10 @@ from .context import _resolve_format
 
 __all__ = [
     "FArray",
-    "amax",
-    "argmax",
     "asarray",
     "broadcast_to",
     "concatenate",
     "dot",
-    "full",
-    "logsumexp",
     "maximum",
     "multiply_add",
     "ones",
@@ -506,9 +502,6 @@ def asarray(values, format=None, *, plan: Optional[ExecPlan] = None,
     return _convert(values, bb)
 
 
-array = asarray
-
-
 def wrap(data, format=None, *, bb=None) -> FArray:
     """An :class:`FArray` over *already-encoded* storage (no value
     conversion): ``bb`` + a packed code array for its plane, or a
@@ -538,14 +531,6 @@ def ones(shape, format=None, *, plan: Optional[ExecPlan] = None,
          **format_kwargs) -> FArray:
     """An array of the multiplicative identity (probability 1)."""
     return _filled(shape, "ones", format, plan, format_kwargs)
-
-
-def full(shape, value, format=None, *, plan: Optional[ExecPlan] = None,
-         **format_kwargs) -> FArray:
-    """An array with every element the given probability value."""
-    scalar = asarray([value], format, plan=plan, **format_kwargs)
-    data = np.broadcast_to(scalar._data.reshape(()), shape)
-    return FArray(data, scalar._bb)
 
 
 def _like(x: FArray, method: str, shape) -> FArray:
@@ -627,17 +612,6 @@ def maximum(x: FArray, y) -> FArray:
     return x.maximum(y)
 
 
-def amax(x: FArray, axis: Optional[int] = None) -> FArray:
-    """Largest probability along ``axis`` (see :meth:`FArray.max`)."""
-    return x.max(axis=axis)
-
-
-def argmax(x: FArray, axis: int = -1) -> np.ndarray:
-    """First index of the largest probability along ``axis`` (see
-    :meth:`FArray.argmax`)."""
-    return x.argmax(axis=axis)
-
-
 def multiply_add(x: FArray, y, z) -> FArray:
     """Fused ``x*y + z`` — identical results to the spelled-out
     expression (both intermediate roundings preserved), routed through
@@ -662,27 +636,3 @@ def _matmul(a: FArray, b: FArray) -> FArray:
     if a.ndim == 1:
         return (a[:, None] * b).sum(axis=-2)
     return (a[..., :, None] * b[..., None, :, :]).sum(axis=-2)
-
-
-def logsumexp(x: FArray, axis: Optional[int] = None,
-              prec: int = DEFAULT_PRECISION) -> np.ndarray:
-    """Natural log of the probability sum along ``axis``, as float64.
-
-    For the ``log`` format this is exactly the code array of
-    :func:`sum` (the LSE dataflow the format's fold already *is* —
-    sequential Equation-2 folds or the n-ary Equation-3 reduction,
-    per the backend's ``sum_mode``).  Other formats sum in their own
-    arithmetic, then take the log through the exact BigFloat plane
-    (``-inf`` for exact zeros).
-    """
-    total = x.sum(axis=axis)
-    if x.format == "log":
-        return np.asarray(total._data, dtype=np.float64)
-    from ..bigfloat import functions as bf
-    out = np.empty(total.shape, dtype=np.float64)
-    flat = out.reshape(-1)
-    for i, value in enumerate(total.to_bigfloats()):
-        flat[i] = -np.inf if value.is_zero() else \
-            bf.log(value, prec).to_float()
-    return out
-

@@ -4,9 +4,10 @@ The ROADMAP's serving tier: a stdlib-only asyncio evaluation server
 (:class:`EvalServer`) that accepts typed workload requests — HMM
 forwards, PBD p-values, elementwise op sweeps, ``astype`` conversions,
 Viterbi paths, pair-HMM alignments, Kalman tracks, registered
-experiments — from many concurrent clients and *coalesces*
-same-shaped requests into single batched kernel calls, so the measured
-11-37x batch speedups collapse per-request cost under load.
+experiments — from many concurrent clients and *coalesces* requests of
+one kind, format and shared fields (``forward`` models of any shapes)
+into single batched kernel calls, so the measured 11-37x batch
+speedups collapse per-request cost under load.
 
 Layers (each its own module):
 

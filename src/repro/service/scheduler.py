@@ -5,8 +5,9 @@ plane's batch mirrors are 11-37x faster than per-element scalar loops
 (BENCH_batch.json / BENCH_apps.json), but a request carries one model
 or a handful of sites — far too little work to amortize a kernel
 dispatch.  The :class:`Microbatcher` closes that gap: requests whose
-handler reports the same **coalesce key** (same format and shape) and
-that arrive within one ``window_s`` hold window are gathered into one
+handler reports the same **coalesce key** (same kind, format and shared
+fields — any model or sequence shapes for ``forward``) and that arrive
+within one ``window_s`` hold window are gathered into one
 group and executed as ONE ``run_batch`` call, so N concurrent clients
 pay roughly one kernel dispatch between them.
 
@@ -15,9 +16,8 @@ Scheduling rules:
 * a group flushes when it reaches ``max_batch`` requests (flush-on-full,
   which also makes tests deterministic) or when its window timer fires,
   whichever is first;
-* requests whose key is ``None`` (ragged shapes, experiments) bypass
-  coalescing entirely — a singleton group goes straight to the ready
-  heap;
+* requests whose key is ``None`` (experiments) bypass coalescing
+  entirely — a singleton group goes straight to the ready heap;
 * ready groups are drained in **priority order** (highest request
   priority in the group first, FIFO within a priority);
 * admission is bounded: once ``max_queue`` requests are in flight,

@@ -3,8 +3,8 @@
 A :class:`WorkloadHandler` per request ``kind`` **validates** a payload
 (raising :class:`~repro.service.api.InvalidRequest` naming the field),
 gives its **coalesce key** (equal keys within the scheduler's window run
-as ONE batched kernel call; ``None`` runs solo), and **runs a batch**,
-scattering per-request results back in order.
+as ONE batched kernel call; ``None``, for experiments, runs solo), and
+**runs a batch**, scattering per-request results back in order.
 
 Seven kinds are row batches — rows along one batch axis plus fields
 every row shares — served by one :class:`RowBatchHandler` per
@@ -163,14 +163,14 @@ class RowKind:
     """One row-batched request kind, as data: ``rows`` names a row (the
     stats key); ``parse(payload) -> (key, shared, rows)`` validates a
     payload, ``key`` holding every field the rows share (so equal keys
-    mean one kernel call serves both requests; ``None``: run solo),
-    ``shared`` those fields parsed and ``rows`` the batch-axis items;
+    mean one kernel call serves both requests), ``shared`` those fields
+    parsed and ``rows`` the batch-axis items;
     ``kernel(shared, rows, backend, plan)`` gives one result per row and
     ``encode(backend, result)`` puts one on the wire."""
 
     kind: str
     rows: str
-    parse: Callable[[dict], Tuple[Optional[tuple], Any, list]]
+    parse: Callable[[dict], Tuple[tuple, Any, list]]
     kernel: Callable[..., Sequence]
     encode: Callable[[Any, Any], Any] = encode_value
 
@@ -198,9 +198,8 @@ class RowBatchHandler(WorkloadHandler):
     def validate(self, request: WorkloadRequest) -> None:
         self._parsed(request)
 
-    def coalesce_key(self, request: WorkloadRequest) -> Optional[tuple]:
-        key = self._parsed(request)[0]
-        return None if key is None else (self.kind, request.format, *key)
+    def coalesce_key(self, request: WorkloadRequest) -> tuple:
+        return (self.kind, request.format, *self._parsed(request)[0])
 
     def run_batch(self, requests, plan=None) -> List[RequestOutput]:
         # Same-key requests share every field outside their rows, so the
@@ -260,12 +259,10 @@ def _model_from_json(model, where: str):
 
 def _parse_forward(payload):
     """``{"models": [<model>, ...]}``: one likelihood per model.  Models
-    of one ``(H, M, T)`` shape coalesce by it; mixed shapes run solo."""
+    of any shapes coalesce, by format alone."""
     _known(payload, "forward payload", "models")
-    models = _list(payload.get("models"), "models", _model_from_json,
-                   "model objects", index=True)
-    shapes = {(m.n_states, m.n_symbols, m.length) for m in models}
-    return (shapes.pop() if len(shapes) == 1 else None), None, models
+    return (), None, _list(payload.get("models"), "models",
+                           _model_from_json, "model objects", index=True)
 
 
 def _forward_kernel(_shared, models, backend, plan):

@@ -14,7 +14,7 @@ from repro.arith import (
     LogSpaceBackend,
     PositBackend,
 )
-from repro.bigfloat import BigFloat
+from repro.bigfloat import BigFloat, relative_error
 from repro.engine import ExecPlan
 from repro.formats import PositEnv
 
@@ -51,8 +51,6 @@ class TestConstruction:
             o = nd.ones((4,), fmt)
             assert not o.is_zero().any()
             assert [b.to_float() for b in o.to_bigfloats()] == [1.0] * 4
-        f = nd.full((3,), 0.25, "binary64")
-        assert list(f.to_floats()) == [0.25] * 3
 
     def test_like_constructors_follow_representation(self):
         serial = nd.asarray(VALUES, "binary64", plan=ExecPlan.serial())
@@ -325,17 +323,6 @@ class TestReductions:
         assert nd.sum(nd.asarray(VALUES, seq)).item() == \
             nd.sum(nd.asarray(VALUES, seq, plan=ExecPlan.serial())).item()
 
-    def test_logsumexp_log_fast_path(self):
-        x = nd.asarray([1e-3, 1e-4, 1e-5], "log")
-        out = nd.logsumexp(x)
-        assert out == np.asarray(nd.sum(x).data, dtype=float)
-
-    def test_logsumexp_other_formats_via_oracle(self):
-        x = nd.asarray([0.25, 0.25], "posit(64,9)")
-        assert nd.logsumexp(x) == pytest.approx(np.log(0.5))
-        z = nd.zeros((2,), "binary64")
-        assert nd.logsumexp(z) == -np.inf
-
 
 class TestAmbientContexts:
     def test_use_format_scopes(self):
@@ -423,8 +410,9 @@ class TestAppEquivalence:
         assert pvalue.item() == pbd_pvalue(probs, k, backend)
 
     def test_forward_batch_accepts_ragged_sequences(self):
-        """Ragged batches fall back to per-sequence passes (the old
-        scalar-path behaviour, now for every format)."""
+        """Ragged batches run in one pass, each lane retiring at its
+        own length, equal to per-sequence calls in every format; the
+        backward likelihoods equal the forward ones to rounding."""
         from repro.apps.hmm import forward, forward_batch
         from repro.apps.hmm_extra import backward_batch
         hmm = self._hmm()
@@ -435,7 +423,13 @@ class TestAppEquivalence:
             expect = [forward(hmm, backend, observations=seq)
                       for seq in ragged]
             assert got == expect
-            assert len(backward_batch(hmm, backend, ragged)) == 2
+            back = backward_batch(hmm, backend, ragged)
+            assert back == [backward_batch(hmm, backend, [seq])[0]
+                            for seq in ragged]
+            for fwd, bwd in zip(got, back):
+                assert relative_error(backend.to_bigfloat(fwd),
+                                      backend.to_bigfloat(bwd)
+                                      ).to_float() < 1e-12
 
     def test_forward_ambient_backend(self):
         from repro.apps.hmm import forward

@@ -2,9 +2,11 @@
 
 One canonical request per row kind in each of three formats whose
 arithmetic is platform-independent (binary64, posit(64,12),
-bigfloat128), plus one ``experiment`` request, is pinned in
-``tests/goldens/service.json``: the request itself, its exact wire
-``values`` and its row-count ``stats``.  Each pin is checked through
+bigfloat128), plus one ``experiment`` request and one posit(64,12)
+``forward`` request whose models differ in H, M and T (entry name
+``forward-mixed``), is pinned in ``tests/goldens/service.json``: the
+request itself, its exact wire ``values`` and its row-count
+``stats``.  Each pin is checked through
 :func:`repro.service.workloads.execute` (the solo path) and through a
 two-request coalesced ``run_batch`` (the canonical request batched with
 a request carrying only its first row), so any change to parsing,
@@ -62,12 +64,28 @@ ROW_KINDS = {
 
 EXPERIMENT = {"experiment_id": "fig1", "scale": "test", "use_cache": False}
 
+#: Models of three shapes, (H, M, T) = (2, 3, 5), (3, 2, 3) and (2, 4, 8):
+#: one request, one kernel call per distinct H.
+MIXED_FORWARD = {"models": [
+    MODEL_A,
+    {"transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+     "emission": [[0.8, 0.2], [0.35, 0.65], [0.5, 0.5]],
+     "initial": [0.2, 0.3, 0.5],
+     "observations": [1, 0, 1]},
+    {"transition": [[0.6, 0.4], [0.15, 0.85]],
+     "emission": [[0.1, 0.2, 0.3, 0.4], [0.45, 0.05, 0.25, 0.25]],
+     "initial": [0.55, 0.45],
+     "observations": [3, 0, 2, 1, 3, 3, 0, 2]}]}
+
 
 def _canonical() -> list:
-    """``(kind, format, payload)`` of every pinned request, file order."""
-    cases = [(kind, fmt, payload) for kind, (payload, _) in ROW_KINDS.items()
-             for fmt in FORMATS]
-    return cases + [("experiment", None, EXPERIMENT)]
+    """``(name, kind, format, payload)`` of every pinned request, file
+    order; ``name`` is the kind except for ``forward-mixed``."""
+    cases = [(kind, kind, fmt, payload)
+             for kind, (payload, _) in ROW_KINDS.items() for fmt in FORMATS]
+    return cases + [("experiment", "experiment", None, EXPERIMENT),
+                    ("forward-mixed", "forward", "posit(64,12)",
+                     MIXED_FORWARD)]
 
 
 def _request(entry: dict) -> WorkloadRequest:
@@ -90,7 +108,7 @@ def load_golden() -> list:
 
 
 def _entry_id(entry: dict) -> str:
-    return f"{entry['kind']}/{entry['format']}"
+    return f"{entry.get('name', entry['kind'])}/{entry['format']}"
 
 
 GOLDEN = load_golden() if os.path.exists(GOLDEN_PATH) else []
@@ -99,12 +117,13 @@ ROW_ENTRIES = [e for e in GOLDEN if e["kind"] != "experiment"]
 
 def test_golden_covers_every_kind_and_format():
     """The file pins exactly the canonical requests: every row kind in
-    every format and the one experiment, so no kind can drop out."""
+    every format, the one experiment and the mixed-shape forward, so no
+    kind can drop out."""
     assert os.path.exists(GOLDEN_PATH), (
         "missing tests/goldens/service.json; generate with: "
         "PYTHONPATH=src python tests/test_service_goldens.py --regen")
-    assert [(e["kind"], e["format"], e["payload"]) for e in GOLDEN] \
-        == _canonical()
+    assert [(e.get("name", e["kind"]), e["kind"], e["format"], e["payload"])
+            for e in GOLDEN] == _canonical()
     assert {e["kind"] for e in GOLDEN} == set(WORKLOAD_KINDS)
     assert sorted(cost_golden.load()["service"]) == sorted(
         _entry_id(e) for e in GOLDEN)
@@ -138,8 +157,9 @@ def test_coalesced_run_batch_matches_golden(entry):
 
 def _regen():
     golden = []
-    for kind, fmt, payload in _canonical():
-        entry = {"kind": kind, "format": fmt, "payload": payload}
+    for name, kind, fmt, payload in _canonical():
+        entry = {"kind": kind, "format": fmt, "payload": payload,
+                 **({} if name == kind else {"name": name})}
         result = execute(_request(entry))
         stats = {k: v for k, v in result.stats.items()
                  if k not in ("batch_size", "coalesced")}

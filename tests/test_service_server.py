@@ -1,7 +1,7 @@
 """The evaluation service end to end: coalescing determinism (coalesced
 responses bit-identical to solo execution, per format), ragged requests
-that must not coalesce, backpressure, priorities, cache dedupe, stats,
-and the error paths."""
+that coalesce across shapes, backpressure, priorities, cache dedupe,
+stats, and the error paths."""
 
 import asyncio
 import time
@@ -101,44 +101,49 @@ class TestCoalescingDeterminism:
 
 
 class TestRaggedRequests:
-    """Odd-shaped requests must not coalesce — and must still be
-    bit-identical to solo."""
+    """Requests of different shapes coalesce into one batch — and each
+    still answers its solo wire triples."""
 
-    def test_different_shapes_do_not_coalesce(self):
+    def test_different_shapes_coalesce(self):
         requests = [forward_request("binary64", 3, 3, 10, seed=0),
                     forward_request("binary64", 3, 3, 14, seed=1),
                     forward_request("binary64", 4, 3, 10, seed=2)]
 
         async def run():
-            async with EvalServer(port=0, window_s=0.05, max_batch=8,
+            async with EvalServer(port=0, window_s=0.5, max_batch=3,
                                   cache="off") as server:
                 return await _submit_concurrently(server, requests)
 
         results = asyncio.run(run())
         shapes = [(3, 3, 10), (3, 3, 14), (4, 3, 10)]
         for result, (h, m, t), seed in zip(results, shapes, range(3)):
-            assert result.stats["batch_size"] == 1
-            assert result.stats["coalesced"] is False
+            assert result.stats["batch_size"] == 3
+            assert result.stats["coalesced"] is True
             assert result.values[0] == _solo_forward_wire(
                 "binary64", seed, h=h, m=m, t=t)
 
-    def test_mixed_shape_multi_model_request_runs_solo(self):
+    def test_mixed_shape_multi_model_request_coalesces(self):
         ragged = WorkloadRequest(
             kind="forward", format="binary64",
             payload={"models": [model_json(3, 3, 10, seed=20),
-                                model_json(3, 3, 12, seed=21)]})
-        assert handler_for("forward").coalesce_key(ragged) is None
+                                model_json(3, 3, 12, seed=21),
+                                model_json(2, 4, 6, seed=22)]})
+        single = forward_request("binary64", 3, 3, 10, seed=23)
+        handler = handler_for("forward")
+        assert handler.coalesce_key(ragged) == handler.coalesce_key(single)
 
         async def run():
-            async with EvalServer(port=0, window_s=0.5, max_batch=8,
+            async with EvalServer(port=0, window_s=0.5, max_batch=2,
                                   cache="off") as server:
-                return await _submit_concurrently(server, [ragged])
+                return await _submit_concurrently(server, [ragged, single])
 
-        (result,) = asyncio.run(run())
-        assert result.stats["coalesced"] is False
-        assert result.values == [
+        ragged_result, single_result = asyncio.run(run())
+        assert ragged_result.stats["coalesced"] is True
+        assert ragged_result.values == [
             _solo_forward_wire("binary64", 20),
-            _solo_forward_wire("binary64", 21, t=12)]
+            _solo_forward_wire("binary64", 21, t=12),
+            _solo_forward_wire("binary64", 22, h=2, m=4, t=6)]
+        assert single_result.values == [_solo_forward_wire("binary64", 23)]
 
     def test_different_formats_do_not_coalesce(self):
         requests = [forward_request("binary64", 3, 3, 10, seed=0),

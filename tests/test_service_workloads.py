@@ -243,8 +243,9 @@ ROW_PAIRS = {
 }
 
 #: kind -> {field: another value}; each changes what the rows share.
+#: ``forward`` rows share nothing but the format: models of any shapes
+#: coalesce.
 SHARED_FIELDS = {
-    "forward": {"models": [dict(MODEL, observations=[0, 1, 2, 1])]},
     "pbd": {"k": 1, "sites": [[0.1, 0.2, 0.3, 0.4]]},
     "op": {"op": "mul"},
     "astype": {"to": "posit(32,2)"},
